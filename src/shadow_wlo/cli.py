@@ -4,9 +4,11 @@ A job config is a JSON object naming a group, a level, a surface and a
 list of ribbons, plus the outputs it wants (holonomy state sum, shadow
 state sum, the normalized comparison, the selfcheck battery).  The report
 echoes the config, stores every complex value as a [re, im] pair and is
-byte-identical across runs and thread counts; wall-clock time goes to
-stderr so it cannot perturb the bytes.  The SHADOW_WLO_SEED environment
-variable is read and deliberately ignored: nothing here is randomized.
+byte-identical across runs; wall-clock time goes to stderr so it cannot
+perturb the bytes.  --threads is accepted for compatibility and has no
+effect: both state sums are evaluated serially.  The SHADOW_WLO_SEED
+environment variable is read and deliberately ignored: nothing here is
+randomized.
 """
 
 import argparse
@@ -176,7 +178,7 @@ def _build_link(cfg):
         raise ConfigError("ribbons", f"no standard embedding: {exc}")
 
 
-def run_job(cfg, threads=1, tolerance=1e-9):
+def run_job(cfg, tolerance=1e-9):
     """Execute the outputs a config requests; returns (report, ok)."""
     lie = lie_data(cfg["group"])
     link = _build_link(cfg)
@@ -190,8 +192,8 @@ def run_job(cfg, threads=1, tolerance=1e-9):
 
     for output in cfg["outputs"]:
         if output == "wlo":
-            res = wlo_unnormalized(lie, cfg["level"], link, mode=cfg["mode"],
-                                   threads=threads)
+            res = wlo_unnormalized(lie, cfg["level"], link,
+                                   mode=cfg["mode"])
             results["wlo"] = {
                 "value": _pair(res.value),
                 "terms_total": res.terms_total,
@@ -202,7 +204,7 @@ def run_job(cfg, threads=1, tolerance=1e-9):
                 warn("level", f"level {cfg['level']} is below the dual "
                      f"Coxeter number {cg}: {res.flag}, value is zero")
         elif output == "shadow":
-            res = shadow_invariant(lie, cfg["level"], link, threads=threads)
+            res = shadow_invariant(lie, cfg["level"], link)
             results["shadow"] = {
                 "value": _pair(res.value),
                 "terms_total": res.terms_total,
@@ -222,8 +224,8 @@ def run_job(cfg, threads=1, tolerance=1e-9):
                     "tolerance": tolerance, "pass": None,
                 }
                 continue
-            rep = compare_theorem(lie, cfg["level"], link, mode=cfg["mode"],
-                                  threads=threads)
+            rep = compare_theorem(lie, cfg["level"], link,
+                                  mode=cfg["mode"])
             passed = rep.rel_difference < tolerance
             ok = ok and passed
             results["compare"] = {
@@ -235,7 +237,7 @@ def run_job(cfg, threads=1, tolerance=1e-9):
                 "pass": passed,
             }
         elif output == "selfcheck":
-            table = selfcheck(threads=threads)
+            table = selfcheck()
             results["selfcheck"] = table
             ok = ok and all(row["pass"] for row in table.values())
 
@@ -417,7 +419,7 @@ def _suite_empty_label_paths():
         "sets and zero values"
 
 
-def selfcheck(threads=1, mutate_hodge=False):
+def selfcheck(mutate_hodge=False):
     """Run the invariant suites of every module; returns the pass table.
 
     mutate_hodge is a verification hook: it flips one Hodge block sign
@@ -477,8 +479,8 @@ def main(argv=None):
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; the report bytes do not "
-                             "depend on it")
+                        help="accepted for compatibility; has no effect, "
+                             "both state sums run serially")
     parser.add_argument("--selfcheck", action="store_true",
                         help="run the invariant suite battery (standalone "
                              "or in addition to a config)")
@@ -519,10 +521,9 @@ def main(argv=None):
             cfg = parse_config(data)
             if args.selfcheck and "selfcheck" not in cfg["outputs"]:
                 cfg["outputs"].append("selfcheck")
-            report, ok = run_job(cfg, threads=args.threads,
-                                 tolerance=args.tolerance)
+            report, ok = run_job(cfg, tolerance=args.tolerance)
         else:
-            table = selfcheck(threads=args.threads)
+            table = selfcheck()
             ok = all(row["pass"] for row in table.values())
             report = {
                 "version": __version__,

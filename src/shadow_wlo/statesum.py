@@ -18,12 +18,13 @@ adjacency) is recomputed from the cells and checked against the abstract
 data; any disagreement is a structural error, never a warning.
 """
 
-import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .complex import (build_standard_surface, coboundary, default_sigma0,
                       face_euler_characteristics, hodge_star_signs,
@@ -128,10 +129,6 @@ class Step6Term:
     class_key: tuple
     det_residual: float
     phase_residual: float
-
-
-def face_count(link):
-    return len(link.ribbons) + 1
 
 
 def _parents(link):
@@ -572,8 +569,6 @@ class _EmbeddedFaces:
                              f" {abstract}")
 
         par = _parents(link)
-        self.face_vectors = tuple(
-            tuple(table[i][j] for i in range(m)) for j in range(m + 1))
         self.marked = []
         for pos in range(m):
             sig = self.arcs[pos]["sigma"]
@@ -648,6 +643,14 @@ def validate_link(link):
 # the holonomy side
 
 
+def _neumaier(s, c, x):
+    """One Neumaier step: add x to the running sum s with compensation c."""
+    t = s + x
+    if abs(s) >= abs(x):
+        return t, c + ((s - t) + x)
+    return t, c + ((x - t) + s)
+
+
 class _Accumulator:
     """Compensated complex accumulator with a deterministic merge order."""
 
@@ -657,16 +660,8 @@ class _Accumulator:
         self.re = self.im = self.cre = self.cim = 0.0
 
     def add(self, z):
-        for attr_s, attr_c, x in (("re", "cre", z.real),
-                                  ("im", "cim", z.imag)):
-            s = getattr(self, attr_s)
-            t = s + x
-            if abs(s) >= abs(x):
-                c = (s - t) + x
-            else:
-                c = (x - t) + s
-            setattr(self, attr_s, t)
-            setattr(self, attr_c, getattr(self, attr_c) + c)
+        self.re, self.cre = _neumaier(self.re, self.cre, z.real)
+        self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
 
     def merge(self, other):
         self.add(complex(other.re, other.im))
@@ -676,14 +671,141 @@ class _Accumulator:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
+def _compensated_sum(values):
+    acc = _Accumulator()
+    for v in values:
+        acc.add(v)
+    return acc.value()
+
+
 def _phase(q):
     """exp(i pi q) for rational q, evaluated at the reduced argument."""
     q = q % 2
     return complex(math.cos(math.pi * float(q)), math.sin(math.pi * float(q)))
 
 
+def _scaled_integer(mat, scale):
+    """scale * mat as an integer matrix; mat has denominators dividing it."""
+    out = tuple(tuple(Fraction(c) * scale for c in row) for row in mat)
+    if any(c.denominator != 1 for row in out for c in row):
+        raise ValueError(f"matrix entries do not have denominator {scale}")
+    return tuple(tuple(int(c) for c in row) for row in out)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+class _CosetTable(NamedTuple):
+    """Face data on one representative per coset of P/kQ, at one level.
+
+    reps are the representatives of lattice_points_in_scaled_box in its
+    order.  A weight x has coroot coordinates adj.x / (r+1); its coset key
+    is adj.x reduced mod (r+1)k, and index maps keys to positions in reps.
+    regular and sines hold the regularity of rep/k and sine_product(rep/k)
+    (0.0 where singular).  phases[e] is exp(i pi e / ((r+1)k)) for
+    0 <= e < 2(r+1)k, and gram is (r+1) times the Gram matrix, so that
+    (r+1)<x, y> = x.gram.y in integers.
+    """
+
+    reps: tuple
+    index: MappingProxyType
+    regular: tuple
+    sines: tuple
+    phases: tuple
+    adj: tuple
+    gram: tuple
+
+
+def _coset_key(adj, modulus, x):
+    """(r+1) times the coroot coordinates of x, reduced mod (r+1)k."""
+    return tuple(_dot(row, x) % modulus for row in adj)
+
+
+@lru_cache(maxsize=None)
+def _coset_table(lie, k):
+    """The coset table of (lie, k), shared by every holonomy sum at k."""
+    n = lie.rank + 1
+    adj = _scaled_integer(lie.cartan_inv, n)
+    gram = _scaled_integer(lie.gram, n)
+    reps = tuple(lattice_points_in_scaled_box(lie, k))
+    regular = []
+    sines = []
+    for x in reps:
+        b = tuple(Fraction(c, k) for c in x)
+        ok = is_regular(lie, b)
+        regular.append(ok)
+        sines.append(sine_product(lie, b) if ok else 0.0)
+    index = {_coset_key(adj, n * k, x): pos for pos, x in enumerate(reps)}
+    if len(index) != len(reps):
+        raise ValueError("scaled box representatives are not one per coset")
+    phases = tuple(_phase(Fraction(e, n * k)) for e in range(2 * n * k))
+    return _CosetTable(reps, MappingProxyType(index), tuple(regular),
+                       tuple(sines), phases, adj, gram)
+
+
+def _leaves_first(par):
+    """Ribbon faces ordered so that every face precedes its parent."""
+    def depth(j):
+        d = 0
+        while j:
+            j = par[j]
+            d += 1
+        return d
+
+    return sorted(range(1, len(par)), key=depth, reverse=True)
+
+
+def _wlo_contract(lie, k, link, chi):
+    """Holonomy sum and its term census by contraction over the forest.
+
+    The k-scaled holonomy of face c = i+1 is beta_c = beta_parent +
+    o_i alpha_i, and every factor is periodic under kQ, so face c carries
+    a vector over the cosets: [regular] sine^chi_c times the kernels of
+    its child ribbons.  The kernel of ribbon i at parent coset x sums, over
+    its color support, mult(alpha) exp(i pi w_i <alpha, 2x + o_i alpha>/k)
+    times the child vector at x + o_i alpha.  The integer vectors count
+    regular paths the same way, weight one per support choice.
+    """
+    table = _coset_table(lie, k)
+    par = _parents(link)
+    size = total = len(table.reps)
+    modulus = (lie.rank + 1) * k
+    vals = []
+    counts = []
+    for x in chi:
+        vals.append([s ** x if ok else 0.0
+                     for s, ok in zip(table.sines, table.regular)])
+        counts.append([int(ok) for ok in table.regular])
+    for c in _leaves_first(par):
+        rib = link.ribbons[c - 1]
+        o, w = rib.orientation, int(rib.winding)
+        child, child_count = vals[c], counts[c]
+        kern = [0j] * size
+        kern_count = [0] * size
+        support = sorted(weight_multiplicities(lie, rib.color).items())
+        total *= len(support)
+        for alpha, mult in support:
+            shift = tuple(o * a for a in alpha)
+            g_alpha = tuple(_dot(row, alpha) for row in table.gram)
+            self_pair = o * _dot(g_alpha, alpha)
+            for pos, x in enumerate(table.reps):
+                if not table.regular[pos]:
+                    continue
+                y = table.index[_coset_key(
+                    table.adj, modulus,
+                    tuple(a + b for a, b in zip(x, shift)))]
+                e = w * (2 * _dot(g_alpha, x) + self_pair) % (2 * modulus)
+                kern[pos] += mult * table.phases[e] * child[y]
+                kern_count[pos] += child_count[y]
+        vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
+        counts[par[c]] = [v * q for v, q in zip(counts[par[c]], kern_count)]
+    return StateSumResult(_compensated_sum(vals[0]), total,
+                          total - sum(counts[0]))
+
+
 def _combo_table(lie, k, link, face_vecs):
-    """Precomputed per-combination data for the holonomy sum.
+    """Precomputed per-combination data for the explicit holonomy sum.
 
     One entry per choice of weights from the ribbon color supports: the
     total multiplicity, the per-face shift vector sum u_i(Y) alpha_i, the
@@ -758,10 +880,16 @@ def wlo_unnormalized(lie, k, link, mode="abstract", threads=1,
     for the base face and over the full color weight support of every
     ribbon, with sine determinant factors per face and winding phases per
     ribbon; summands whose face holonomy meets an affine wall contribute
-    zero and are counted separately.  mode "abstract" reads the nesting
-    forest; mode "embedded" recomputes the face structure from the cells
-    of the carried complex and fails loudly on any disagreement with the
-    forest, then evaluates the identical term set.  Only ratios of values
+    zero and are counted separately.  The sum is contracted over the
+    nesting forest from the leaves up, at a cost linear in the number of
+    ribbons; terms_total still counts |P/kQ| times the product of the
+    support sizes, and terms_skipped_singular the singular ones among
+    them.  record_terms=True enumerates every term explicitly instead and
+    returns the surviving ones as WloTerm entries.  mode "abstract" reads
+    the nesting forest; mode "embedded" recomputes the face structure from
+    the cells of the carried complex and fails loudly on any disagreement
+    with the forest, then evaluates the identical sum.  threads is
+    accepted for compatibility and has no effect.  Only ratios of values
     returned by this function are meaningful.
     """
     k = int(k)
@@ -770,43 +898,33 @@ def wlo_unnormalized(lie, k, link, mode="abstract", threads=1,
     if mode not in ("abstract", "embedded"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "embedded":
-        emb = _EmbeddedFaces(link)
-        face_vecs = emb.face_vectors
-        chi = emb.chi
+        chi = _EmbeddedFaces(link).chi
     else:
-        _parents(link)
-        m = len(link.ribbons)
-        table = face_weights(link)
-        face_vecs = tuple(tuple(table[i][j] for i in range(m))
-                          for j in range(m + 1))
         chi = face_chi(link)
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
 
+    if not record_terms:
+        return _wlo_contract(lie, k, link, chi)
+
+    # embedded links have their regions matched one-to-one to these
+    m = len(link.ribbons)
+    table = face_weights(link)
+    face_vecs = tuple(tuple(table[i][j] for i in range(m))
+                      for j in range(m + 1))
     combos = _combo_table(lie, k, link, face_vecs)
-    alpha0s = lattice_points_in_scaled_box(lie, k)
-    total = len(alpha0s) * len(combos)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda a0: _eval_alpha0(lie, k, chi, combos, a0,
-                                        record_terms), alpha0s))
-    else:
-        parts = [_eval_alpha0(lie, k, chi, combos, a0, record_terms)
-                 for a0 in alpha0s]
-
+    reps = _coset_table(lie, k).reps
     acc = _Accumulator()
     skipped = 0
-    terms = [] if record_terms else None
-    # reduction in lattice order, independent of the thread count
-    for part_acc, part_skipped, part_terms in parts:
+    terms = []
+    for alpha0 in reps:
+        part_acc, part_skipped, part_terms = _eval_alpha0(
+            lie, k, chi, combos, alpha0, True)
         acc.merge(part_acc)
         skipped += part_skipped
-        if record_terms:
-            terms.extend(part_terms)
-    return StateSumResult(acc.value(), total, skipped,
-                          terms=tuple(terms) if record_terms else None)
+        terms.extend(part_terms)
+    return StateSumResult(acc.value(), len(reps) * len(combos), skipped,
+                          terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +940,54 @@ def _label_phase_exponents(lie, k, labels):
     return exps
 
 
-def _shadow_chunk(lie, k, link, labels, first, chi, gl, marked, dims, exps,
-                  histogram):
+def _shadow_contract(lie, k, link, labels):
+    """Shadow sum by contraction over the nesting forest.
+
+    Face c carries a vector over the labels, dim^chi_c times the gleam
+    phase, times the kernels of its child ribbons; the kernel of ribbon i
+    applies the fusion matrix of its color to the child vector.
+    """
+    par = _parents(link)
+    chi = face_chi(link)
+    exps = _label_phase_exponents(lie, k, labels)
+    dims = [quantum_dim(lie, k, lam) for lam in labels]
+    vals = []
+    for j, x in enumerate(chi):
+        g = gleam(link, j)
+        vec = [d ** x for d in dims]
+        if g:
+            vec = [v * _phase(g * exps[lam]) for v, lam in zip(vec, labels)]
+        vals.append(vec)
+    for c in _leaves_first(par):
+        rib = link.ribbons[c - 1]
+        child = vals[c]
+        kern = []
+        for lam in labels:
+            s = 0j
+            for mu, v in zip(labels, child):
+                # as in fusion_faces, the first label slot is the face the
+                # potential jumps up to
+                up, down = (mu, lam) if rib.orientation == 1 else (lam, mu)
+                n = fusion_coefficient(lie, k, rib.color, up, down)
+                if n:
+                    s += n * v
+            kern.append(s)
+        vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
+    return _compensated_sum(vals[0])
+
+
+def _shadow_colorings(lie, k, link, labels):
+    """Every face coloring with its fusion product and summand, in order.
+
+    The summand is 0j where the fusion product vanishes.
+    """
     m = len(link.ribbons)
-    acc = _Accumulator()
-    hist = [dict() for _ in range(m + 1)] if histogram else None
-    for rest in product(labels, repeat=m):
-        phi = (first,) + rest
+    chi = face_chi(link)
+    gl = tuple(gleam(link, j) for j in range(m + 1))
+    marked = [fusion_faces(link, i) for i in range(m)]
+    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
+    exps = _label_phase_exponents(lie, k, labels)
+    for phi in product(labels, repeat=m + 1):
         nfac = 1
         for i in range(m):
             jp, jn = marked[i]
@@ -837,6 +996,7 @@ def _shadow_chunk(lie, k, link, labels, first, chi, gl, marked, dims, exps,
             if nfac == 0:
                 break
         if nfac == 0:
+            yield phi, 0, 0j
             continue
         val = float(nfac)
         q = Fraction(0)
@@ -844,11 +1004,7 @@ def _shadow_chunk(lie, k, link, labels, first, chi, gl, marked, dims, exps,
             val *= dims[phi[j]] ** chi[j]
             if gl[j]:
                 q += gl[j] * exps[phi[j]]
-        acc.add(val * _phase(q))
-        if histogram:
-            for j in range(m + 1):
-                hist[j][phi[j]] = hist[j].get(phi[j], 0) + 1
-    return acc, hist
+        yield phi, nfac, val * _phase(q)
 
 
 def shadow_invariant(lie, k, link, threads=1, histogram=False):
@@ -856,9 +1012,13 @@ def shadow_invariant(lie, k, link, threads=1, histogram=False):
 
     Sums over all level-k colorings of the link complement faces the
     product of one fusion coefficient per ribbon, quantum dimensions to
-    the face Euler characteristics, and gleam phases.  The empty label
-    set below the dual Coxeter number gives an empty sum, flagged as
-    such.  Exact in the number of terms: every coloring is visited.
+    the face Euler characteristics, and gleam phases.  The sum is
+    contracted over the nesting forest, one fusion matrix per ribbon;
+    terms_total still counts every coloring.  histogram=True enumerates
+    the colorings explicitly instead and counts, per face, the labels of
+    the colorings with a nonzero fusion product.  The empty label set
+    below the dual Coxeter number gives an empty sum, flagged as such.
+    threads is accepted for compatibility and has no effect.
     """
     k = int(k)
     if k < 1:
@@ -868,32 +1028,21 @@ def shadow_invariant(lie, k, link, threads=1, histogram=False):
     labels = level_labels(lie, k)
     if not labels:
         return StateSumResult(0j, 0, 0, flag="empty label set")
-    chi = face_chi(link)
-    gl = tuple(gleam(link, j) for j in range(m + 1))
-    marked = [fusion_faces(link, i) for i in range(m)]
-    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
-    exps = _label_phase_exponents(lie, k, labels)
-
-    work = [(lie, k, link, labels, first, chi, gl, marked, dims, exps,
-             histogram) for first in labels]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda args: _shadow_chunk(*args), work))
-    else:
-        parts = [_shadow_chunk(*args) for args in work]
+    total = len(labels) ** (m + 1)
+    if not histogram:
+        return StateSumResult(_shadow_contract(lie, k, link, labels), total,
+                              0)
 
     acc = _Accumulator()
-    hist = [dict() for _ in range(m + 1)] if histogram else None
-    for part_acc, part_hist in parts:
-        acc.merge(part_acc)
-        if histogram:
+    hist = [dict() for _ in range(m + 1)]
+    for phi, nfac, val in _shadow_colorings(lie, k, link, labels):
+        if nfac:
+            acc.add(val)
             for j in range(m + 1):
-                for lam, cnt in part_hist[j].items():
-                    hist[j][lam] = hist[j].get(lam, 0) + cnt
-    out_hist = tuple(dict(sorted(h.items())) for h in hist) if histogram \
-        else None
-    return StateSumResult(acc.value(), len(labels) ** (m + 1), 0,
-                          histogram=out_hist)
+                hist[j][phi[j]] = hist[j].get(phi[j], 0) + 1
+    return StateSumResult(acc.value(), total, 0,
+                          histogram=tuple(dict(sorted(h.items()))
+                                          for h in hist))
 
 
 def compare_theorem(lie, k, link, mode="abstract", threads=1):
@@ -904,6 +1053,7 @@ def compare_theorem(lie, k, link, mode="abstract", threads=1):
     absolute and relative difference.  Below the dual Coxeter number both
     sides have an empty label set and no ratio exists; the empty-link
     normalization vanishing at an admissible level is likewise an error.
+    threads is accepted for compatibility and has no effect.
     """
     k = int(k)
     if k < lie.dual_coxeter:
@@ -911,10 +1061,10 @@ def compare_theorem(lie, k, link, mode="abstract", threads=1):
                          f" {lie.dual_coxeter}: the label set is empty and"
                          " the normalized observable is undefined")
     empty = RibbonLink(genus=link.genus)
-    wlo_link = wlo_unnormalized(lie, k, link, mode=mode, threads=threads)
-    wlo_empty = wlo_unnormalized(lie, k, empty, threads=threads)
-    shadow_link = shadow_invariant(lie, k, link, threads=threads)
-    shadow_empty = shadow_invariant(lie, k, empty, threads=threads)
+    wlo_link = wlo_unnormalized(lie, k, link, mode=mode)
+    wlo_empty = wlo_unnormalized(lie, k, empty)
+    shadow_link = shadow_invariant(lie, k, link)
+    shadow_empty = shadow_invariant(lie, k, empty)
     if wlo_empty.value == 0:
         raise ValueError("empty-link holonomy normalization vanishes at an"
                          " admissible level")
@@ -1003,28 +1153,9 @@ def step6_aggregate(lie, k, link, tol=1e-10):
 
 def shadow_terms(lie, k, link):
     """Per-coloring summands of the shadow sum, as a dict."""
-    k = int(k)
-    m = len(link.ribbons)
-    labels = level_labels(lie, k)
-    chi = face_chi(link)
-    gl = tuple(gleam(link, j) for j in range(m + 1))
-    marked = [fusion_faces(link, i) for i in range(m)]
-    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
-    exps = _label_phase_exponents(lie, k, labels)
-    out = {}
-    for phi in product(labels, repeat=m + 1):
-        nfac = 1
-        for i in range(m):
-            jp, jn = marked[i]
-            nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
-                                       phi[jp], phi[jn])
-        val = float(nfac)
-        q = Fraction(0)
-        for j in range(m + 1):
-            val *= dims[phi[j]] ** chi[j]
-            q += gl[j] * exps[phi[j]]
-        out[phi] = val * _phase(q)
-    return out
+    labels = level_labels(lie, int(k))
+    return {phi: val for phi, _, val in _shadow_colorings(lie, int(k), link,
+                                                          labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from shadow_wlo import statesum as ss
@@ -544,6 +545,124 @@ def test_color_weight_supports_lie_in_the_root_lattice_shift(corpus):
                 diff = tuple(b - c for b, c in zip(beta, rib.color))
                 coords = lie.coroot_coordinates(diff)
                 assert all(c.denominator == 1 for c in coords)
+
+
+# ---------------------------------------------------------------------------
+# forest contraction against explicit enumeration
+
+
+def _assert_same_sum(contracted, explicit):
+    assert contracted.terms_total == explicit.terms_total
+    assert contracted.terms_skipped_singular == \
+        explicit.terms_skipped_singular
+    assert abs(contracted.value - explicit.value) <= \
+        1e-10 * max(1.0, abs(explicit.value))
+
+
+def _assert_contraction_matches(lie, k, link, embedded=None):
+    """Both contracted sums against their explicit enumerations.
+
+    record_terms=True and histogram=True enumerate every holonomy term and
+    every face coloring; the plain calls contract over the forest.
+    """
+    explicit = ss.wlo_unnormalized(lie, k, link, record_terms=True)
+    _assert_same_sum(ss.wlo_unnormalized(lie, k, link), explicit)
+    if embedded is not None:
+        _assert_same_sum(ss.wlo_unnormalized(lie, k, embedded,
+                                             mode="embedded"), explicit)
+    _assert_same_sum(ss.shadow_invariant(lie, k, link),
+                     ss.shadow_invariant(lie, k, link, histogram=True))
+
+
+def test_contraction_equals_explicit_enumeration_on_corpus(corpus):
+    for ent in corpus:
+        _assert_contraction_matches(_lie(ent), ent.level, ent.link,
+                                    ent.embedded)
+
+
+def _support_size(lie, color):
+    return len(weight_multiplicities(lie, color))
+
+
+@st.composite
+def _forests(draw):
+    """A random nesting forest whose explicit sums stay small.
+
+    Ribbon faces are drawn as a tree in which every face hangs below an
+    earlier one, so siblings under the base face and under inner faces
+    both occur, and then relabelled by a random permutation so that
+    parents may carry larger indices than their children.
+    """
+    lie = draw(st.sampled_from((A1, A2)))
+    k = draw(st.integers(lie.dual_coxeter, 6 if lie.rank == 1 else 5))
+    genus = draw(st.integers(0, 1))
+    m = draw(st.integers(1, 4))
+    colors = ([(0,), (1,), (2,), (3,)] if lie.rank == 1 else
+              [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
+    # bound the explicit holonomy enumeration to a few thousand terms
+    budget = 4000 // len(lattice_points_in_scaled_box(lie, k))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    ribbons = [None] * m
+    for face in range(1, m + 1):
+        color = draw(st.sampled_from(
+            [c for c in colors if _support_size(lie, c) <= budget]))
+        budget //= _support_size(lie, color)
+        parent = draw(st.integers(0, face - 1))
+        ribbons[label[face] - 1] = ss.ColoredRibbon(
+            color, draw(st.integers(-2, 2)), draw(st.sampled_from((1, -1))),
+            label[parent])
+    return lie, k, ss.RibbonLink(genus, tuple(ribbons))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_forests())
+def test_contraction_equals_explicit_enumeration_on_random_forests(case):
+    lie, k, link = case
+    _assert_contraction_matches(lie, k, link)
+
+
+def test_contraction_on_a_branching_forest():
+    # siblings under the base face (ribbons 0, 3) and under face 1
+    # (ribbons 1, 2), the shape of the forest benchmark's A2 link
+    ribbons = tuple(ss.ColoredRibbon(color, winding, sign, parent)
+                    for color, winding, sign, parent in (
+                        ((1, 0), 1, 1, 0), ((0, 1), -2, -1, 1),
+                        ((1, 0), 2, 1, 1), ((0, 1), 0, -1, 0)))
+    link = ss.RibbonLink(0, ribbons)
+    assert ss.face_chi(link) == (0, -1, 1, 1, 1)
+    _assert_contraction_matches(A2, 5, link)
+
+
+def test_certificate_beyond_explicit_enumeration():
+    """A 12-ribbon chain that no enumeration could evaluate.
+
+    10,628,820 holonomy terms and 9^13 colorings: the comparison finishes
+    only if both sums are contracted.  The census is checked against
+    closed formulas.  At A1 level k the cosets are the weights x mod 2k and
+    x/k is singular iff k divides x; color (2) steps by -2, 0 or 2, so odd
+    base weights never meet a wall, and an even base weight 2y walks on
+    y mod k with lazy unit steps that must avoid 0 and k/2.
+    """
+    k, m = 10, 12
+    link = ss._chain(0, tuple(((2,), (-1) ** i * (i % 3), (-1) ** (i + 1))
+                              for i in range(m)))
+    rep = ss.compare_theorem(A1, k, link)
+    assert rep.rel_difference < 1e-9
+    assert abs(rep.shadow_ratio) > 1.0
+
+    wlo = ss.wlo_unnormalized(A1, k, link)
+    assert wlo.terms_total == 2 * k * 3 ** m == 10_628_820
+    # lazy walks of m steps on each of the two arcs 1..k/2-1, k/2+1..k-1
+    arc = k // 2 - 1
+    walks = [1] * arc
+    for _ in range(m):
+        walks = [sum(walks[j] for j in (i - 1, i, i + 1) if 0 <= j < arc)
+                 for i in range(arc)]
+    regular = k * 3 ** m + 2 * sum(walks)
+    assert wlo.terms_skipped_singular == wlo.terms_total - regular \
+        == 4_528_738
+    assert ss.shadow_invariant(A1, k, link).terms_total == \
+        len(level_labels(A1, k)) ** (m + 1)
 
 
 # ---------------------------------------------------------------------------
