@@ -36,7 +36,6 @@ __all__ = [
     "hodge_pair",
     "hodge_star_signs",
     "surface_from_json",
-    "load_decomposition",
     "rational_rref",
     "affine_constraint_rows",
     "default_sigma0",
@@ -543,12 +542,6 @@ def surface_from_json(data):
     if set(cx.vertices) != declared:
         raise ValueError("vertex list does not match the edges used")
     return cx
-
-
-def load_decomposition(path):
-    import json
-    with open(path) as fh:
-        return surface_from_json(json.load(fh))
 
 
 def default_sigma0(cx, excluded=()):

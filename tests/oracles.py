@@ -10,6 +10,7 @@ never the other way around.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -34,6 +35,48 @@ def su2_truncated_cg(k, n1, n2, n3):
     if (n1 + n2 - n3) % 2 != 0:
         return 0
     return 1
+
+
+# ---------------------------------------------------------------------------
+# fusion by the windowed Kac-Walton sum, one coefficient at a time
+
+
+def kac_walton_fusion(weyl, gram, simple_coroots, rho, weights, k, nu, lam):
+    """N_{mu,nu}^lam as an alternating sum over Weyl group x translations.
+
+    weights is the weight multiplicity dict of the color mu.  The sum runs
+    over w in the finite Weyl group and k-scaled coroot translations kx
+    with ||kx|| <= ||mu|| + ||nu|| + ||lam|| + 2||rho||, and adds
+    sign(w) * mult_mu(nu + rho - w(lam + rho) - kx): the first slot enters
+    through its weight system, so it is conjugated.
+    """
+    r = len(rho)
+    g = np.array([[float(c) for c in row] for row in gram])
+
+    def norm(x):
+        x = np.array(x, dtype=float)
+        return math.sqrt(float(x @ g @ x))
+
+    mu_norm = max(norm(w) for w in weights)
+    bound = mu_norm + norm(nu) + norm(lam) + 2 * norm(rho)
+    cr = np.array(simple_coroots, dtype=float)
+    lam_min = float(np.linalg.eigvalsh(cr @ g @ cr.T)[0])
+    cmax = int(math.ceil(bound / (k * math.sqrt(lam_min)))) + 1
+    lam_s = [a + b for a, b in zip(lam, rho)]
+    nu_s = [a + b for a, b in zip(nu, rho)]
+    shifts = []
+    for coords in itertools.product(range(-cmax, cmax + 1), repeat=r):
+        kx = [k * sum(c * cr_j[a] for c, cr_j in zip(coords, simple_coroots))
+              for a in range(r)]
+        if norm(kx) ** 2 <= bound * bound + 1e-9:
+            shifts.append(kx)
+    total = 0
+    for w, sign in weyl:
+        wls = [sum(w[i][j] * lam_s[j] for j in range(r)) for i in range(r)]
+        for kx in shifts:
+            target = tuple(nu_s[a] - wls[a] - kx[a] for a in range(r))
+            total += sign * weights.get(target, 0)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,68 @@ def test_fusion_verlinde_dimension_rule():
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+def test_fusion_verlinde_dimension_rule_full_a2_k9_table():
+    k = 9
+    labels = lie.level_labels(A2, k)
+    dims = {lam: lie.quantum_dim(A2, k, lam) for lam in labels}
+    for mu in labels:
+        for nu in labels:
+            rhs = sum(lie.fusion_coefficient(A2, k, mu, nu, lam) * dims[lam]
+                      for lam in labels)
+            assert dims[mu] * dims[nu] == pytest.approx(rhs, abs=1e-8)
+
+
+def _kac_walton(data, k, mu, nu, lam):
+    return oracles.kac_walton_fusion(
+        data.weyl, data.gram, data.simple_coroots, data.rho,
+        lie.weight_multiplicities(data, mu), k, nu, lam)
+
+
+def test_fusion_table_matches_kac_walton_oracle():
+    # every label triple of A1 k <= 8 and A2 k <= 5, colors beyond the
+    # alcove too (signed or zero there: A2 k = 3 color (1,1) is minus the
+    # identity), and the A2 k = 7 triples of the fundamental colors
+    cases = [(A1, k, [(c,) for c in range(k + 1)]) for k in range(2, 9)]
+    cases += [(A2, k, [(a, b) for a in range(k) for b in range(k - a)])
+              for k in range(3, 6)]
+    cases.append((A2, 7, [(1, 0), (0, 1)]))
+    for data, k, colors in cases:
+        labels = lie.level_labels(data, k)
+        for mu in colors:
+            for nu in labels:
+                for lam in labels:
+                    assert lie.fusion_coefficient(data, k, mu, nu, lam) == \
+                        _kac_walton(data, k, mu, nu, lam), (k, mu, nu, lam)
+
+
+def test_fusion_coefficient_rejects_non_labels():
+    assert lie.fusion_coefficient(A1, 4, (1,), (2,), (1,)) == 1
+    with pytest.raises(ValueError, match="level-4 labels"):
+        lie.fusion_coefficient(A1, 4, (1,), (3,), (2,))
+    with pytest.raises(ValueError, match="level-4 labels"):
+        lie.fusion_coefficient(A1, 4, (1,), (2,), (-1,))
+    with pytest.raises(ValueError, match="level-5 labels"):
+        lie.fusion_coefficient(A2, 5, (1, 0), (1, 0), (2, 1))
+    with pytest.raises(ValueError, match="level-2 labels"):
+        lie.fusion_coefficient(A2, 2, (0, 0), (0, 0), (0, 0))
+
+
+def test_fusion_table_refuses_negative_multiplicities(monkeypatch):
+    reduce = lie._alcove_reduce
+
+    def flipped(data, k, v):
+        v, sign, steps = reduce(data, k, v)
+        return v, -sign, steps
+
+    monkeypatch.setattr(lie, "_alcove_reduce", flipped)
+    lie._fusion_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="negative"):
+            lie.fusion_coefficient(A2, 4, (1, 0), (0, 0), (0, 1))
+    finally:
+        lie._fusion_table.cache_clear()
+
+
 def test_ad_det_frozen_value():
     # b = alpha/4 pairs to 1/2 with the positive root
     assert lie.ad_det_k(A1, (Fraction(1, 2),)) == pytest.approx(4.0, abs=1e-12)

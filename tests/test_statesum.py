@@ -665,6 +665,20 @@ def test_certificate_beyond_explicit_enumeration():
         len(level_labels(A1, k)) ** (m + 1)
 
 
+def test_certificate_a2_level_9_genus_1_chain():
+    """An A2 k=9 genus-1 two-ribbon chain, cold in a fraction of a second.
+
+    With one windowed Kac-Walton sum per coefficient, the cold shadow sum
+    of a link of this size took 14.8 s; now each ribbon color costs one
+    fusion table.  The ratio (0.375+1.083i) is far from zero, so matching
+    values are certified, not rounding noise.
+    """
+    link = ss._chain(1, (((1, 0), 1, 1), ((0, 1), 1, 1)))
+    rep = ss.compare_theorem(A2, 9, link)
+    assert rep.rel_difference < 1e-9
+    assert abs(rep.shadow_ratio) > 1.0
+
+
 # ---------------------------------------------------------------------------
 # the normalized comparison
 
