@@ -5,10 +5,10 @@ list of ribbons, plus the outputs it wants (holonomy state sum, shadow
 state sum, the normalized comparison, the selfcheck battery).  The report
 echoes the config, stores every complex value as a [re, im] pair and is
 byte-identical across runs; wall-clock time goes to stderr so it cannot
-perturb the bytes.  --threads is accepted for compatibility and has no
-effect: both state sums are evaluated serially.  The SHADOW_WLO_SEED
-environment variable is read and deliberately ignored: nothing here is
-randomized.
+perturb the bytes.  Mode "embedded" builds the link with embed_link, which
+validates it once; every output then evaluates its nesting forest.  The
+SHADOW_WLO_SEED environment variable is read and deliberately ignored:
+nothing here is randomized.
 """
 
 import argparse
@@ -192,8 +192,7 @@ def run_job(cfg, tolerance=1e-9):
 
     for output in cfg["outputs"]:
         if output == "wlo":
-            res = wlo_unnormalized(lie, cfg["level"], link,
-                                   mode=cfg["mode"])
+            res = wlo_unnormalized(lie, cfg["level"], link)
             results["wlo"] = {
                 "value": _pair(res.value),
                 "terms_total": res.terms_total,
@@ -224,8 +223,7 @@ def run_job(cfg, tolerance=1e-9):
                     "tolerance": tolerance, "pass": None,
                 }
                 continue
-            rep = compare_theorem(lie, cfg["level"], link,
-                                  mode=cfg["mode"])
+            rep = compare_theorem(lie, cfg["level"], link)
             passed = rep.rel_difference < tolerance
             ok = ok and passed
             results["compare"] = {
@@ -478,9 +476,6 @@ def main(argv=None):
                         help="path to a JSON job config")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect, "
-                             "both state sums run serially")
     parser.add_argument("--selfcheck", action="store_true",
                         help="run the invariant suite battery (standalone "
                              "or in addition to a config)")
@@ -500,9 +495,6 @@ def main(argv=None):
     if not config_path and not args.selfcheck:
         parser.print_usage(sys.stderr)
         print("error: need a config file or --selfcheck", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 2
 
     start = time.perf_counter()

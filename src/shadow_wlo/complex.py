@@ -663,8 +663,6 @@ def face_euler_characteristics(cx, regions):
     cross-checks against the cellwise chi of the closed subcomplex;
     disagreement signals an invalid region structure.
     """
-    if hasattr(regions, "regions"):
-        regions = regions.regions
     out = {}
     for label, quarter_set in regions.items():
         verts = set()

@@ -82,9 +82,14 @@ def _mat_inv(m):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieData:
-    """Immutable root data of A_r in the short-coroot normalization."""
+    """Immutable root data of A_r in the short-coroot normalization.
+
+    Compared and hashed by identity: lie_data keeps one instance per rank,
+    and the lru caches keyed on it would otherwise hash every field, the
+    Weyl group included, on each lookup.
+    """
 
     series: str
     rank: int
@@ -104,6 +109,7 @@ class LieData:
         return _mat_vec(self.cartan_inv, _frac_vec(x))
 
 
+@lru_cache(maxsize=None)
 def _build_a_series(rank):
     r = rank
     gram = tuple(
@@ -171,9 +177,12 @@ def _build_a_series(rank):
     )
 
 
-@lru_cache(maxsize=None)
 def lie_data(series):
-    """Parse a series name like "A1" or "A2" into LieData."""
+    """Parse a series name like "A1" or "A2" into LieData.
+
+    Every spelling of one series ("A2", "a2", " A2 ") gives the same
+    instance.
+    """
     s = str(series).strip().upper()
     if not s.startswith("A") or not s[1:].isdigit():
         raise ValueError(f"unsupported series {series!r}, expected A<rank>")
@@ -530,40 +539,17 @@ def _theta_coeffs(lie):
                  for b in range(r))
 
 
-def lattice_points_in_scaled_box(lie, k, basis=None, mode="half_open"):
+def lattice_points_in_scaled_box(lie, k):
     """Weight-lattice points inside the k-scaled coroot-basis box.
 
-    mode "half_open" keeps coordinates in [0, k) per axis, which picks exactly
-    one representative of every coset of the k-scaled coroot lattice; this is
-    the enumeration the state sum uses, since its summand is periodic under
-    those translations.  mode "open" is the strict interior (0, k)^r, which
-    for rank >= 2 can miss entire regular cosets whose representatives all
-    have a coordinate on a box face.  basis may override the simple-coroot
-    basis by another basis of the same lattice, given as weight-coordinate
-    integer vectors.  Returns a sorted list of integer weight-coordinate
-    tuples.
+    Keeps coordinates in [0, k) per simple-coroot axis, which picks exactly
+    one representative of every coset of the k-scaled coroot lattice; this
+    is the enumeration the state sum uses, since its summand is periodic
+    under those translations.  Returns a sorted list of integer
+    weight-coordinate tuples.
     """
     k = int(k)
-    r = lie.rank
-    if basis is None:
-        bmat = tuple(tuple(lie.simple_coroots[j][i] for j in range(r)) for i in range(r))
-    else:
-        bmat = tuple(tuple(int(basis[j][i]) for j in range(r)) for i in range(r))
-    binv = _mat_inv(bmat)
-    bounds = []
-    for i in range(r):
-        bounds.append(k * sum(abs(bmat[i][j]) for j in range(r)))
-    out = []
-    for n in product(*[range(-b, b + 1) for b in bounds]):
-        t = _mat_vec(binv, _frac_vec(n))
-        if mode == "half_open":
-            ok = all(0 <= c < k for c in t)
-        elif mode == "open":
-            ok = all(0 < c < k for c in t)
-        elif mode == "closed":
-            ok = all(0 <= c <= k for c in t)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if ok:
-            out.append(tuple(int(c) for c in n))
-    return sorted(out)
+    # the simple coroots are the columns of the Cartan matrix
+    bounds = [k * sum(abs(c) for c in row) for row in lie.cartan]
+    return [n for n in product(*[range(-b, b + 1) for b in bounds])
+            if all(0 <= c < k for c in lie.coroot_coordinates(n))]

@@ -15,7 +15,9 @@ orientation sign per ribbon.  The embedded one realizes every ribbon as a
 closed strip of tetragons in the doubled complex, and every derived
 quantity (face potentials, region structure, Euler characteristics,
 adjacency) is recomputed from the cells and checked against the abstract
-data; any disagreement is a structural error, never a warning.
+data; any disagreement is a structural error, never a warning.  That check
+runs once, when the link is made (embed_link) or handed in (validate_link);
+both state sums then read the nesting forest only.
 """
 
 import math
@@ -444,32 +446,6 @@ def _ribbon_potential(cx, arcs, strip):
                      " equation for this ribbon")
 
 
-def build_ribbon_potential(cx, ribbon, base=None):
-    """Face potential of one embedded ribbon, normalized at the basepoint.
-
-    Constructs the locally constant unit-jump potential of the ribbon's
-    strip, verifies the defining equation against the half-sum boundary
-    chain, checks tetragon affinity and the unit edge census, and shifts
-    the result to vanish at base (the first admissible vertex off the
-    ribbon when not given).  Returns a dict over the doubled-complex
-    vertices with values in {0, +-1} before the shift; after the shift the
-    two sides differ by the ribbon's realized jump sign.
-    """
-    arcs = _arc_data(cx, ribbon)
-    strip = _strip_quarters(cx, arcs, ribbon.strip_quarters)
-    if not strip:
-        raise ValueError("ribbon has no strip quarters: the arcs do not"
-                         " bound a tetragon strip")
-    f, _ = _ribbon_potential(cx, arcs, strip)
-    if base is None:
-        base = default_sigma0(cx, excluded=arcs["l_vertices"]
-                              | arcs["lp_vertices"])
-    if base not in f:
-        raise ValueError(f"basepoint {base!r} is not a vertex")
-    shift = f[base]
-    return {v: val - shift for v, val in f.items()}
-
-
 class _EmbeddedFaces:
     """Derived face structure of an embedded link.
 
@@ -872,8 +848,7 @@ def _eval_alpha0(lie, k, chi, combos, alpha0, record):
     return acc, skipped, terms
 
 
-def wlo_unnormalized(lie, k, link, mode="abstract", threads=1,
-                     record_terms=False):
+def wlo_unnormalized(lie, k, link, record_terms=False):
     """Unnormalized holonomy-side state sum of a colored ribbon link.
 
     Sums over one representative per coset of the k-scaled coroot lattice
@@ -885,29 +860,22 @@ def wlo_unnormalized(lie, k, link, mode="abstract", threads=1,
     ribbons; terms_total still counts |P/kQ| times the product of the
     support sizes, and terms_skipped_singular the singular ones among
     them.  record_terms=True enumerates every term explicitly instead and
-    returns the surviving ones as WloTerm entries.  mode "abstract" reads
-    the nesting forest; mode "embedded" recomputes the face structure from
-    the cells of the carried complex and fails loudly on any disagreement
-    with the forest, then evaluates the identical sum.  threads is
-    accepted for compatibility and has no effect.  Only ratios of values
-    returned by this function are meaningful.
+    returns the surviving ones as WloTerm entries.  The sum reads only the
+    nesting forest: a link carrying a complex must come from embed_link or
+    have passed validate_link, which check that the cells realize that
+    forest.  Only ratios of values returned by this function are
+    meaningful.
     """
     k = int(k)
     if k < 1:
         raise ValueError("level must be a positive integer")
-    if mode not in ("abstract", "embedded"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "embedded":
-        chi = _EmbeddedFaces(link).chi
-    else:
-        chi = face_chi(link)
+    chi = face_chi(link)
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
 
     if not record_terms:
         return _wlo_contract(lie, k, link, chi)
 
-    # embedded links have their regions matched one-to-one to these
     m = len(link.ribbons)
     table = face_weights(link)
     face_vecs = tuple(tuple(table[i][j] for i in range(m))
@@ -1007,7 +975,7 @@ def _shadow_colorings(lie, k, link, labels):
         yield phi, nfac, val * _phase(q)
 
 
-def shadow_invariant(lie, k, link, threads=1, histogram=False):
+def shadow_invariant(lie, k, link, histogram=False):
     """Shadow state sum of a colored ribbon link at level k.
 
     Sums over all level-k colorings of the link complement faces the
@@ -1018,7 +986,6 @@ def shadow_invariant(lie, k, link, threads=1, histogram=False):
     the colorings explicitly instead and counts, per face, the labels of
     the colorings with a nonzero fusion product.  The empty label set
     below the dual Coxeter number gives an empty sum, flagged as such.
-    threads is accepted for compatibility and has no effect.
     """
     k = int(k)
     if k < 1:
@@ -1045,7 +1012,7 @@ def shadow_invariant(lie, k, link, threads=1, histogram=False):
                                           for h in hist))
 
 
-def compare_theorem(lie, k, link, mode="abstract", threads=1):
+def compare_theorem(lie, k, link):
     """Both normalized ratios of a link against the empty link.
 
     Evaluates the holonomy sum and the shadow sum for the link and for the
@@ -1053,7 +1020,8 @@ def compare_theorem(lie, k, link, mode="abstract", threads=1):
     absolute and relative difference.  Below the dual Coxeter number both
     sides have an empty label set and no ratio exists; the empty-link
     normalization vanishing at an admissible level is likewise an error.
-    threads is accepted for compatibility and has no effect.
+    As in wlo_unnormalized, a link carrying a complex must come from
+    embed_link or have passed validate_link.
     """
     k = int(k)
     if k < lie.dual_coxeter:
@@ -1061,7 +1029,7 @@ def compare_theorem(lie, k, link, mode="abstract", threads=1):
                          f" {lie.dual_coxeter}: the label set is empty and"
                          " the normalized observable is undefined")
     empty = RibbonLink(genus=link.genus)
-    wlo_link = wlo_unnormalized(lie, k, link, mode=mode)
+    wlo_link = wlo_unnormalized(lie, k, link)
     wlo_empty = wlo_unnormalized(lie, k, empty)
     shadow_link = shadow_invariant(lie, k, link)
     shadow_empty = shadow_invariant(lie, k, empty)
@@ -1162,8 +1130,8 @@ def shadow_terms(lie, k, link):
 # standard embeddings and the shipped corpus
 
 
-def _ring_loop_chains(tag, ring, reverse):
-    """Boundary dart chains of the standard ring ribbon.
+def _ring_step(tag, ring, reverse):
+    """The space step of the standard ring ribbon: both boundary loops.
 
     The first loop walks the ring sides on the vertex half of the doubled
     complex, the second walks the adjacent trapezoid centers on the face
@@ -1180,7 +1148,7 @@ def _ring_loop_chains(tag, ring, reverse):
     if reverse:
         l_chain = [(qe, -s) for qe, s in reversed(l_chain)]
         lp_chain = [(qe, -s) for qe, s in reversed(lp_chain)]
-    return l_chain, lp_chain
+    return RibbonStep(t=0, l_sigma=tuple(l_chain), lp_sigma=tuple(lp_chain))
 
 
 def embed_link(link, refinement=None, n=2):
@@ -1191,7 +1159,8 @@ def embed_link(link, refinement=None, n=2):
     halves of the edge double and the declared winding walked one time
     slice at a time.  Only a single chain of nested ribbons is supported;
     the loop rotation direction per ribbon is chosen so that the realized
-    jump sign equals the declared orientation.
+    jump sign equals the declared orientation.  The returned link has
+    passed validate_link.
     """
     if link.genus not in (0, 1):
         raise ValueError("standard embeddings cover genus 0 and 1 only")
@@ -1208,25 +1177,17 @@ def embed_link(link, refinement=None, n=2):
     for pos, rib in enumerate(link.ribbons, start=1):
         strip = tuple(sorted(
             (("trap", 0, pos, i), p) for i in range(4) for p in (1, 2)))
-        chosen = None
-        for reverse in (False, True):
-            l_chain, lp_chain = _ring_loop_chains(0, pos, reverse)
-            steps = [RibbonStep(t=0, l_sigma=tuple(l_chain),
-                                lp_sigma=tuple(lp_chain))]
-            probe = ColoredRibbon(rib.color, rib.winding, rib.orientation,
-                                  rib.parent, tuple(steps), strip)
-            arcs = _arc_data(cx, probe)
-            _, jump = _ribbon_potential(cx, arcs,
-                                        _strip_quarters(cx, arcs, strip))
-            if jump == rib.orientation:
-                chosen = (l_chain, lp_chain, arcs)
-                break
-        if chosen is None:
-            raise ValueError(f"ribbon {pos - 1}: no rotation direction"
-                             " realizes the declared orientation")
-        l_chain, lp_chain, arcs = chosen
-        steps = [RibbonStep(t=0, l_sigma=tuple(l_chain),
-                            lp_sigma=tuple(lp_chain))]
+        # reversing both loops negates the realized jump and keeps their
+        # start vertices, so the forward direction's jump decides; the
+        # validation of the finished link below confirms the choice
+        ring = _ring_step(0, pos, reverse=False)
+        arcs = _arc_data(cx, ColoredRibbon(rib.color, rib.winding,
+                                           steps=(ring,)))
+        _, jump = _ribbon_potential(cx, arcs,
+                                    _strip_quarters(cx, arcs, strip))
+        if jump != rib.orientation:
+            ring = _ring_step(0, pos, reverse=True)
+        steps = [ring]
         direction = 1 if rib.winding >= 0 else -1
         for j in range(n * abs(rib.winding)):
             steps.append(RibbonStep(t=(j * direction) % n, dt=direction,

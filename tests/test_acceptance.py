@@ -246,8 +246,9 @@ def test_criterion_6_mode_agreement(corpus):
         lie = lie_data(ent.series)
         wa = ss.wlo_unnormalized(lie, ent.level, ent.link,
                                  record_terms=True)
+        ss.validate_link(ent.embedded)
         we = ss.wlo_unnormalized(lie, ent.level, ent.embedded,
-                                 mode="embedded", record_terms=True)
+                                 record_terms=True)
         assert sorted(wa.terms) == sorted(we.terms), ent.name
         assert wa.terms_skipped_singular == we.terms_skipped_singular
     print(f"PASS criterion 6: abstract and embedded evaluations produce "

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shadow_wlo import cli
+from shadow_wlo import cli, statesum
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -51,15 +51,6 @@ def test_config_flag_equals_positional(capsys):
     assert out_pos == out_flag
 
 
-def test_report_bytes_independent_of_threads(tmp_path, capsys):
-    cfg = str(CONFIGS / "nested_pair_su3_k6.json")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_main(["run", cfg, "--out", str(a)], capsys)[0] == 0
-    assert run_main(["run", cfg, "--out", str(b), "--threads", "3"],
-                    capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_seed_env_read_and_ignored(tmp_path, capsys, monkeypatch):
     cfg = str(CONFIGS / "unknot_su2_k4.json")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -87,6 +78,36 @@ def test_embedded_mode_config(capsys):
     report = json.loads(out)
     assert report["config"]["mode"] == "embedded"
     assert report["results"]["compare"]["pass"] is True
+
+
+def test_embedded_run_validates_once(capsys, monkeypatch):
+    # embed_link validates the link it makes; the holonomy sums then read
+    # its nesting forest and never rebuild the embedded face structure
+    calls = {"faces": 0, "potential": 0}
+    faces, potential = statesum._EmbeddedFaces, statesum._ribbon_potential
+
+    def counted_faces(link):
+        calls["faces"] += 1
+        return faces(link)
+
+    def counted_potential(*args):
+        calls["potential"] += 1
+        return potential(*args)
+
+    monkeypatch.setattr(statesum, "_EmbeddedFaces", counted_faces)
+    monkeypatch.setattr(statesum, "_ribbon_potential", counted_potential)
+    code, _, _ = run_main(
+        ["run", str(CONFIGS / "torus_unknot_su2_k5_embedded.json")], capsys)
+    assert code == 0
+    # one ribbon: embed_link's direction probe and the validation
+    assert calls == {"faces": 1, "potential": 2}
+
+
+def test_threads_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(CONFIGS / "unknot_su2_k4.json"),
+                  "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_malformed_color_exits_2(tmp_path, capsys):

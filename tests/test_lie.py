@@ -322,8 +322,6 @@ def test_lattice_points_a1_k4():
     # coroot coordinate of the weight (j,) is j/2, so [0, 4) keeps j = 0..7
     pts = lie.lattice_points_in_scaled_box(A1, 4)
     assert pts == [(j,) for j in range(0, 8)]
-    assert lie.lattice_points_in_scaled_box(A1, 4, mode="open") == \
-        [(j,) for j in range(1, 8)]
 
 
 def test_lattice_point_count_matches_orbit_count():
@@ -335,27 +333,3 @@ def test_lattice_point_count_matches_orbit_count():
                    if lie.is_regular(data, tuple(Fraction(c, k) for c in p))]
         want = len(lie.level_labels(data, k)) * len(data.weyl)
         assert len(regular) == want
-
-
-def test_lattice_points_open_box_loses_whole_cosets_in_rank_two():
-    # the strict interior is not a faithful set of coset representatives:
-    # some regular cosets sit entirely on box faces
-    pts = lie.lattice_points_in_scaled_box(A2, 5, mode="open")
-    regular = [p for p in pts
-               if lie.is_regular(A2, tuple(Fraction(c, 5) for c in p))]
-    assert len(regular) == 28      # 8 of the 36 regular cosets are lost
-
-
-def test_lattice_points_basis_independent_coset_classes():
-    # alternative lattice basis: same coset classes modulo k*Gamma
-    k = 5
-    alt = ((2, -1), (1, 1))        # alpha_check_1, alpha_check_1 + alpha_check_2
-    default = lie.lattice_points_in_scaled_box(A2, k)
-    other = lie.lattice_points_in_scaled_box(A2, k, basis=alt)
-    assert len(default) == len(other)
-
-    def coset_key(p):
-        t = A2.coroot_coordinates(p)
-        return tuple((Fraction(c) * 3) % (3 * k) for c in t)
-
-    assert sorted(map(coset_key, default)) == sorted(map(coset_key, other))

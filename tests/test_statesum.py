@@ -1,6 +1,7 @@
 """Tests for the ribbon link state sums and their embedded realizations."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -163,7 +164,9 @@ def test_disk_ribbon_potential_inner_one(corpus):
     """A single embedded ribbon has potential 1 inside, 0 outside."""
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     cx = emb.complex
-    f = ss.build_ribbon_potential(cx, emb.ribbons[0])
+    faces = ss._EmbeddedFaces(emb)
+    f = faces.potentials[0]
+    assert f[faces.sigma0] == 0
     assert set(f.values()) == {0, 1}
     assert f[("c", ("inner", 0))] == 1
     base = next(fid for fid in sorted(cx.faces)
@@ -173,7 +176,9 @@ def test_disk_ribbon_potential_inner_one(corpus):
 
 def test_downward_ribbon_potential(corpus):
     emb = _by_name(corpus, "a1_g0_one_heavy_k3").embedded
-    f = ss.build_ribbon_potential(emb.complex, emb.ribbons[0])
+    faces = ss._EmbeddedFaces(emb)
+    f = faces.potentials[0]
+    assert f[faces.sigma0] == 0
     assert set(f.values()) == {0, -1}
     assert f[("c", ("inner", 0))] == -1
 
@@ -198,7 +203,6 @@ def test_potential_unique_up_to_constant(corpus):
     """
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     cx = emb.complex
-    rib = emb.ribbons[0]
     faces = ss._EmbeddedFaces(emb)
     index = {qv: i for i, qv in enumerate(cx.qk_vertices)}
     edge_order = sorted(cx.edges)
@@ -232,7 +236,7 @@ def test_potential_unique_up_to_constant(corpus):
     assert sol is not None
     assert len(null) == 1
     assert len(set(null[0])) == 1
-    f = ss.build_ribbon_potential(cx, rib)
+    f = faces.potentials[0]
     diffs = {f[qv] - sol[index[qv]] for qv in cx.qk_vertices}
     assert len(diffs) == 1
 
@@ -248,7 +252,7 @@ def test_antiparallel_loops_rejected(corpus):
     bad = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation,
                            rib.parent, steps, rib.strip_quarters)
     with pytest.raises(ValueError, match="no unit-jump potential"):
-        ss.build_ribbon_potential(emb.complex, bad)
+        ss.validate_link(replace(emb, ribbons=(bad,)))
 
 
 def test_declared_strip_checked(corpus):
@@ -257,7 +261,7 @@ def test_declared_strip_checked(corpus):
     bad = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation,
                            rib.parent, rib.steps, rib.strip_quarters[:-1])
     with pytest.raises(ValueError, match="strip quarters disagree"):
-        ss.build_ribbon_potential(emb.complex, bad)
+        ss.validate_link(replace(emb, ribbons=(bad,)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +442,18 @@ def test_wlo_terms_periodic_under_scaled_coroot_shift(corpus):
     assert seen_nonzero
 
 
-def test_wlo_threads_bitwise_deterministic(corpus):
-    ent = _by_name(corpus, "a2_g0_two_k6")
-    lie = _lie(ent)
-    one = ss.wlo_unnormalized(lie, ent.level, ent.link, threads=1)
-    three = ss.wlo_unnormalized(lie, ent.level, ent.link, threads=3)
-    assert one.value == three.value
-    s1 = ss.shadow_invariant(lie, ent.level, ent.link, threads=1)
-    s3 = ss.shadow_invariant(lie, ent.level, ent.link, threads=3)
-    assert s1.value == s3.value
-
-
 def test_mode_term_multisets_equal(corpus):
     """Abstract and embedded evaluation produce identical term multisets."""
     for name in ("a1_g0_one_k4", "a1_g0_three_k4", "a2_g1_one_k5"):
         ent = _by_name(corpus, name)
         lie = _lie(ent)
         wa = ss.wlo_unnormalized(lie, ent.level, ent.link, record_terms=True)
+        ss.validate_link(ent.embedded)
         we = ss.wlo_unnormalized(lie, ent.level, ent.embedded,
-                                 mode="embedded", record_terms=True)
+                                 record_terms=True)
         assert sorted(wa.terms) == sorted(we.terms)
         assert wa.terms_total == we.terms_total
         assert wa.terms_skipped_singular == we.terms_skipped_singular
-
-
-def test_wlo_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        ss.wlo_unnormalized(A1, 4, ss.RibbonLink(0), mode="other")
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +557,8 @@ def _assert_contraction_matches(lie, k, link, embedded=None):
     explicit = ss.wlo_unnormalized(lie, k, link, record_terms=True)
     _assert_same_sum(ss.wlo_unnormalized(lie, k, link), explicit)
     if embedded is not None:
-        _assert_same_sum(ss.wlo_unnormalized(lie, k, embedded,
-                                             mode="embedded"), explicit)
+        ss.validate_link(embedded)
+        _assert_same_sum(ss.wlo_unnormalized(lie, k, embedded), explicit)
     _assert_same_sum(ss.shadow_invariant(lie, k, link),
                      ss.shadow_invariant(lie, k, link, histogram=True))
 
@@ -694,8 +683,8 @@ def test_theorem_on_representative_links(corpus):
 def test_theorem_in_embedded_mode(corpus):
     for name in ("a1_g0_one_k4", "a2_g1_one_k5"):
         ent = _by_name(corpus, name)
-        rep = ss.compare_theorem(_lie(ent), ent.level, ent.embedded,
-                                 mode="embedded")
+        ss.validate_link(ent.embedded)
+        rep = ss.compare_theorem(_lie(ent), ent.level, ent.embedded)
         assert rep.rel_difference < 1e-9, name
 
 
