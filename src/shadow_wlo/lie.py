@@ -39,8 +39,6 @@ __all__ = [
     "is_regular",
     "ad_det_k",
     "sine_product",
-    "alcove_decompose",
-    "apply_affine",
     "dominant_representative",
     "lattice_points_in_scaled_box",
 ]
@@ -429,7 +427,7 @@ def _fusion_table(lie, k, mu):
     weights = _full_weight_table(lie, mu)
     for nu in labels:
         for w, m in weights.items():
-            v, sign, _ = _alcove_reduce(
+            v, sign = _alcove_reduce(
                 lie, k, [n + p - c for n, p, c in zip(nu, lie.rho, w)])
             if sign:
                 table[nu, tuple(c - p for c, p in zip(v, lie.rho))] += sign * m
@@ -439,95 +437,36 @@ def _fusion_table(lie, k, mu):
     return table
 
 
-def apply_affine(lie, affine, x):
-    """Apply an affine map (matrix, translation) to a coordinate vector."""
-    mat, tr = affine
-    y = _mat_vec(mat, _frac_vec(x))
-    return tuple(a + b for a, b in zip(y, tr))
-
-
-def alcove_decompose(lie, k, beta):
-    """Write beta = w(lam + rho) + k*x with lam a level-k label.
-
-    Input is a rational coordinate vector on the k-scaled Cartan algebra
-    (typically k times a face holonomy value).  Returns (lam, sign, affine)
-    where sign is the determinant of the linear part of the reducing map and
-    affine = (matrix, translation) maps lam + rho back to beta exactly.
-    sign is 0 when beta lies on an affine wall; lam is then the boundary
-    label reached by the reduction.
-    """
-    k = int(k)
-    r = lie.rank
-    v, sign, steps = _alcove_reduce(lie, k, list(_frac_vec(beta)))
-    # Accumulated map sigma with v = sigma(beta).
-    mat = tuple(tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r))
-    tr = (Fraction(0),) * r
-    for i in steps:
-        refl = _theta_reflection_matrix(lie) if i is None else \
-            _reflection_matrix(lie, i)
-        mat = _mat_mul(refl, mat)
-        tr = _mat_vec(refl, tr)
-        if i is None:
-            tr = tuple(t + k * th for t, th in zip(tr, lie.theta))
-    lam = tuple(c - p for c, p in zip(v, lie.rho))
-    inv = _mat_inv(mat)
-    back_tr = _mat_vec(inv, tuple(-t for t in tr))
-    return lam, sign, (inv, tuple(back_tr))
-
-
 def _alcove_reduce(lie, k, v):
     """Reflect v (a list, changed in place) into the closed level-k alcove.
 
-    Returns (v, sign, steps): sign is the determinant of the reflections
-    applied, or 0 when v ends on a wall, and steps lists them in order,
-    i for the simple reflection s_i and None for the affine one in theta.
-    Integer input stays integer.
+    Returns (v, sign): sign is the determinant of the affine Weyl element
+    applied, (-1) to the number of reflections, or 0 when v ends on a
+    wall.  v then equals w(beta) + k*x for the input beta, some w in the
+    finite Weyl group and x in the coroot lattice.  Integer input stays
+    integer.
     """
     r = lie.rank
     theta_w = _theta_coeffs(lie)
-    steps = []
+    steps = 0
     while True:
-        if len(steps) > 100000:
+        if steps > 100000:
             raise RuntimeError("alcove reduction did not terminate")
         i = next((i for i in range(r) if v[i] < 0), None)
         if i is not None:
             coef = v[i]
             for a in range(r):
                 v[a] -= coef * lie.simple_roots[i][a]
-            steps.append(i)
+            steps += 1
             continue
         h = sum(c * t for c, t in zip(v, theta_w))
         if h > k:
             for a in range(r):
                 v[a] -= (h - k) * lie.theta[a]
-            steps.append(None)
+            steps += 1
             continue
         on_wall = any(c == 0 for c in v) or h == k
-        return v, (0 if on_wall else (-1) ** len(steps)), steps
-
-
-@lru_cache(maxsize=None)
-def _reflection_matrix(lie, i):
-    r = lie.rank
-    rows = []
-    for a in range(r):
-        row = [Fraction(int(a == b)) for b in range(r)]
-        row[i] -= lie.simple_roots[i][a]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _theta_reflection_matrix(lie):
-    r = lie.rank
-    theta = lie.theta
-    rows = []
-    for a in range(r):
-        row = [Fraction(int(a == b)) for b in range(r)]
-        for b in range(r):
-            row[b] -= theta[a] * _theta_coeffs(lie)[b]
-        rows.append(tuple(row))
-    return tuple(rows)
+        return v, (0 if on_wall else (-1) ** steps)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from .complex import (build_standard_surface, coboundary, default_sigma0,
                       face_euler_characteristics, hodge_star_signs,
                       project_to_K)
 from .discrete import RibbonStep
-from .lie import (alcove_decompose, fusion_coefficient, inner, is_regular,
+from .lie import (_alcove_reduce, fusion_coefficient, inner, is_regular,
                   lattice_points_in_scaled_box, level_labels, quantum_dim,
                   sine_product, weight_multiplicities)
 
@@ -80,7 +80,6 @@ class StateSumResult:
     terms_total: int
     terms_skipped_singular: int
     flag: str = None
-    histogram: tuple = None
     terms: tuple = None
 
 
@@ -90,8 +89,7 @@ class WloTerm:
 
     holonomies lists the face values of B as coordinate tuples, in face
     order; phase is the total winding phase exponent as a multiple of pi,
-    reduced mod 2.  Equality of term multisets between the abstract and
-    the embedded evaluation of the same link is exact, not approximate.
+    reduced mod 2.  Terms compare exactly, not approximately.
     """
 
     alpha0: tuple
@@ -119,18 +117,16 @@ class TheoremReport:
 class Step6Term:
     """Alcove reduction of one holonomy term to shadow data.
 
-    labels are the level-k face colors, signs the Weyl determinants of the
-    reducing maps, class_key the coloring the term aggregates into, and
-    det_residual / phase_residual the numerical defects of the two
-    square-identities checked during the transform.
+    labels are the level-k face colors, which are also the coloring the
+    term aggregates into, signs the Weyl determinants of the reducing maps,
+    and det_residual the largest relative defect of the determinant
+    identity checked during the transform.
     """
 
     labels: tuple
     signs: tuple
     value: complex
-    class_key: tuple
     det_residual: float
-    phase_residual: float
 
 
 def _parents(link):
@@ -628,7 +624,7 @@ def _neumaier(s, c, x):
 
 
 class _Accumulator:
-    """Compensated complex accumulator with a deterministic merge order."""
+    """Compensated complex accumulator."""
 
     __slots__ = ("re", "im", "cre", "cim")
 
@@ -638,10 +634,6 @@ class _Accumulator:
     def add(self, z):
         self.re, self.cre = _neumaier(self.re, self.cre, z.real)
         self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
-
-    def merge(self, other):
-        self.add(complex(other.re, other.im))
-        self.add(complex(other.cre, other.cim))
 
     def value(self):
         return complex(self.re + self.cre, self.im + self.cim)
@@ -780,72 +772,66 @@ def _wlo_contract(lie, k, link, chi):
                           total - sum(counts[0]))
 
 
-def _combo_table(lie, k, link, face_vecs):
-    """Precomputed per-combination data for the explicit holonomy sum.
+def _wlo_terms(lie, k, link, chi):
+    """Every holonomy term explicitly, on the coset table.
 
-    One entry per choice of weights from the ribbon color supports: the
-    total multiplicity, the per-face shift vector sum u_i(Y) alpha_i, the
-    winding-weighted weight sum for the alpha0-dependent phase part, and
-    the alpha0-independent phase part.
+    Per support choice, face c = i+1 lifts to beta_c = beta_parent +
+    o_i alpha_i above the base representative alpha0 = beta_0, and the
+    phase exponent is the contraction's sum_i w_i (2 g_alpha_i.beta_parent
+    + o_i g_alpha_i.alpha_i) mod 2(r+1)k.  Both are split into an integer
+    part fixed by the choice and a part linear in alpha0, and every face
+    is looked up by its coset for regularity and sine.  Terms come in the
+    order of the representatives, then of the choices.
     """
-    m = len(link.ribbons)
+    table = _coset_table(lie, k)
+    par = _parents(link)
     r = lie.rank
-    supports = []
-    for rib in link.ribbons:
-        table = weight_multiplicities(lie, rib.color)
-        supports.append(sorted(table.items()))
-    marked = [fusion_faces(link, i) for i in range(m)]
-    combos = []
+    modulus = (r + 1) * k
+    top_down = _leaves_first(par)[::-1]
+    supports = [sorted(weight_multiplicities(lie, rib.color).items())
+                for rib in link.ribbons]
+    choices = []
     for choice in product(*supports):
-        alphas = tuple(w for w, _ in choice)
-        mult = 1
-        for _, cnt in choice:
-            mult *= cnt
-        shifts = []
-        for vec in face_vecs:
-            shifts.append(tuple(
-                sum(vec[i] * alphas[i][a] for i in range(m))
-                for a in range(r)))
-        wsum = tuple(
-            sum(link.ribbons[i].winding * alphas[i][a] for i in range(m))
-            for a in range(r))
-        q0 = Fraction(0)
-        for i in range(m):
-            jp, jz = marked[i]
-            both = tuple(shifts[jp][a] + shifts[jz][a] for a in range(r))
-            q0 += link.ribbons[i].winding * Fraction(inner(lie, alphas[i],
-                                                           both))
-        combos.append((alphas, mult, tuple(shifts), wsum, q0))
-    return combos
-
-
-def _eval_alpha0(lie, k, chi, combos, alpha0, record):
-    """All surviving terms at one holonomy lattice point."""
-    r = lie.rank
+        alphas = tuple(alpha for alpha, _ in choice)
+        shifts = [(0,) * r] * len(par)
+        pull = [0] * r
+        e0 = 0
+        for c in top_down:
+            rib = link.ribbons[c - 1]
+            o, w, alpha = rib.orientation, int(rib.winding), alphas[c - 1]
+            g_alpha = tuple(_dot(row, alpha) for row in table.gram)
+            up = shifts[par[c]]
+            shifts[c] = tuple(s + o * a for s, a in zip(up, alpha))
+            e0 += w * (2 * _dot(g_alpha, up) + o * _dot(g_alpha, alpha))
+            pull = [p + 2 * w * g for p, g in zip(pull, g_alpha)]
+        keys = [_coset_key(table.adj, modulus, shift) for shift in shifts]
+        choices.append((alphas, math.prod(n for _, n in choice), shifts,
+                        keys, pull, e0))
     acc = _Accumulator()
     skipped = 0
-    terms = [] if record else None
-    for alphas, mult, shifts, wsum, q0 in combos:
-        faces = []
-        regular = True
-        for shift in shifts:
-            b = tuple(Fraction(alpha0[a] + shift[a], k) for a in range(r))
-            if not is_regular(lie, b):
-                regular = False
-                break
-            faces.append(b)
-        if not regular:
-            skipped += 1
-            continue
-        det = 1.0
-        for b, x in zip(faces, chi):
-            det *= sine_product(lie, b) ** x
-        q = (2 * Fraction(inner(lie, wsum, alpha0)) + q0) / k
-        acc.add(mult * det * _phase(q))
-        if record:
-            terms.append(WloTerm(tuple(alpha0), alphas, mult,
-                                 tuple(faces), q % 2))
-    return acc, skipped, terms
+    terms = []
+    for alpha0 in table.reps:
+        # keys are linear mod (r+1)k: key(alpha0 + s) = key(alpha0) + key(s)
+        base = _coset_key(table.adj, modulus, alpha0)
+        for alphas, mult, shifts, keys, pull, e0 in choices:
+            pos = [table.index[tuple((a + b) % modulus
+                                     for a, b in zip(base, key))]
+                   for key in keys]
+            if not all(table.regular[p] for p in pos):
+                skipped += 1
+                continue
+            det = 1.0
+            for p, x in zip(pos, chi):
+                det *= table.sines[p] ** x
+            e = (_dot(pull, alpha0) + e0) % (2 * modulus)
+            acc.add(mult * det * table.phases[e])
+            faces = tuple(tuple(Fraction(a + s, k)
+                                for a, s in zip(alpha0, shift))
+                          for shift in shifts)
+            terms.append(WloTerm(alpha0, alphas, mult, faces,
+                                 Fraction(e, modulus)))
+    return StateSumResult(acc.value(), len(table.reps) * len(choices),
+                          skipped, terms=tuple(terms))
 
 
 def wlo_unnormalized(lie, k, link, record_terms=False):
@@ -859,12 +845,12 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     nesting forest from the leaves up, at a cost linear in the number of
     ribbons; terms_total still counts |P/kQ| times the product of the
     support sizes, and terms_skipped_singular the singular ones among
-    them.  record_terms=True enumerates every term explicitly instead and
-    returns the surviving ones as WloTerm entries.  The sum reads only the
-    nesting forest: a link carrying a complex must come from embed_link or
-    have passed validate_link, which check that the cells realize that
-    forest.  Only ratios of values returned by this function are
-    meaningful.
+    them.  record_terms=True enumerates every term explicitly instead, on
+    the same integer coset table, and returns the surviving ones as
+    WloTerm entries.  The sum reads only the nesting forest: a link
+    carrying a complex must come from embed_link or have passed
+    validate_link, which check that the cells realize that forest.  Only
+    ratios of values returned by this function are meaningful.
     """
     k = int(k)
     if k < 1:
@@ -873,26 +859,9 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
 
-    if not record_terms:
-        return _wlo_contract(lie, k, link, chi)
-
-    m = len(link.ribbons)
-    table = face_weights(link)
-    face_vecs = tuple(tuple(table[i][j] for i in range(m))
-                      for j in range(m + 1))
-    combos = _combo_table(lie, k, link, face_vecs)
-    reps = _coset_table(lie, k).reps
-    acc = _Accumulator()
-    skipped = 0
-    terms = []
-    for alpha0 in reps:
-        part_acc, part_skipped, part_terms = _eval_alpha0(
-            lie, k, chi, combos, alpha0, True)
-        acc.merge(part_acc)
-        skipped += part_skipped
-        terms.extend(part_terms)
-    return StateSumResult(acc.value(), len(reps) * len(combos), skipped,
-                          terms=tuple(terms))
+    if record_terms:
+        return _wlo_terms(lie, k, link, chi)
+    return _wlo_contract(lie, k, link, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -944,72 +913,25 @@ def _shadow_contract(lie, k, link, labels):
     return _compensated_sum(vals[0])
 
 
-def _shadow_colorings(lie, k, link, labels):
-    """Every face coloring with its fusion product and summand, in order.
-
-    The summand is 0j where the fusion product vanishes.
-    """
-    m = len(link.ribbons)
-    chi = face_chi(link)
-    gl = tuple(gleam(link, j) for j in range(m + 1))
-    marked = [fusion_faces(link, i) for i in range(m)]
-    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
-    exps = _label_phase_exponents(lie, k, labels)
-    for phi in product(labels, repeat=m + 1):
-        nfac = 1
-        for i in range(m):
-            jp, jn = marked[i]
-            nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
-                                       phi[jp], phi[jn])
-            if nfac == 0:
-                break
-        if nfac == 0:
-            yield phi, 0, 0j
-            continue
-        val = float(nfac)
-        q = Fraction(0)
-        for j in range(m + 1):
-            val *= dims[phi[j]] ** chi[j]
-            if gl[j]:
-                q += gl[j] * exps[phi[j]]
-        yield phi, nfac, val * _phase(q)
-
-
-def shadow_invariant(lie, k, link, histogram=False):
+def shadow_invariant(lie, k, link):
     """Shadow state sum of a colored ribbon link at level k.
 
     Sums over all level-k colorings of the link complement faces the
     product of one fusion coefficient per ribbon, quantum dimensions to
     the face Euler characteristics, and gleam phases.  The sum is
     contracted over the nesting forest, one fusion matrix per ribbon;
-    terms_total still counts every coloring.  histogram=True enumerates
-    the colorings explicitly instead and counts, per face, the labels of
-    the colorings with a nonzero fusion product.  The empty label set
-    below the dual Coxeter number gives an empty sum, flagged as such.
+    terms_total still counts every coloring.  The empty label set below
+    the dual Coxeter number gives an empty sum, flagged as such.
     """
     k = int(k)
     if k < 1:
         raise ValueError("level must be a positive integer")
     _parents(link)
-    m = len(link.ribbons)
     labels = level_labels(lie, k)
     if not labels:
         return StateSumResult(0j, 0, 0, flag="empty label set")
-    total = len(labels) ** (m + 1)
-    if not histogram:
-        return StateSumResult(_shadow_contract(lie, k, link, labels), total,
-                              0)
-
-    acc = _Accumulator()
-    hist = [dict() for _ in range(m + 1)]
-    for phi, nfac, val in _shadow_colorings(lie, k, link, labels):
-        if nfac:
-            acc.add(val)
-            for j in range(m + 1):
-                hist[j][phi[j]] = hist[j].get(phi[j], 0) + 1
-    return StateSumResult(acc.value(), total, 0,
-                          histogram=tuple(dict(sorted(h.items()))
-                                          for h in hist))
+    total = len(labels) ** (len(link.ribbons) + 1)
+    return StateSumResult(_shadow_contract(lie, k, link, labels), total, 0)
 
 
 def compare_theorem(lie, k, link):
@@ -1054,13 +976,14 @@ def compare_theorem(lie, k, link):
 def step6_transform(lie, k, link, term, tol=1e-10):
     """Alcove reduction of one surviving holonomy term.
 
-    Scales each face holonomy to the affine Weyl chamber structure, reads
-    off the level-k label and the sign of the reducing map, and verifies
-    the two identities that drive the passage to the shadow sum: the sine
-    determinant of each face equals the squared quantum dimension of its
-    label times a face-independent constant, and the total winding phase
-    equals the gleam phase of the labels exactly.  Any violation raises
-    with the offending term in the message.
+    Reflects k times each face holonomy, an integer weight, into the
+    level-k alcove, reads off the label and the sign of the reducing
+    element, and verifies the two identities that drive the passage to the
+    shadow sum: the sine determinant of each face equals the squared
+    quantum dimension of its label times a face-independent constant (to
+    the relative tolerance tol), and the total winding phase equals the
+    gleam phase of the labels exactly, as rationals mod 2.  Any violation
+    raises with the offending term in the message.
     """
     k = int(k)
     chi = face_chi(link)
@@ -1071,16 +994,18 @@ def step6_transform(lie, k, link, term, tol=1e-10):
                                                       alpha)) / k) ** 2
     labels = []
     signs = []
+    sines = []
     det_residual = 0.0
     for j, b in enumerate(term.holonomies):
-        beta = tuple(c * k for c in b)
-        lam, sign, _ = alcove_decompose(lie, k, beta)
+        v, sign = _alcove_reduce(lie, k, list(_scaled_integer((b,), k)[0]))
+        lam = tuple(c - p for c, p in zip(v, lie.rho))
         if sign == 0:
             raise ValueError(f"term {term.alpha0}: face {j} holonomy lies"
                              " on an affine wall")
         labels.append(lam)
         signs.append(sign)
-        det = sine_product(lie, b) ** 2
+        sines.append(sine_product(lie, b))
+        det = sines[-1] ** 2
         dimsq = quantum_dim(lie, k, lam) ** 2 * const
         res = abs(det / dimsq - 1.0)
         det_residual = max(det_residual, res)
@@ -1091,16 +1016,14 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     q = Fraction(0)
     for j, lam in enumerate(labels):
         q += gl[j] * exps[lam]
-    phase_residual = abs(_phase(q) - _phase(term.phase))
-    if phase_residual > tol:
-        raise ValueError(f"term {term.alpha0}: winding phase disagrees"
-                         f" with the gleam phase by {phase_residual:.3e}")
+    if (q - term.phase) % 2:
+        raise ValueError(f"term {term.alpha0}: winding phase {term.phase}"
+                         f" is not the gleam phase {q % 2} mod 2")
     det = 1.0
-    for b, x in zip(term.holonomies, chi):
-        det *= sine_product(lie, b) ** x
+    for sine, x in zip(sines, chi):
+        det *= sine ** x
     value = term.multiplicity * det * _phase(term.phase)
-    return Step6Term(tuple(labels), tuple(signs), value, tuple(labels),
-                     det_residual, phase_residual)
+    return Step6Term(tuple(labels), tuple(signs), value, det_residual)
 
 
 def step6_aggregate(lie, k, link, tol=1e-10):
@@ -1114,16 +1037,44 @@ def step6_aggregate(lie, k, link, tol=1e-10):
     out = {}
     for term in res.terms:
         st = step6_transform(lie, k, link, term, tol=tol)
-        acc = out.setdefault(st.class_key, _Accumulator())
+        acc = out.setdefault(st.labels, _Accumulator())
         acc.add(st.value)
     return {key: acc.value() for key, acc in sorted(out.items())}
 
 
 def shadow_terms(lie, k, link):
-    """Per-coloring summands of the shadow sum, as a dict."""
-    labels = level_labels(lie, int(k))
-    return {phi: val for phi, _, val in _shadow_colorings(lie, int(k), link,
-                                                          labels)}
+    """Every face coloring's shadow summand, as a dict in coloring order.
+
+    The summand is 0j where the fusion product vanishes.
+    """
+    k = int(k)
+    m = len(link.ribbons)
+    chi = face_chi(link)
+    gl = tuple(gleam(link, j) for j in range(m + 1))
+    marked = [fusion_faces(link, i) for i in range(m)]
+    labels = level_labels(lie, k)
+    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
+    exps = _label_phase_exponents(lie, k, labels)
+    out = {}
+    for phi in product(labels, repeat=m + 1):
+        nfac = 1
+        for i in range(m):
+            jp, jn = marked[i]
+            nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
+                                       phi[jp], phi[jn])
+            if nfac == 0:
+                break
+        if nfac == 0:
+            out[phi] = 0j
+            continue
+        val = float(nfac)
+        q = Fraction(0)
+        for j in range(m + 1):
+            val *= dims[phi[j]] ** chi[j]
+            if gl[j]:
+                q += gl[j] * exps[phi[j]]
+        out[phi] = val * _phase(q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,89 @@ def traced_gleams(cx, ribbons):
         members.setdefault(find(qid), []).append(qid)
     return sorted((frozenset(qs), gleams[root])
                   for root, qs in members.items())
+
+
+# ---------------------------------------------------------------------------
+# the holonomy sum by explicit Fraction enumeration
+
+
+def wlo_terms_fraction(lie, k, link, bases=None):
+    """Every holonomy term of a link, enumerated in rational arithmetic.
+
+    The package's former record_terms enumerator, frozen: per support
+    choice it precomputes the face shifts sum_i u_i(Y_j) alpha_i and the
+    phase parts as Fractions through the pairing, then visits every base
+    point (by default one representative per coset of P/kQ) and tests
+    each face holonomy for regularity.  Returns (value, terms_total,
+    terms_skipped_singular, terms), with the terms as WloTerm entries in
+    base-point, then support-choice order.
+
+    Unlike the rest of this module it runs on the package's own pairing,
+    regularity test and sine product (test_lie checks those against the
+    dense models above); what it keeps independent is the rational
+    bookkeeping that the production walk replaces by coset indices.
+    """
+    from shadow_wlo.lie import (inner, is_regular,
+                                lattice_points_in_scaled_box, sine_product,
+                                weight_multiplicities)
+    from shadow_wlo.statesum import (WloTerm, _Accumulator, _phase,
+                                     face_chi, face_weights, fusion_faces)
+
+    k = int(k)
+    chi = face_chi(link)
+    m = len(link.ribbons)
+    r = lie.rank
+    table = face_weights(link)
+    face_vecs = tuple(tuple(table[i][j] for i in range(m))
+                      for j in range(m + 1))
+    supports = []
+    for rib in link.ribbons:
+        supports.append(sorted(weight_multiplicities(lie, rib.color).items()))
+    marked = [fusion_faces(link, i) for i in range(m)]
+    combos = []
+    for choice in itertools.product(*supports):
+        alphas = tuple(w for w, _ in choice)
+        mult = 1
+        for _, cnt in choice:
+            mult *= cnt
+        shifts = []
+        for vec in face_vecs:
+            shifts.append(tuple(
+                sum(vec[i] * alphas[i][a] for i in range(m))
+                for a in range(r)))
+        wsum = tuple(
+            sum(link.ribbons[i].winding * alphas[i][a] for i in range(m))
+            for a in range(r))
+        q0 = Fraction(0)
+        for i in range(m):
+            jp, jz = marked[i]
+            both = tuple(shifts[jp][a] + shifts[jz][a] for a in range(r))
+            q0 += link.ribbons[i].winding * Fraction(inner(lie, alphas[i],
+                                                           both))
+        combos.append((alphas, mult, tuple(shifts), wsum, q0))
+
+    reps = lattice_points_in_scaled_box(lie, k) if bases is None else bases
+    acc = _Accumulator()
+    skipped = 0
+    terms = []
+    for alpha0 in reps:
+        for alphas, mult, shifts, wsum, q0 in combos:
+            faces = []
+            regular = True
+            for shift in shifts:
+                b = tuple(Fraction(alpha0[a] + shift[a], k) for a in range(r))
+                if not is_regular(lie, b):
+                    regular = False
+                    break
+                faces.append(b)
+            if not regular:
+                skipped += 1
+                continue
+            det = 1.0
+            for b, x in zip(faces, chi):
+                det *= sine_product(lie, b) ** x
+            q = (2 * Fraction(inner(lie, wsum, alpha0)) + q0) / k
+            acc.add(mult * det * _phase(q))
+            terms.append(WloTerm(tuple(alpha0), alphas, mult, tuple(faces),
+                                 q % 2))
+    return acc.value(), len(reps) * len(combos), skipped, tuple(terms)
