@@ -26,9 +26,9 @@ from .discrete import det_block, det_twisted_restricted
 from .lie import ad_det_k, fusion_coefficient, level_labels, lie_data
 from .oscillatory import (OscGaussMeasure, epsilon_oracle,
                           first_second_moments, integrate_constant)
-from .statesum import (ColoredRibbon, RibbonLink, compare_theorem, embed_link,
-                       face_chi, shadow_invariant, step6_transform,
-                       wlo_unnormalized)
+from .statesum import (ColoredRibbon, RibbonLink, _parents, compare_theorem,
+                       embed_link, face_chi, shadow_invariant,
+                       step6_transform, wlo_unnormalized)
 
 _GROUPS = {"a1": "A1", "su2": "A1", "su(2)": "A1",
            "a2": "A2", "su3": "A2", "su(3)": "A2"}
@@ -126,16 +126,10 @@ def parse_config(data):
                               f"ribbon face 1..{len(raw_ribbons)}, got "
                               f"{parent}")
         ribbons.append(ColoredRibbon(tuple(color), winding, sign, parent))
-    # forest: walking parents from any face must reach the base face
-    for i in range(len(ribbons)):
-        seen = set()
-        j = i + 1
-        while j:
-            if j in seen:
-                raise ConfigError(f"ribbons[{i}].parent",
-                                  "parent pointers form a cycle")
-            seen.add(j)
-            j = ribbons[j - 1].parent
+    try:
+        _parents(RibbonLink(genus, tuple(ribbons)))
+    except ValueError as exc:
+        raise ConfigError("ribbons", str(exc))
 
     outputs = data.get("outputs", ["compare"])
     if not isinstance(outputs, list) or not outputs:
@@ -311,16 +305,15 @@ def _suite_block_determinant():
 
 def _suite_fusion_ring():
     # the first slot of the stored table enters through its weight system,
-    # i.e. conjugated; the ring product is recovered by conjugating it
+    # i.e. conjugated; the ring product is recovered by conjugating it,
+    # which reverses the coordinates (the diagram automorphism of A_r)
     for series, k in (("A1", 5), ("A2", 4)):
         lie = lie_data(series)
         labels = level_labels(lie, k)
         zero = tuple(0 for _ in range(lie.rank))
-        conj = (lambda a: a) if lie.rank == 1 else \
-            (lambda a: tuple(reversed(a)))
 
         def prod(a, b, c):
-            return fusion_coefficient(lie, k, conj(a), b, c)
+            return fusion_coefficient(lie, k, tuple(reversed(a)), b, c)
 
         for a in labels:
             for b in labels:

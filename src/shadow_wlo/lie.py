@@ -12,6 +12,10 @@ explicitly approximate paths) in the same basis.  Everything that feeds the
 state sum is exact rational arithmetic; transcendental evaluations (sines,
 phases) happen once per cached argument at the outermost layer.
 
+The weight system of an irrep is counted from the contents of its
+semistandard tableaux with entries 0..r, one integer table per
+(lie, highest weight).
+
 Level-k fusion coefficients come from one integer table per (lie, k, color),
 built by the Kac-Walton formula: |labels| * |weights of the color| integer
 alcove reductions (about 1.2 ms for a fundamental color of A2 at k = 7 on
@@ -25,13 +29,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 __all__ = [
     "LieData",
     "lie_data",
     "inner",
-    "norm_sq",
     "level_labels",
     "quantum_dim",
     "weight_multiplicities",
@@ -39,7 +42,6 @@ __all__ = [
     "is_regular",
     "ad_det_k",
     "sine_product",
-    "dominant_representative",
     "lattice_points_in_scaled_box",
 ]
 
@@ -197,35 +199,6 @@ def inner(lie, x, y):
     return sum(g[i][j] * x[i] * y[j] for i in range(r) for j in range(r))
 
 
-def norm_sq(lie, x):
-    return inner(lie, x, x)
-
-
-def dominant_representative(lie, x):
-    """Weyl-dominant representative of x, with the sign of the used element.
-
-    Returns (dominant, sign).  Exact for rational input.
-    """
-    v = list(x)
-    sign = 1
-    moved = True
-    guard = 0
-    while moved:
-        moved = False
-        for i in range(lie.rank):
-            if v[i] < 0:
-                coef = v[i]
-                alpha = lie.simple_roots[i]
-                for a in range(lie.rank):
-                    v[a] -= coef * alpha[a]
-                sign = -sign
-                moved = True
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("dominant reduction did not terminate")
-    return tuple(v), sign
-
-
 def level_labels(lie, k):
     """Dominant weights admissible at level k, lexicographically ordered.
 
@@ -238,23 +211,9 @@ def level_labels(lie, k):
     budget = k - lie.dual_coxeter
     if budget < 0:
         return []
-    r = lie.rank
-    theta_w = [inner(lie, tuple(1 if a == i else 0 for a in range(r)), lie.theta)
-               for i in range(r)]
-    out = []
-
-    def rec(prefix, used):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        i = len(prefix)
-        n = 0
-        while used + n * theta_w[i] <= budget:
-            rec(prefix + [n], used + n * theta_w[i])
-            n += 1
-
-    rec([], Fraction(0))
-    return sorted(out)
+    theta_w = _theta_coeffs(lie)
+    return [lam for lam in product(range(budget + 1), repeat=lie.rank)
+            if sum(l * t for l, t in zip(lam, theta_w)) <= budget]
 
 
 def quantum_dim(lie, k, lam):
@@ -308,88 +267,42 @@ def is_regular(lie, b, tol=1e-9):
 
 
 @lru_cache(maxsize=None)
-def _dominant_weight_table(lie, gamma):
-    """Freudenthal multiplicities on the dominant support of irrep gamma.
+def _full_weight_table(lie, gamma):
+    """{weight: multiplicity} of the irrep gamma, from semistandard tableaux.
 
-    Every weight of the irrep sits between the lowest weight w0(gamma) and
-    gamma in the root order, so the candidate set is the integer box
-    0 <= c <= C in simple-root coordinates of gamma - v, where
-    C = coords(gamma - w0(gamma)).
+    Row i of the shape has sum(gamma[i:]) boxes, filled from 0..r weakly
+    increasing along rows and strictly increasing down columns; a filling
+    with content c adds 1 at the weight (c_0 - c_1, ..., c_{r-1} - c_r)
+    (Fulton-Harris, Representation Theory, 15.3).
     """
     r = lie.rank
-    gamma = tuple(int(c) for c in gamma)
     if any(c < 0 for c in gamma):
         raise ValueError("highest weight must be dominant")
-    neg_dom, _ = dominant_representative(lie, tuple(-c for c in gamma))
-    lowest = tuple(-c for c in neg_dom)
-    span = _mat_vec(lie.cartan_inv, tuple(a - b for a, b in zip(gamma, lowest)))
-    cmax = [int(c) for c in span]
-    assert all(c == int(c) for c in span)
+    shape = [sum(gamma[i:]) for i in range(r)]
 
-    def point(coords):
-        v = list(gamma)
-        for j, c in enumerate(coords):
-            if c:
-                alpha = lie.simple_roots[j]
-                for a in range(r):
-                    v[a] -= c * alpha[a]
-        return tuple(v)
+    @lru_cache(maxsize=None)
+    def below(i, above):
+        # {weight: count} of the fillings of rows i.. under the row above
+        if i == r:
+            return {(0,) * r: 1}
+        out = {}
+        for row in combinations_with_replacement(range(i, r + 1), shape[i]):
+            if all(a < b for a, b in zip(above, row)):
+                step = [row.count(j) - row.count(j + 1) for j in range(r)]
+                for w, m in below(i + 1, row).items():
+                    key = tuple(a + b for a, b in zip(w, step))
+                    out[key] = out.get(key, 0) + m
+        return out
 
-    candidates = {}
-    for coords in product(*[range(c + 1) for c in cmax]):
-        v = point(coords)
-        if all(c >= 0 for c in v):
-            candidates[v] = sum(coords)
-    in_box = {}
-    for coords in product(*[range(c + 1) for c in cmax]):
-        in_box[point(coords)] = True
-
-    order = sorted(candidates, key=lambda v: (candidates[v], v))
-    mult = {}
-    rho = lie.rho
-    cas_top = norm_sq(lie, tuple(a + b for a, b in zip(gamma, rho)))
-
-    def lookup(v):
-        dom, _ = dominant_representative(lie, v)
-        return mult.get(dom, 0)
-
-    for v in order:
-        if candidates[v] == 0:
-            mult[v] = 1
-            continue
-        acc = Fraction(0)
-        for alpha in lie.positive_roots:
-            j = 1
-            while True:
-                w = tuple(a + j * al for a, al in zip(v, alpha))
-                if w not in in_box:
-                    break
-                m = lookup(w)
-                if m:
-                    acc += 2 * m * inner(lie, w, alpha)
-                j += 1
-        denom = cas_top - norm_sq(lie, tuple(a + b for a, b in zip(v, rho)))
-        if denom == 0:
-            mult[v] = 0
-            continue
-        val = acc / denom
-        assert val.denominator == 1, "Freudenthal recursion must stay integral"
-        mult[v] = int(val)
-    return {v: m for v, m in mult.items() if m}
-
-
-@lru_cache(maxsize=None)
-def _full_weight_table(lie, gamma):
-    dom = _dominant_weight_table(lie, gamma)
-    out = {}
-    for v, m in dom.items():
-        for w, _sign in lie.weyl:
-            out[_mat_vec(w, v)] = m
-    return out
+    return below(0, ())
 
 
 def weight_multiplicities(lie, gamma):
-    """Full weight system of the irrep with highest weight gamma, as a dict."""
+    """Full weight system of the irrep with highest weight gamma, as a dict.
+
+    The multiplicity of a weight is the number of semistandard tableaux of
+    shape gamma whose content gives that weight (see _full_weight_table).
+    """
     return dict(_full_weight_table(lie, tuple(int(c) for c in gamma)))
 
 

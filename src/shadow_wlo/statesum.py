@@ -135,7 +135,7 @@ def _parents(link):
     par = [-1] * (m + 1)
     for pos, rib in enumerate(link.ribbons, start=1):
         p = rib.parent
-        if not isinstance(p, int) or not 0 <= p <= m or p == pos:
+        if not isinstance(p, int) or not 0 <= p <= m:
             raise ValueError(f"ribbon {pos - 1}: invalid parent face {p!r}")
         if rib.orientation not in (1, -1):
             raise ValueError(f"ribbon {pos - 1}: orientation must be +-1")
@@ -147,7 +147,8 @@ def _parents(link):
         j = start
         while j != 0:
             if j in seen:
-                raise ValueError("ribbon nesting relation has a cycle")
+                raise ValueError(f"ribbon {j - 1}: parent {par[j]} closes a"
+                                 " cycle in the nesting relation")
             seen.add(j)
             j = par[j]
     return tuple(par)
@@ -447,9 +448,10 @@ class _EmbeddedFaces:
 
     Carries the per-ribbon potentials, the strip complement regions
     matched one-to-one against the abstract faces, the census Euler
-    characteristics, and the two marked faces of every ribbon.  All checks
-    that compare the derived data with the abstract link data raise on the
-    first disagreement.
+    characteristics, and the two marked faces (Y+, Y-) of every ribbon,
+    ordered like fusion_faces: the side where the ribbon's own potential is
+    higher comes first.  All checks that compare the derived data with the
+    abstract link data raise on the first disagreement.
     """
 
     def __init__(self, link):
@@ -556,6 +558,9 @@ class _EmbeddedFaces:
                 raise ValueError(f"ribbon {pos}: adjacent faces"
                                  f" {{{l_face}, {lp_face}}} disagree with"
                                  " the nesting forest")
+            own = self.potentials[pos]
+            if own[sig] < own[sigp]:
+                l_face, lp_face = lp_face, l_face
             self.marked.append((l_face, lp_face))
 
     def _check_disjointness(self):
@@ -982,12 +987,16 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     shadow sum: the sine determinant of each face equals the squared
     quantum dimension of its label times a face-independent constant (to
     the relative tolerance tol), and the total winding phase equals the
-    gleam phase of the labels exactly, as rationals mod 2.  Any violation
-    raises with the offending term in the message.
+    gleam phase of the labels exactly, as rationals mod 2.  Each face's
+    sine is read from the coset table, the factor the holonomy sum
+    multiplies.  Any violation raises with the offending term in the
+    message.
     """
     k = int(k)
     chi = face_chi(link)
     gl = tuple(gleam(link, j) for j in range(len(chi)))
+    table = _coset_table(lie, k)
+    modulus = (lie.rank + 1) * k
     const = 1.0
     for alpha in lie.positive_roots:
         const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
@@ -997,14 +1006,16 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     sines = []
     det_residual = 0.0
     for j, b in enumerate(term.holonomies):
-        v, sign = _alcove_reduce(lie, k, list(_scaled_integer((b,), k)[0]))
+        x = _scaled_integer((b,), k)[0]
+        v, sign = _alcove_reduce(lie, k, list(x))
         lam = tuple(c - p for c, p in zip(v, lie.rho))
         if sign == 0:
             raise ValueError(f"term {term.alpha0}: face {j} holonomy lies"
                              " on an affine wall")
         labels.append(lam)
         signs.append(sign)
-        sines.append(sine_product(lie, b))
+        sines.append(table.sines[table.index[_coset_key(table.adj, modulus,
+                                                         x)]])
         det = sines[-1] ** 2
         dimsq = quantum_dim(lie, k, lam) ** 2 * const
         res = abs(det / dimsq - 1.0)

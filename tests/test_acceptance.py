@@ -247,10 +247,9 @@ def test_criterion_6_mode_agreement(corpus):
     The sums see a link only through its ribbons' color, winding,
     orientation and parent, so equal forests give equal terms.  The cells
     must also reproduce the face Euler characteristics, the fusion faces
-    and the orientations of the abstract link.  The embedding lists a
-    ribbon's two adjacent faces by boundary loop, so they are compared
-    with fusion_faces as a pair; the orientation, which the potential
-    jumps must reproduce, fixes which of them is Y+.
+    and the orientations of the abstract link.  The embedding orders a
+    ribbon's two adjacent faces as (Y+, Y-) by its own potential, which
+    must reproduce fusion_faces exactly.
     """
     for ent in corpus:
         abstract = [(r.color, r.winding, r.orientation, r.parent)
@@ -261,9 +260,8 @@ def test_criterion_6_mode_agreement(corpus):
         faces = ss._EmbeddedFaces(ent.embedded)
         m = len(ent.link.ribbons)
         assert tuple(faces.chi) == ss.face_chi(ent.link), ent.name
-        assert [sorted(p) for p in faces.marked] == \
-            [sorted(ss.fusion_faces(ent.link, i)) for i in range(m)], \
-            ent.name
+        assert list(faces.marked) == \
+            [ss.fusion_faces(ent.link, i) for i in range(m)], ent.name
         assert list(faces.jumps) == \
             [r.orientation for r in ent.link.ribbons], ent.name
     print(f"PASS criterion 6: embedded ribbons, face Euler characteristics,"

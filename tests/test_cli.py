@@ -142,6 +142,7 @@ def test_parent_cycle_exits_2(tmp_path, capsys):
     code, _, err = run_main(["run", str(cfg)], capsys)
     assert code == 2
     assert "parent" in err
+    assert "ribbon 0" in err
 
 
 def test_unknown_group_exits_2(tmp_path, capsys):

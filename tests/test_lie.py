@@ -10,13 +10,14 @@ from shadow_wlo import lie
 
 A1 = lie.lie_data("A1")
 A2 = lie.lie_data("A2")
+A3 = lie.lie_data("A3")
 
 
 def test_root_data_normalization():
     # every root of the A series has squared length 2
-    for data in (A1, A2, lie.lie_data("A3")):
+    for data in (A1, A2, A3):
         for alpha in data.positive_roots:
-            assert lie.norm_sq(data, alpha) == 2
+            assert lie.inner(data, alpha, alpha) == 2
     assert A1.dual_coxeter == 2
     assert A2.dual_coxeter == 3
 
@@ -62,13 +63,16 @@ def test_quantum_dim_matches_character_ratio():
 
 
 def test_weight_table_matches_character_sum():
-    cases = [(A1, (3,)), (A2, (1, 1)), (A2, (2, 1)), (A2, (3, 0))]
-    points = [(Fraction(1, 7),), (Fraction(2, 9),)]
-    points2 = [(Fraction(1, 7), Fraction(3, 11)),
-               (Fraction(2, 9), Fraction(1, 5))]
+    cases = [(A1, (3,)), (A2, (1, 1)), (A2, (2, 1)), (A2, (3, 0)),
+             (A3, (1, 0, 1)), (A3, (0, 1, 0)), (A3, (2, 1, 0))]
+    points = {1: [(Fraction(1, 7),), (Fraction(2, 9),)],
+              2: [(Fraction(1, 7), Fraction(3, 11)),
+                  (Fraction(2, 9), Fraction(1, 5))],
+              3: [(Fraction(1, 7), Fraction(3, 11), Fraction(2, 13)),
+                  (Fraction(2, 9), Fraction(1, 5), Fraction(4, 17))]}
     for data, gamma in cases:
         table = lie.weight_multiplicities(data, gamma)
-        for b in (points if data.rank == 1 else points2):
+        for b in points[data.rank]:
             direct = sum(
                 m * complex(math.cos(2 * math.pi * float(lie.inner(data, beta, b))),
                             math.sin(2 * math.pi * float(lie.inner(data, beta, b))))
@@ -80,11 +84,19 @@ def test_weight_table_matches_character_sum():
 
 
 def test_weight_table_total_dimension():
-    for data, gamma in [(A1, (4,)), (A2, (1, 1)), (A2, (2, 2)), (A2, (3, 1))]:
+    for data, gamma in [(A1, (4,)), (A2, (1, 1)), (A2, (2, 2)), (A2, (3, 1)),
+                        (A3, (1, 0, 1)), (A3, (0, 1, 0)), (A3, (2, 1, 0)),
+                        (A3, (1, 2, 1))]:
         table = lie.weight_multiplicities(data, gamma)
         want = oracles.weyl_dimension(data.positive_roots, data.gram,
                                       gamma, data.rho)
         assert sum(table.values()) == want
+
+
+def test_weight_table_rejects_non_dominant_highest_weight():
+    for data, gamma in ((A1, (-1,)), (A2, (1, -1)), (A3, (0, -2, 1))):
+        with pytest.raises(ValueError, match="dominant"):
+            lie.weight_multiplicities(data, gamma)
 
 
 def test_adjoint_multiplicities_a2():
@@ -319,15 +331,6 @@ def test_alcove_roundtrip_property(p1, p2, q1, q2):
         shifted = tuple(a + p for a, p in zip(lam, A2.rho))
         assert all(c > 0 for c in shifted)
         assert 0 < lie.inner(A2, shifted, A2.theta) < k
-
-
-def test_dominant_representative_orbit_invariance():
-    x = (3, -2)
-    dom, _ = lie.dominant_representative(A2, x)
-    for w, _sign in A2.weyl:
-        wx = tuple(sum(w[i][j] * x[j] for j in range(2)) for i in range(2))
-        got, _ = lie.dominant_representative(A2, wx)
-        assert got == dom
 
 
 def test_lattice_points_a1_k4():

@@ -60,8 +60,10 @@ def test_face_chi_sums_to_surface_characteristic(corpus):
 
 def test_parent_cycle_rejected():
     ribbons = (ss.ColoredRibbon((1,), 1, 1, 2), ss.ColoredRibbon((1,), 1, 1, 1))
-    with pytest.raises(ValueError, match="cycle"):
+    with pytest.raises(ValueError, match="ribbon 0: parent 2 closes a cycle"):
         ss.face_chi(ss.RibbonLink(0, ribbons))
+    with pytest.raises(ValueError, match="ribbon 0: parent 1 closes a cycle"):
+        ss.face_chi(ss.RibbonLink(0, ribbons[1:]))
 
 
 def test_bad_parent_rejected():
@@ -707,13 +709,17 @@ def test_step6_identities_on_all_terms(corpus):
 def test_step6_aggregation_reproduces_shadow_terms(corpus):
     """Grouping holonomy terms by coloring matches the shadow summands.
 
-    The grouped sums equal one global constant times the shadow summand of
-    the same coloring, including the vanishing ones.
+    The grouped sums add up to the recorded holonomy sum and equal one
+    global constant times the shadow summand of the same coloring,
+    including the vanishing ones.
     """
     for name in ("a1_g0_one_top_k6", "a1_g1_two_k5"):
         ent = _by_name(corpus, name)
         lie = _lie(ent)
         agg = ss.step6_aggregate(lie, ent.level, ent.link)
+        total = ss.wlo_unnormalized(lie, ent.level, ent.link,
+                                    record_terms=True).value
+        assert abs(sum(agg.values()) - total) <= 1e-12 * max(1.0, abs(total))
         sterms = ss.shadow_terms(lie, ent.level, ent.link)
         ratios = []
         for phi, sval in sorted(sterms.items()):
