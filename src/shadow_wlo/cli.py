@@ -356,11 +356,9 @@ def _suite_projected_kernel():
     return True, "projected coboundary kernels are exactly the constants"
 
 
-def _suite_hodge_symmetry(mutate=False):
+def _suite_hodge_symmetry():
     cx = build_standard_surface(0, 1)
     hp = hodge_pair(cx)
-    if mutate:
-        hp.sign_K2 = -hp.sign_K2
     edges = sorted(cx.edges)
     x = {e: float((i % 5) - 2) for i, e in enumerate(edges)}
     y = {e: float((i % 7) - 3) for i, e in enumerate(edges)}
@@ -407,13 +405,8 @@ def _suite_empty_label_paths():
         "sets and zero values"
 
 
-def selfcheck(mutate_hodge=False):
-    """Run the invariant suites of every module; returns the pass table.
-
-    mutate_hodge is a verification hook: it flips one Hodge block sign
-    inside the symmetry suite, which must then fail.  It exists to prove
-    the battery can detect a broken convention.
-    """
+def selfcheck():
+    """Run the invariant suites of every module; returns the pass table."""
     suites = [
         ("oscillatory_closed_forms", _suite_oscillatory),
         ("twisted_determinants", _suite_twisted_determinants),
@@ -421,8 +414,7 @@ def selfcheck(mutate_hodge=False):
         ("fusion_ring", _suite_fusion_ring),
         ("euler_characteristics", _suite_euler_characteristics),
         ("projected_kernel", _suite_projected_kernel),
-        ("hodge_symmetry",
-         lambda: _suite_hodge_symmetry(mutate=mutate_hodge)),
+        ("hodge_symmetry", _suite_hodge_symmetry),
         ("step6_identities", _suite_step6_identities),
         ("empty_label_paths", _suite_empty_label_paths),
     ]

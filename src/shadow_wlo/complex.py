@@ -568,55 +568,52 @@ def affine_constraint_rows(cx, index):
 def rational_rref(rows, ncols, rhs=None):
     """Exact row reduction of a sparse rational system.
 
-    rows: list of {col: Fraction}.  rhs: optional list of Fractions.
-    Returns (rank, pivots, solution, nullspace) where solution is one
-    solution of rows*x = rhs (None if inconsistent or rhs omitted) and
-    nullspace is a list of basis vectors (dense tuples) of the kernel.
+    rows: list of {col: Fraction}.  rhs: optional list of Fractions.  Rows
+    stay sparse, with the rhs in column ncols; each row pivots on its first
+    nonzero column, is normalized and is eliminated from every other row,
+    which yields the unique reduced row echelon form.  Returns (rank,
+    pivots, solution, nullspace) where solution is one solution of
+    rows*x = rhs (None if inconsistent or rhs omitted) and nullspace is a
+    list of basis vectors (dense tuples) of the kernel.
     """
-    dense = []
+    work = []
     for i, row in enumerate(rows):
-        vec = [Fraction(0)] * ncols
-        for c, val in row.items():
-            vec[c] = Fraction(val)
-        vec.append(Fraction(rhs[i]) if rhs is not None else Fraction(0))
-        dense.append(vec)
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(dense)):
-            if dense[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+        vec = {c: f for c, v in row.items() if (f := Fraction(v))}
+        if rhs is not None and (f := Fraction(rhs[i])):
+            vec[ncols] = f
+        work.append(vec)
+    reduced = {}
+    for i, vec in enumerate(work):
+        col = min((c for c in vec if c < ncols), default=None)
+        if col is None:
             continue
-        dense[rank], dense[piv] = dense[piv], dense[rank]
-        pv = dense[rank][col]
-        dense[rank] = [x / pv for x in dense[rank]]
-        for r in range(len(dense)):
-            if r != rank and dense[r][col] != 0:
-                f = dense[r][col]
-                dense[r] = [a - f * b for a, b in zip(dense[r], dense[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(dense):
-            break
-    consistent = all(
-        row[ncols] == 0 for row in dense[rank:]) if rhs is not None else None
+        pv = vec[col]
+        vec = work[i] = reduced[col] = {c: v / pv for c, v in vec.items()}
+        for other in work:
+            f = other.get(col)
+            if f is None or other is vec:
+                continue
+            for c, v in vec.items():
+                if x := other.get(c, 0) - f * v:
+                    other[c] = x
+                else:
+                    del other[c]
+    pivots = sorted(reduced)
     solution = None
-    if rhs is not None and consistent:
+    # a row reduced to its rhs alone reads 0 = b with b nonzero
+    if rhs is not None and not any(list(vec) == [ncols] for vec in work):
         solution = [Fraction(0)] * ncols
-        for r, col in enumerate(pivots):
-            solution[col] = dense[r][ncols]
-    free = [c for c in range(ncols) if c not in set(pivots)]
+        for col in pivots:
+            solution[col] = reduced[col].get(ncols, Fraction(0))
+    free = [c for c in range(ncols) if c not in reduced]
     nullspace = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -dense[r][fc]
+        for col, row in reduced.items():
+            vec[col] = -row.get(fc, Fraction(0))
         nullspace.append(tuple(vec))
-    return rank, pivots, solution, nullspace
+    return len(pivots), pivots, solution, nullspace
 
 
 def _b0_rows(cx, sigma0, index):

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _KERNEL_TOL = 1e-10
+_BLOCK = 1 << 16  # quadrature points per slab
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,26 +129,20 @@ def _grid_quadrature(func, dim, radius, count):
     """Midpoint-rule integral of func over [-radius, radius]^dim.
 
     func takes an (M, dim) array of points and returns (M,) complex values.
-    The first dim-2 axes are looped to bound memory; the innermost two are
-    evaluated as one vectorized block.
+    Points are evaluated in slabs of whole rows along the first axis, at
+    most _BLOCK points per slab unless a single row is larger.
     """
     axis, step = _axis_points(radius, count)
-    cell = step ** dim
-    if dim == 1:
-        return np.sum(func(axis[:, None])) * cell
-    if dim == 2:
-        xs, ys = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([xs.ravel(), ys.ravel()])
-        return np.sum(func(pts)) * cell
+    rows = max(1, _BLOCK // count ** (dim - 1))
     total = 0.0 + 0.0j
-    inner = np.stack(np.meshgrid(axis, axis, indexing="ij"),
-                     axis=-1).reshape(-1, 2)
-    for outer in product(axis, repeat=dim - 2):
-        pts = np.empty((inner.shape[0], dim))
-        pts[:, :dim - 2] = outer
-        pts[:, dim - 2:] = inner
+    for start in range(0, count, rows):
+        grid = np.meshgrid(axis[start:start + rows], *[axis] * (dim - 1),
+                           indexing="ij", copy=False)
+        # a named slab is freed after the next is allocated; passed inline,
+        # dimension 3 took about 40% more page faults
+        pts = np.stack(grid, axis=-1).reshape(-1, dim)
         total += np.sum(func(pts))
-    return total * cell
+    return total * step ** dim
 
 
 def _oracle_points(eps, lam_max, m_norm, dim, pad, oversample):

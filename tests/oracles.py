@@ -479,3 +479,61 @@ def wlo_terms_fraction(lie, k, link, bases=None):
             terms.append(WloTerm(tuple(alpha0), alphas, mult, tuple(faces),
                                  q % 2))
     return acc.value(), len(reps) * len(combos), skipped, tuple(terms)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan elimination over the rationals
+
+
+def rational_rref_dense(rows, ncols, rhs=None):
+    """Exact row reduction of a sparse rational system.
+
+    rows: list of {col: Fraction}.  rhs: optional list of Fractions.
+    Returns (rank, pivots, solution, nullspace) where solution is one
+    solution of rows*x = rhs (None if inconsistent or rhs omitted) and
+    nullspace is a list of basis vectors (dense tuples) of the kernel.
+    """
+    dense = []
+    for i, row in enumerate(rows):
+        vec = [Fraction(0)] * ncols
+        for c, val in row.items():
+            vec[c] = Fraction(val)
+        vec.append(Fraction(rhs[i]) if rhs is not None else Fraction(0))
+        dense.append(vec)
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(dense)):
+            if dense[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        pv = dense[rank][col]
+        dense[rank] = [x / pv for x in dense[rank]]
+        for r in range(len(dense)):
+            if r != rank and dense[r][col] != 0:
+                f = dense[r][col]
+                dense[r] = [a - f * b for a, b in zip(dense[r], dense[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(dense):
+            break
+    consistent = all(
+        row[ncols] == 0 for row in dense[rank:]) if rhs is not None else None
+    solution = None
+    if rhs is not None and consistent:
+        solution = [Fraction(0)] * ncols
+        for r, col in enumerate(pivots):
+            solution[col] = dense[r][ncols]
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    nullspace = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -dense[r][fc]
+        nullspace.append(tuple(vec))
+    return rank, pivots, solution, nullspace

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from shadow_wlo import cli, statesum
+from shadow_wlo.complex import hodge_star_signs
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -226,8 +227,9 @@ def test_selfcheck_added_to_run(capsys):
     assert "compare" in results and "selfcheck" in results
 
 
-def test_hodge_mutation_hook_fails_symmetry_suite():
-    table = cli.selfcheck(mutate_hodge=True)
+def test_hodge_mutation_hook_fails_symmetry_suite(monkeypatch):
+    monkeypatch.setitem(hodge_star_signs, "K2", 1)
+    table = cli.selfcheck()
     assert table["hodge_symmetry"]["pass"] is False
     assert all(row["pass"] for name, row in table.items()
                if name != "hodge_symmetry")

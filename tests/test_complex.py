@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from shadow_wlo import complex as complex_module
 from shadow_wlo.complex import (
     SurfaceComplex,
     affine_constraint_rows,
@@ -127,14 +130,30 @@ def test_kernel_of_projected_coboundary_is_constants(g, r):
     assert kernel_check_B0(build_standard_surface(g, r))
 
 
+def _bigon_pillow(tag):
+    """Sphere of two bigon faces glued along two edges from a to b."""
+    a, b = (tag, "a"), (tag, "b")
+    e1, e2 = (tag, "e", 1), (tag, "e", 2)
+    edges = {e1: (a, b), e2: (a, b)}
+    faces = [((tag, "P"), [(e1, 1), (e2, -1)]),
+             ((tag, "Q"), [(e2, 1), (e1, -1)])]
+    return edges, faces
+
+
 def test_kernel_check_on_two_faces_sharing_two_edges():
     # bigon pillow sphere: the affinity constraints alone already force the
     # two primal values to agree, so the kernel criterion still holds
-    edges = {("e", 1): (("a",), ("b",)), ("e", 2): (("a",), ("b",))}
-    faces = [(("P",), [(("e", 1), 1), (("e", 2), -1)]),
-             (("Q",), [(("e", 2), 1), (("e", 1), -1)])]
-    cx = SurfaceComplex(0, edges, faces)
-    assert kernel_check_B0(cx) in (True, False)
+    cx = SurfaceComplex(0, *_bigon_pillow("x"))
+    assert kernel_check_B0(cx) is True
+
+
+def test_kernel_check_fails_on_two_disjoint_spheres():
+    # chi = 4 is "genus -1": each component carries its own constants, so
+    # the kernel is two-dimensional and the criterion must fail
+    edges, faces = _bigon_pillow("x")
+    edges2, faces2 = _bigon_pillow("y")
+    cx = SurfaceComplex(-1, {**edges, **edges2}, faces + faces2)
+    assert kernel_check_B0(cx) is False
 
 
 def test_affinity_rows_annihilate_constants():
@@ -238,3 +257,40 @@ def test_rational_rref_solves_and_finds_kernel():
     assert sol[0] + 2 * sol[2] == 4
     for vec in null:
         assert vec[0] + 2 * vec[2] == 0
+
+
+@st.composite
+def _sparse_systems(draw):
+    nrows = draw(st.integers(0, 10))
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-3, 3).map(Fraction)
+    rows = [draw(st.dictionaries(st.integers(0, ncols - 1), entry))
+            for _ in range(nrows)]
+    rhs = draw(st.none() | st.lists(entry, min_size=nrows, max_size=nrows))
+    return rows, ncols, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_systems())
+@example(([{0: Fraction(1)}, {0: Fraction(2)}], 2, [Fraction(1)] * 2))
+def test_sparse_rref_matches_dense_oracle(system):
+    rows, ncols, rhs = system
+    assert rational_rref(rows, ncols, rhs) == \
+        oracles.rational_rref_dense(rows, ncols, rhs)
+
+
+@pytest.mark.parametrize("g,r,sites", [(0, 1, ()), (1, 2, ()), (1, 3, ()),
+                                       (0, 1, (2,))])
+def test_sparse_rref_matches_dense_oracle_on_kernel_rows(
+        monkeypatch, g, r, sites):
+    systems = []
+
+    def spy(rows, ncols, rhs=None):
+        systems.append((rows, ncols))
+        return rational_rref(rows, ncols, rhs)
+
+    monkeypatch.setattr(complex_module, "rational_rref", spy)
+    assert kernel_check_B0(build_standard_surface(g, r, sites))
+    [(rows, ncols)] = systems
+    assert rational_rref(rows, ncols) == \
+        oracles.rational_rref_dense(rows, ncols)

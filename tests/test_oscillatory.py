@@ -16,6 +16,8 @@ from shadow_wlo.oscillatory import (
     integrate_constant,
     phase_det,
     wick_moment,
+    _BLOCK,
+    _grid_quadrature,
 )
 
 SQRT_I_PI = cmath.sqrt(1j * math.pi)
@@ -114,6 +116,35 @@ def test_constant_integral_matches_oracle(d, count, lam_range, schedule):
         got = epsilon_oracle(mu, lambda p: np.ones(len(p)),
                              schedule=schedule)
         assert abs(got - integrate_constant(mu)) < 1e-3
+
+
+@pytest.mark.parametrize("dim,count", [(1, 150000), (2, 300), (3, 70),
+                                       (3, 260)])
+def test_grid_quadrature_bounds_each_evaluation(dim, count):
+    sizes = []
+
+    def func(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts), dtype=complex)
+
+    total = _grid_quadrature(func, dim, 1.0, count)
+    assert max(sizes) <= max(_BLOCK, count ** (dim - 1))
+    assert sum(sizes) == count ** dim
+    assert abs(total - 2.0 ** dim) < 1e-9
+
+
+def test_grid_quadrature_slabs_sum_to_one_dense_block():
+    def func(pts):
+        return np.exp(1j * pts[:, 0] * pts[:, 1] - 0.1 * (pts ** 2).sum(1))
+
+    count, radius = 300, 3.0
+    step = 2 * radius / count
+    axis = -radius + (np.arange(count) + 0.5) * step
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    dense = np.sum(func(np.column_stack([xs.ravel(), ys.ravel()]))) * step ** 2
+    assert count ** 2 > _BLOCK
+    got = _grid_quadrature(func, 2, radius, count)
+    assert abs(got - dense) <= 1e-12 * abs(dense)
 
 
 def test_moments_fresnel_normalized():

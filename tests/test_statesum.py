@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from shadow_wlo import statesum as ss
-from shadow_wlo.complex import (affine_constraint_rows, kernel_check_B0,
-                                rational_rref)
+from shadow_wlo.complex import _b0_rows, kernel_check_B0, rational_rref
 from shadow_wlo.discrete import RibbonStep, covariance_vanishing_check
 from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
@@ -222,18 +221,11 @@ def test_potential_unique_up_to_constant(corpus):
     target_primal, target_dual = ss._half_sum_chain(cx, faces.arcs[0])
     rhs = [target_primal[e] for e in edge_order]
     rhs += [target_dual[e] for e in edge_order]
-    for row in affine_constraint_rows(cx, index):
-        rows.append(row)
-        rhs.append(Fraction(0))
-    # membership also requires constancy on the closed star of the basepoint
-    patch = set()
-    for qid in cx.quarters_at(faces.sigma0):
-        patch.update(cx.quarter_corners[qid])
-    patch.discard(faces.sigma0)
-    for qv in sorted(patch):
-        rows.append({index[qv]: Fraction(1),
-                     index[faces.sigma0]: Fraction(-1)})
-        rhs.append(Fraction(0))
+    # membership in B0: tetragon affinity and constancy on the closed star
+    # of the basepoint
+    b0 = _b0_rows(cx, faces.sigma0, index)
+    rows += b0
+    rhs += [Fraction(0)] * len(b0)
     rank, _, sol, null = rational_rref(rows, len(cx.qk_vertices), rhs)
     assert sol is not None
     assert len(null) == 1
