@@ -13,6 +13,7 @@ nothing here is randomized.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -432,6 +433,15 @@ def selfcheck():
 # entry point
 
 
+def _tolerance(text):
+    """--tolerance: a finite number >= 0 (0 fails every comparison)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _emit(report, out_path):
     text = json.dumps(report, sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
@@ -461,7 +471,7 @@ def main(argv=None):
     parser.add_argument("--selfcheck", action="store_true",
                         help="run the invariant suite battery (standalone "
                              "or in addition to a config)")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
+    parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
                         help="relative tolerance for the comparison "
                              "(default 1e-9)")
     args = parser.parse_args(argv)

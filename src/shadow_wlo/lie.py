@@ -4,7 +4,10 @@ All pairing computations use the normalization in which short coroots have
 squared length 2.  For A_r every root is short, the coroot lattice equals the
 root lattice, and the Gram matrix of the fundamental weights is
 G_ij = min(i,j) - i*j/(r+1), obtained from the hyperplane model of A_r in
-R^(r+1) and already correctly scaled.
+R^(r+1) and already correctly scaled.  G is also the inverse Cartan matrix,
+and the integer matrix (r+1)G (scaled_gram) carries every exact pairing:
+(r+1)<x, y> = x.scaled_gram.y, and scaled_gram.x is (r+1) times the
+coroot coordinates of x.
 
 Weights are integer coordinate tuples in the fundamental weight basis.
 General Cartan-subalgebra elements are tuples of Fractions (or floats on
@@ -49,37 +52,12 @@ Vec = tuple
 Mat = tuple
 
 
-def _frac_vec(x):
-    return tuple(Fraction(c) for c in x)
-
-
-def _mat_vec(m, v):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
 def _mat_mul(a, b):
     n = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def _mat_inv(m):
-    """Exact inverse of a small rational matrix by Gauss-Jordan."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [c / pv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,29 +72,34 @@ class LieData:
     series: str
     rank: int
     gram: Mat                  # Gram matrix of fundamental weights, Fractions
+    scaled_gram: Mat           # (r+1) * gram, integers
     cartan: Mat                # cartan[i][j] = coordinate i of simple root alpha_j
-    simple_roots: tuple        # weight-basis coordinates, integer tuples
-    simple_coroots: tuple      # equal to simple_roots for A_r
+    simple_roots: tuple        # weight-basis coordinates, also the coroots
     positive_roots: tuple
     rho: Vec
     theta: Vec                 # highest root
     dual_coxeter: int
     weyl: tuple = field(repr=False)          # tuples (matrix, sign)
-    cartan_inv: Mat = field(repr=False)      # coroot-basis coordinates of a weight
 
     def coroot_coordinates(self, x):
-        """Coordinates of x in the simple-coroot basis of the coroot lattice."""
-        return _mat_vec(self.cartan_inv, _frac_vec(x))
+        """Coordinates of x in the simple-coroot basis of the coroot lattice.
+
+        The inverse Cartan matrix of A_r is gram, so these are the
+        Fractions scaled_gram.x / (r+1).
+        """
+        n = self.rank + 1
+        return tuple(Fraction(sum(s * c for s, c in zip(row, x)), n)
+                     for row in self.scaled_gram)
 
 
 @lru_cache(maxsize=None)
 def _build_a_series(rank):
     r = rank
-    gram = tuple(
-        tuple(Fraction(min(i + 1, j + 1)) - Fraction((i + 1) * (j + 1), r + 1)
-              for j in range(r))
-        for i in range(r)
+    scaled_gram = tuple(
+        tuple((r + 1) * min(i, j) - i * j for j in range(1, r + 1))
+        for i in range(1, r + 1)
     )
+    gram = tuple(tuple(Fraction(c, r + 1) for c in row) for row in scaled_gram)
     cartan = tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
         for i in range(r)
@@ -159,21 +142,20 @@ def _build_a_series(rank):
         frontier = nxt
     weyl = tuple(sorted(seen.items()))
 
-    theta_pair = sum(theta[i] * rho[j] * gram[i][j] for i in range(r) for j in range(r))
-    cg = 1 + int(theta_pair)
+    theta_pair = sum(theta[i] * rho[j] * scaled_gram[i][j]
+                     for i in range(r) for j in range(r))
     return LieData(
         series=f"A{r}",
         rank=r,
         gram=gram,
+        scaled_gram=scaled_gram,
         cartan=cartan,
         simple_roots=simple,
-        simple_coroots=simple,
         positive_roots=tuple(positive),
         rho=rho,
         theta=theta,
-        dual_coxeter=cg,
+        dual_coxeter=1 + theta_pair // (r + 1),
         weyl=weyl,
-        cartan_inv=_mat_inv(cartan),
     )
 
 
@@ -386,9 +368,8 @@ def _alcove_reduce(lie, k, v):
 def _theta_coeffs(lie):
     # <x, theta> is linear in the weight coordinates of x with coefficients
     # <omega_b, theta>, integers since theta is a coroot
-    r = lie.rank
-    return tuple(int(inner(lie, tuple(int(a == b) for a in range(r)), lie.theta))
-                 for b in range(r))
+    return tuple(sum(s * t for s, t in zip(row, lie.theta)) // (lie.rank + 1)
+                 for row in lie.scaled_gram)
 
 
 def lattice_points_in_scaled_box(lie, k):
@@ -397,11 +378,14 @@ def lattice_points_in_scaled_box(lie, k):
     Keeps coordinates in [0, k) per simple-coroot axis, which picks exactly
     one representative of every coset of the k-scaled coroot lattice; this
     is the enumeration the state sum uses, since its summand is periodic
-    under those translations.  Returns a sorted list of integer
-    weight-coordinate tuples.
+    under those translations.  The test is in integers: x is kept when
+    0 <= (scaled_gram.x)_i < (r+1)k for every i.  Returns a sorted list of
+    integer weight-coordinate tuples.
     """
     k = int(k)
+    m = (lie.rank + 1) * k
     # the simple coroots are the columns of the Cartan matrix
     bounds = [k * sum(abs(c) for c in row) for row in lie.cartan]
-    return [n for n in product(*[range(-b, b + 1) for b in bounds])
-            if all(0 <= c < k for c in lie.coroot_coordinates(n))]
+    return [x for x in product(*[range(-b, b + 1) for b in bounds])
+            if all(0 <= sum(s * c for s, c in zip(row, x)) < m
+                   for row in lie.scaled_gram)]

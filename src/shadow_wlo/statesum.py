@@ -657,28 +657,25 @@ def _phase(q):
     return complex(math.cos(math.pi * float(q)), math.sin(math.pi * float(q)))
 
 
-def _scaled_integer(mat, scale):
-    """scale * mat as an integer matrix; mat has denominators dividing it."""
-    out = tuple(tuple(Fraction(c) * scale for c in row) for row in mat)
-    if any(c.denominator != 1 for row in out for c in row):
-        raise ValueError(f"matrix entries do not have denominator {scale}")
-    return tuple(tuple(int(c) for c in row) for row in out)
-
-
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+@lru_cache(maxsize=None)
+def _phase_table(modulus):
+    """exp(i pi e / modulus) for 0 <= e < 2 modulus, shared by both sums."""
+    return tuple(_phase(Fraction(e, modulus)) for e in range(2 * modulus))
 
 
 class _CosetTable(NamedTuple):
     """Face data on one representative per coset of P/kQ, at one level.
 
     reps are the representatives of lattice_points_in_scaled_box in its
-    order.  A weight x has coroot coordinates adj.x / (r+1); its coset key
-    is adj.x reduced mod (r+1)k, and index maps keys to positions in reps.
-    regular and sines hold the regularity of rep/k and sine_product(rep/k)
-    (0.0 where singular).  phases[e] is exp(i pi e / ((r+1)k)) for
-    0 <= e < 2(r+1)k, and gram is (r+1) times the Gram matrix, so that
-    (r+1)<x, y> = x.gram.y in integers.
+    order.  A weight x has coroot coordinates scaled_gram.x / (r+1); its
+    coset key is scaled_gram.x reduced mod (r+1)k, and index maps keys to
+    positions in reps, in that order.  regular and sines hold the
+    regularity of rep/k and sine_product(rep/k) (0.0 where singular), and
+    phases is the phase table of modulus (r+1)k.
     """
 
     reps: tuple
@@ -686,21 +683,17 @@ class _CosetTable(NamedTuple):
     regular: tuple
     sines: tuple
     phases: tuple
-    adj: tuple
-    gram: tuple
 
 
-def _coset_key(adj, modulus, x):
+def _coset_key(lie, modulus, x):
     """(r+1) times the coroot coordinates of x, reduced mod (r+1)k."""
-    return tuple(_dot(row, x) % modulus for row in adj)
+    return tuple(_dot(row, x) % modulus for row in lie.scaled_gram)
 
 
 @lru_cache(maxsize=None)
 def _coset_table(lie, k):
     """The coset table of (lie, k), shared by every holonomy sum at k."""
-    n = lie.rank + 1
-    adj = _scaled_integer(lie.cartan_inv, n)
-    gram = _scaled_integer(lie.gram, n)
+    modulus = (lie.rank + 1) * k
     reps = tuple(lattice_points_in_scaled_box(lie, k))
     regular = []
     sines = []
@@ -709,12 +702,11 @@ def _coset_table(lie, k):
         ok = is_regular(lie, b)
         regular.append(ok)
         sines.append(sine_product(lie, b) if ok else 0.0)
-    index = {_coset_key(adj, n * k, x): pos for pos, x in enumerate(reps)}
+    index = {_coset_key(lie, modulus, x): pos for pos, x in enumerate(reps)}
     if len(index) != len(reps):
         raise ValueError("scaled box representatives are not one per coset")
-    phases = tuple(_phase(Fraction(e, n * k)) for e in range(2 * n * k))
     return _CosetTable(reps, MappingProxyType(index), tuple(regular),
-                       tuple(sines), phases, adj, gram)
+                       tuple(sines), _phase_table(modulus))
 
 
 def _leaves_first(par):
@@ -759,16 +751,16 @@ def _wlo_contract(lie, k, link, chi):
         support = sorted(weight_multiplicities(lie, rib.color).items())
         total *= len(support)
         for alpha, mult in support:
-            shift = tuple(o * a for a in alpha)
-            g_alpha = tuple(_dot(row, alpha) for row in table.gram)
+            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
             self_pair = o * _dot(g_alpha, alpha)
-            for pos, x in enumerate(table.reps):
+            # key(x + o alpha) = key(x) + o g_alpha, and 2(r+1)<alpha, x>
+            # = 2 alpha.key(x) mod 2(r+1)k
+            for pos, key in enumerate(table.index):
                 if not table.regular[pos]:
                     continue
-                y = table.index[_coset_key(
-                    table.adj, modulus,
-                    tuple(a + b for a, b in zip(x, shift)))]
-                e = w * (2 * _dot(g_alpha, x) + self_pair) % (2 * modulus)
+                y = table.index[tuple((a + o * g) % modulus
+                                      for a, g in zip(key, g_alpha))]
+                e = w * (2 * _dot(alpha, key) + self_pair) % (2 * modulus)
                 kern[pos] += mult * table.phases[e] * child[y]
                 kern_count[pos] += child_count[y]
         vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
@@ -804,12 +796,12 @@ def _wlo_terms(lie, k, link, chi):
         for c in top_down:
             rib = link.ribbons[c - 1]
             o, w, alpha = rib.orientation, int(rib.winding), alphas[c - 1]
-            g_alpha = tuple(_dot(row, alpha) for row in table.gram)
+            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
             up = shifts[par[c]]
             shifts[c] = tuple(s + o * a for s, a in zip(up, alpha))
             e0 += w * (2 * _dot(g_alpha, up) + o * _dot(g_alpha, alpha))
             pull = [p + 2 * w * g for p, g in zip(pull, g_alpha)]
-        keys = [_coset_key(table.adj, modulus, shift) for shift in shifts]
+        keys = [_coset_key(lie, modulus, shift) for shift in shifts]
         choices.append((alphas, math.prod(n for _, n in choice), shifts,
                         keys, pull, e0))
     acc = _Accumulator()
@@ -817,7 +809,7 @@ def _wlo_terms(lie, k, link, chi):
     terms = []
     for alpha0 in table.reps:
         # keys are linear mod (r+1)k: key(alpha0 + s) = key(alpha0) + key(s)
-        base = _coset_key(table.adj, modulus, alpha0)
+        base = _coset_key(lie, modulus, alpha0)
         for alphas, mult, shifts, keys, pull, e0 in choices:
             pos = [table.index[tuple((a + b) % modulus
                                      for a, b in zip(base, key))]
@@ -873,12 +865,12 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
 # the shadow side
 
 
-def _label_phase_exponents(lie, k, labels):
+def _label_phase_exponents(lie, labels):
+    """{lam: (r+1)<lam, lam + 2 rho>}: gleam g gives phase index g * e."""
     exps = {}
-    two_rho = tuple(2 * c for c in lie.rho)
     for lam in labels:
-        shifted = tuple(l + t for l, t in zip(lam, two_rho))
-        exps[lam] = Fraction(inner(lie, lam, shifted)) / k
+        shifted = tuple(l + 2 * p for l, p in zip(lam, lie.rho))
+        exps[lam] = _dot(lam, [_dot(row, shifted) for row in lie.scaled_gram])
     return exps
 
 
@@ -891,14 +883,16 @@ def _shadow_contract(lie, k, link, labels):
     """
     par = _parents(link)
     chi = face_chi(link)
-    exps = _label_phase_exponents(lie, k, labels)
+    phases = _phase_table((lie.rank + 1) * k)
+    exps = _label_phase_exponents(lie, labels)
     dims = [quantum_dim(lie, k, lam) for lam in labels]
     vals = []
     for j, x in enumerate(chi):
         g = gleam(link, j)
         vec = [d ** x for d in dims]
         if g:
-            vec = [v * _phase(g * exps[lam]) for v, lam in zip(vec, labels)]
+            vec = [v * phases[g * exps[lam] % len(phases)]
+                   for v, lam in zip(vec, labels)]
         vals.append(vec)
     for c in _leaves_first(par):
         rib = link.ribbons[c - 1]
@@ -1006,7 +1000,10 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     sines = []
     det_residual = 0.0
     for j, b in enumerate(term.holonomies):
-        x = _scaled_integer((b,), k)[0]
+        x = tuple(int(c * k) for c in b)
+        if x != tuple(c * k for c in b):
+            raise ValueError(f"term {term.alpha0}: face {j} holonomy is not"
+                             f" in P/{k}")
         v, sign = _alcove_reduce(lie, k, list(x))
         lam = tuple(c - p for c, p in zip(v, lie.rho))
         if sign == 0:
@@ -1014,8 +1011,7 @@ def step6_transform(lie, k, link, term, tol=1e-10):
                              " on an affine wall")
         labels.append(lam)
         signs.append(sign)
-        sines.append(table.sines[table.index[_coset_key(table.adj, modulus,
-                                                         x)]])
+        sines.append(table.sines[table.index[_coset_key(lie, modulus, x)]])
         det = sines[-1] ** 2
         dimsq = quantum_dim(lie, k, lam) ** 2 * const
         res = abs(det / dimsq - 1.0)
@@ -1023,10 +1019,8 @@ def step6_transform(lie, k, link, term, tol=1e-10):
         if res > tol:
             raise ValueError(f"term {term.alpha0}: face {j} determinant"
                              f" misses the squared dimension by {res:.3e}")
-    exps = _label_phase_exponents(lie, k, sorted(set(labels)))
-    q = Fraction(0)
-    for j, lam in enumerate(labels):
-        q += gl[j] * exps[lam]
+    exps = _label_phase_exponents(lie, labels)
+    q = Fraction(sum(g * exps[lam] for g, lam in zip(gl, labels)), modulus)
     if (q - term.phase) % 2:
         raise ValueError(f"term {term.alpha0}: winding phase {term.phase}"
                          f" is not the gleam phase {q % 2} mod 2")
@@ -1065,7 +1059,8 @@ def shadow_terms(lie, k, link):
     marked = [fusion_faces(link, i) for i in range(m)]
     labels = level_labels(lie, k)
     dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
-    exps = _label_phase_exponents(lie, k, labels)
+    phases = _phase_table((lie.rank + 1) * k)
+    exps = _label_phase_exponents(lie, labels)
     out = {}
     for phi in product(labels, repeat=m + 1):
         nfac = 1
@@ -1079,12 +1074,11 @@ def shadow_terms(lie, k, link):
             out[phi] = 0j
             continue
         val = float(nfac)
-        q = Fraction(0)
+        e = 0
         for j in range(m + 1):
             val *= dims[phi[j]] ** chi[j]
-            if gl[j]:
-                q += gl[j] * exps[phi[j]]
-        out[phi] = val * _phase(q)
+            e += gl[j] * exps[phi[j]]
+        out[phi] = val * phases[e % len(phases)]
     return out
 
 

@@ -396,6 +396,37 @@ def traced_gleams(cx, ribbons):
 
 
 # ---------------------------------------------------------------------------
+# the scaled coroot box by rational inversion of the Cartan matrix
+
+
+def lattice_box_fraction(cartan, k):
+    """Weight-lattice points whose coroot coordinates lie in [0, k).
+
+    The package's former box filter, frozen: it inverts the Cartan matrix
+    by Gauss-Jordan elimination over the rationals and keeps, in
+    lexicographic order, the points x with |x_i| <= k sum_j |cartan[i][j]|
+    whose coordinates cartan^-1 x all lie in [0, k).
+    """
+    n = len(cartan)
+    aug = [[Fraction(c) for c in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [c / aug[col][col] for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    bounds = [k * sum(abs(c) for c in row) for row in cartan]
+    return [x for x in itertools.product(*[range(-b, b + 1) for b in bounds])
+            if all(0 <= sum(m * c for m, c in zip(row, x)) < k
+                   for row in inv)]
+
+
+# ---------------------------------------------------------------------------
 # the holonomy sum by explicit Fraction enumeration
 
 

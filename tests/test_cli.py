@@ -14,6 +14,7 @@ from shadow_wlo.complex import hodge_star_signs
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+GOLDEN = ROOT / "tests" / "golden"
 SRC = ROOT / "src"
 
 
@@ -200,6 +201,37 @@ def test_tight_tolerance_fails_comparison(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["results"]["compare"]["pass"] is False
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_non_finite_or_negative_tolerance_exits_2(value, capsys):
+    # a report must stay JSON (no Infinity or NaN token), and a negative
+    # tolerance would fail every comparison
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(CONFIGS / "unknot_su2_k4.json"),
+                  "--tolerance", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json"))
+                         + ["selfcheck_option.json"])
+def test_report_bytes_match_golden(name, tmp_path, capsys):
+    """Each shipped config's report, and --selfcheck's, byte for byte.
+
+    tests/golden/<config name> holds the report of `shadow-wlo run
+    configs/<config name> --out ...`, and selfcheck_option.json that of
+    `shadow-wlo --selfcheck --out ...`.  A change that means to move
+    report bytes rewrites the file with that command and says so in
+    CHANGES.md; a last-bit drift of any value fails here.
+    """
+    out = tmp_path / name
+    args = (["--selfcheck"] if name == "selfcheck_option.json"
+            else ["run", str(CONFIGS / name)])
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_selfcheck_standalone(capsys):

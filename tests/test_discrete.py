@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from shadow_wlo import discrete
@@ -62,11 +63,14 @@ def test_bar_is_mean_of_hat_and_check():
 
 
 def test_step_exponential_is_orthogonal():
-    fwd = np.array(np.eye(discrete.algebra_dim(A2)))
-    ad = discrete.ad_matrix(A2, (Fraction(2, 7), Fraction(1, 3)))
-    import scipy.linalg
-    fwd = scipy.linalg.expm(ad / 3)
-    assert np.max(np.abs(fwd.T @ fwd - np.eye(fwd.shape[0]))) < 1e-13
+    # the hat operator's block at rows t = 0, columns t = 1 is n exp(ad(b)/n)
+    b = (Fraction(2, 7), Fraction(1, 3))
+    dim = discrete.algebra_dim(A2)
+    mat = discrete.build_twisted(A2, "hat", 3, b).matrix
+    fwd = mat[:dim, dim:2 * dim] / 3
+    assert np.max(np.abs(fwd.T @ fwd - np.eye(dim))) < 1e-13
+    want = scipy.linalg.expm(discrete.ad_matrix(A2, b) / 3)
+    assert np.max(np.abs(fwd - want)) < 1e-13
 
 
 def test_build_twisted_rejects_bad_input():

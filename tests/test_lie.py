@@ -176,7 +176,7 @@ def test_fusion_verlinde_dimension_rule_full_a2_k9_table():
 
 def _kac_walton(data, k, mu, nu, lam):
     return oracles.kac_walton_fusion(
-        data.weyl, data.gram, data.simple_coroots, data.rho,
+        data.weyl, data.gram, data.simple_roots, data.rho,
         lie.weight_multiplicities(data, mu), k, nu, lam)
 
 
@@ -331,6 +331,30 @@ def test_alcove_roundtrip_property(p1, p2, q1, q2):
         shifted = tuple(a + p for a, p in zip(lam, A2.rho))
         assert all(c > 0 for c in shifted)
         assert 0 < lie.inner(A2, shifted, A2.theta) < k
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_scaled_gram_is_the_integer_inverse_cartan(rank):
+    # the integer pairing rests on two A_r facts: gram inverts the Cartan
+    # matrix, so scaled_gram.x is (r+1) times the coroot coordinates, and
+    # (r+1) * gram is an integer matrix
+    data = lie.lie_data(f"A{rank}")
+    for i in range(rank):
+        for m in range(rank):
+            assert sum(data.cartan[i][j] * data.gram[j][m]
+                       for j in range(rank)) == (i == m)
+    assert data.scaled_gram == tuple(tuple((rank + 1) * g for g in row)
+                                     for row in data.gram)
+    assert all(type(c) is int for row in data.scaled_gram for c in row)
+
+
+def test_integer_lattice_box_matches_fraction_filter():
+    # one representative per coset of P/kQ, and |P/kQ| = (r+1) k^r
+    for data, top in ((A1, 6), (A2, 6), (A3, 4)):
+        for k in range(1, top + 1):
+            pts = lie.lattice_points_in_scaled_box(data, k)
+            assert pts == oracles.lattice_box_fraction(data.cartan, k)
+            assert len(pts) == (data.rank + 1) * k ** data.rank
 
 
 def test_lattice_points_a1_k4():

@@ -421,7 +421,7 @@ def test_wlo_terms_periodic_under_scaled_coroot_shift(corpus):
     seen_nonzero = False
     for base in lattice_points_in_scaled_box(lie, k):
         shifted = tuple(b + k * c
-                        for b, c in zip(base, lie.simple_coroots[0]))
+                        for b, c in zip(base, lie.simple_roots[0]))
         val_a, _, skip_a, _ = oracles.wlo_terms_fraction(lie, k, ent.link,
                                                          [base])
         val_b, _, skip_b, _ = oracles.wlo_terms_fraction(lie, k, ent.link,
@@ -746,6 +746,13 @@ def test_step6_phase_compared_exactly(corpus):
 def test_step6_wall_term_rejected():
     term = ss.WloTerm((0,), (), 1, ((Fraction(0),),), Fraction(0))
     with pytest.raises(ValueError, match="wall"):
+        ss.step6_transform(A1, 4, ss.RibbonLink(0), term)
+
+
+def test_step6_holonomy_off_the_lattice_rejected():
+    # k times a face holonomy must be an integer weight
+    term = ss.WloTerm((0,), (), 1, ((Fraction(1, 8),),), Fraction(0))
+    with pytest.raises(ValueError, match="not in P/4"):
         ss.step6_transform(A1, 4, ss.RibbonLink(0), term)
 
 
