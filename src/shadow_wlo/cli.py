@@ -249,17 +249,27 @@ def run_job(cfg, tolerance=1e-9):
 
 def _suite_oscillatory():
     mu = OscGaussMeasure.make_normalized([[1.0]])
-    const = epsilon_oracle(mu, lambda pts: np.ones(len(pts)))
+    const = epsilon_oracle(mu, ())
     want = integrate_constant(mu)
     if abs(const - want) > 1e-3:
         return False, f"constant integral {const} vs closed form {want}"
+    # eigenvalue signs +, -, -: the phase of det^(1/2)(iS) is e^(-i pi/4)
+    S3 = [[0.2, 1.0, 0.3], [1.0, -0.4, 0.5], [0.3, 0.5, -1.1]]
+    mu3 = OscGaussMeasure.make_normalized(S3, [0.3, -0.2, 0.1])
+    const = epsilon_oracle(mu3, (), schedule=(0.15, 0.12, 0.1, 0.075, 0.05))
+    want = integrate_constant(mu3)
+    if abs(const - want) > 1e-3:
+        return False, f"indefinite constant integral {const} vs closed " \
+            f"form {want}"
     S = [[2.0, 1.0], [1.0, 2.0]]
     m = [0.5, -0.25]
     mu2 = OscGaussMeasure.make_normalized(S, m)
+    # both parts of the second moment are nonzero: <v, S^(-1) w> = 1/2
+    # and <v, m><w, m> = 3/16
     v = np.array([1.0, 0.0])
-    w = np.array([0.5, 1.0])
+    w = np.array([1.0, 0.5])
     _, second = first_second_moments(mu2, v, w)
-    num = epsilon_oracle(mu2, lambda pts: (pts @ v) * (pts @ w))
+    num = epsilon_oracle(mu2, (v, w))
     if abs(num - second) > 1e-3:
         return False, f"second moment {num} vs closed form {second}"
     return True, "constant and second-moment closed forms match the " \

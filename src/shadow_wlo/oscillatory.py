@@ -4,7 +4,10 @@ A measure here is d mu(x) = (1/Z) exp(-(i/2) <x-m, S(x-m)>) dx on R^d with
 S symmetric.  Improper integrals are defined by the epsilon-regularization
 lim (eps/pi)^(n/2) Int f(x) e^(-eps |x|^2) dmu(x) with n = dim ker S; the
 closed forms below are certified against a direct quadrature of that limit
-(epsilon_oracle), which shares no code with them.
+(epsilon_oracle), which shares no code with them.  The damping e^(-eps|x|^2)
+is rotation invariant, so for the constant and for products of linear
+forms prod_j <v_j, x> the regularized integral factors in the eigenbasis
+of S into 1-D midpoint sums; any other integrand is summed on a grid.
 
 The phase determinant uses det^(1/2)(iS) = prod_k sqrt(i lambda_k) with
 the principal square root, i.e. e^((pi i/4) sum sgn(lambda_k)) times
@@ -145,6 +148,30 @@ def _grid_quadrature(func, dim, radius, count):
     return total * step ** dim
 
 
+def _eigen_quadrature(lam, shift, forms, eps, radius, count):
+    """Midpoint-rule integral of prod_j <a_j, y> times a separable weight.
+
+    The weight is exp(-(i/2) sum_i lam_i (y_i - shift_i)^2 - eps |y|^2)
+    over [-radius, radius]^d, where forms holds the a_j.  Per axis i and
+    power p <= len(forms) the 1-D midpoint sums of y^p times the axis
+    weight are taken once; the product of the forms is expanded over the
+    assignments of forms to axes, d^len(forms) products of those sums.
+    """
+    y, step = _axis_points(radius, count)
+    weight = np.exp(-0.5j * lam[:, None] * (y - shift[:, None]) ** 2
+                    - eps * y ** 2)
+    powers = y ** np.arange(len(forms) + 1)[:, None]
+    moments = (weight @ powers.T) * step
+    dim = len(lam)
+    total = 0.0 + 0.0j
+    for axes in product(range(dim), repeat=len(forms)):
+        term = complex(math.prod(a[i] for a, i in zip(forms, axes)))
+        for i in range(dim):
+            term *= moments[i, axes.count(i)]
+        total += term
+    return total
+
+
 def _oracle_points(eps, lam_max, m_norm, dim, pad, oversample):
     # truncation where the eps-damping reaches ~1e-9, sampling fine enough
     # that the aliasing error of the midpoint rule stays below ~1e-10
@@ -185,40 +212,62 @@ def epsilon_oracle(mu, f, schedule=(0.1, 0.05, 0.025, 0.0125), tol=None,
     """Regularized numeric evaluation of the improper integral of f.
 
     Evaluates (eps/pi)^(n/2) Int f e^(-eps|x|^2) dmu for each eps in the
-    schedule by dense midpoint quadrature and extrapolates the schedule
-    polynomially to eps = 0.  The regularized value is analytic in eps
-    with convergence radius about half the smallest nonzero |eigenvalue|,
-    so the extrapolation error scales like prod(eps_i / radius); schedules
-    need not reach tiny eps, which keeps the grids bounded.  Returns the
-    extrapolated value; if tol is given and the extrapolants have not
-    settled to within tol, raises with the residual sequence.  radius_pad
-    widens the truncation box for integrands that grow, e.g. exp(c x)
-    shifts the damped mass by c/(2 eps); the same factor shifts the
-    spectrum by an imaginary frequency, eroding the aliasing margin, so
-    such integrands should also raise oversample.  Test oracle only: cost
-    grows quickly with dim.
+    schedule by midpoint quadrature and extrapolates the schedule
+    polynomially to eps = 0.  f is either a callable on (M, dim) point
+    arrays, integrated on a dense grid, or a sequence of gradient vectors
+    v_j standing for prod_j <v_j, x> (() is the constant 1, the convention
+    of wick_moment).  The damping is rotation invariant, so a product of
+    linear forms is integrated in the eigenbasis of S, x = Q y, where the
+    weight factors into 1-D midpoint sums over the same radius and step;
+    that path calls eigh and nothing of phase_det, solve or the closed
+    forms.  Both kinds share the truncation, the budget refusal (with the
+    mean measured in the coordinates integrated) and the extrapolation.
+
+    The regularized value is analytic in eps with convergence radius about
+    half the smallest nonzero |eigenvalue|, so the extrapolation error
+    scales like prod(eps_i / radius); schedules need not reach tiny eps,
+    which keeps the grids bounded.  Returns the extrapolated value; if tol
+    is given and the extrapolants have not settled to within tol, raises
+    with the residual sequence.  radius_pad widens the truncation box for
+    integrands that grow: a product of k linear forms lifts the truncated
+    tail by about radius^k, and exp(c x) shifts the damped mass by
+    c/(2 eps); the same factor shifts the spectrum by an imaginary
+    frequency, eroding the aliasing margin, so such integrands should also
+    raise oversample.  Test oracle only: the grid's cost grows quickly
+    with dim.
     """
     if mu.dim > 4:
         raise ValueError("oracle supports dimension <= 4")
     n = mu.kernel_dim
     lam_max = float(np.max(np.abs(mu.eigenvalues), initial=0.0))
-    m_norm = float(np.max(np.abs(mu.m), initial=0.0))
-    S = mu.S
-    m = mu.m
+    if callable(f):
+        S = mu.S
+        shift = mu.m
 
-    def integrand_factory(eps):
-        def integrand(pts):
-            y = pts - m
-            phase = -0.5j * np.einsum("ij,jk,ik->i", y, S, y)
-            damp = -eps * np.einsum("ij,ij->i", pts, pts)
-            return np.asarray(f(pts), dtype=complex) * np.exp(phase + damp)
-        return integrand
+        def quadrature(eps, radius, count):
+            def integrand(pts):
+                y = pts - shift
+                phase = -0.5j * np.einsum("ij,jk,ik->i", y, S, y)
+                damp = -eps * np.einsum("ij,ij->i", pts, pts)
+                return np.asarray(f(pts), dtype=complex) * np.exp(phase + damp)
+            return _grid_quadrature(integrand, mu.dim, radius, count)
+    else:
+        vectors = [np.asarray(v, dtype=float) for v in f]
+        if any(v.shape != (mu.dim,) for v in vectors):
+            raise ValueError("gradient vectors must have the measure's "
+                             "dimension")
+        lam, Q = np.linalg.eigh(mu.S)
+        shift = Q.T @ mu.m
+        forms = [Q.T @ v for v in vectors]
 
+        def quadrature(eps, radius, count):
+            return _eigen_quadrature(lam, shift, forms, eps, radius, count)
+    m_norm = float(np.max(np.abs(shift), initial=0.0))
     values = []
     for eps in schedule:
         radius, count = _oracle_points(eps, lam_max, m_norm, mu.dim,
                                        radius_pad, oversample)
-        raw = _grid_quadrature(integrand_factory(eps), mu.dim, radius, count)
+        raw = quadrature(eps, radius, count)
         values.append((eps / math.pi) ** (n / 2) * raw / mu.Z)
     if len(values) < 2:
         return values[0]

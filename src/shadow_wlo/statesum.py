@@ -972,6 +972,17 @@ def compare_theorem(lie, k, link):
 # the transform from holonomy terms to shadow data
 
 
+@lru_cache(maxsize=None)
+def _step6_table(lie, k):
+    """The face-independent sine constant and {label: quantum_dim} at k."""
+    const = 1.0
+    for alpha in lie.positive_roots:
+        const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
+                                                      alpha)) / k) ** 2
+    dims = {lam: quantum_dim(lie, k, lam) for lam in level_labels(lie, k)}
+    return const, MappingProxyType(dims)
+
+
 def step6_transform(lie, k, link, term, tol=1e-10):
     """Alcove reduction of one surviving holonomy term.
 
@@ -983,18 +994,15 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     the relative tolerance tol), and the total winding phase equals the
     gleam phase of the labels exactly, as rationals mod 2.  Each face's
     sine is read from the coset table, the factor the holonomy sum
-    multiplies.  Any violation raises with the offending term in the
-    message.
+    multiplies, and its label's quantum dimension from one table per
+    level.  Any violation raises with the offending term in the message.
     """
     k = int(k)
     chi = face_chi(link)
     gl = tuple(gleam(link, j) for j in range(len(chi)))
     table = _coset_table(lie, k)
     modulus = (lie.rank + 1) * k
-    const = 1.0
-    for alpha in lie.positive_roots:
-        const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
-                                                      alpha)) / k) ** 2
+    const, dims = _step6_table(lie, k)
     labels = []
     signs = []
     sines = []
@@ -1013,7 +1021,7 @@ def step6_transform(lie, k, link, term, tol=1e-10):
         signs.append(sign)
         sines.append(table.sines[table.index[_coset_key(lie, modulus, x)]])
         det = sines[-1] ** 2
-        dimsq = quantum_dim(lie, k, lam) ** 2 * const
+        dimsq = dims[lam] ** 2 * const
         res = abs(det / dimsq - 1.0)
         det_residual = max(det_residual, res)
         if res > tol:

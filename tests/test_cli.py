@@ -1,6 +1,8 @@
 """End-to-end tests of the command line front end."""
 
+import cmath
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shadow_wlo import cli, statesum
+from shadow_wlo import cli, oscillatory, statesum
 from shadow_wlo.complex import hodge_star_signs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,6 +267,41 @@ def test_hodge_mutation_hook_fails_symmetry_suite(monkeypatch):
     assert table["hodge_symmetry"]["pass"] is False
     assert all(row["pass"] for name, row in table.items()
                if name != "hodge_symmetry")
+
+
+_PHASE_DET = oscillatory.phase_det
+
+
+def _signature_mod_4(S):
+    # the signature phase from sum(signs) mod 4: right on the suite's
+    # definite measures, a half-turn off for signs (+, -, -)
+    det = _PHASE_DET(S)
+    turn = cmath.exp(0.25j * math.pi * (sum(det.signs) % 4 - sum(det.signs)))
+    return oscillatory.PhaseDet(det.value * turn, det.eigenvalues, det.signs)
+
+
+def _conjugate_second_moment(mu, v, w):
+    first, second = oscillatory.first_second_moments(mu, v, w)
+    return first, second.conjugate()
+
+
+def _constant_off_by_a_phase(mu):
+    # one quarter-turn too many in the signature phase of det^(1/2)(iS)
+    return oscillatory.integrate_constant(mu) * cmath.exp(0.25j * math.pi)
+
+
+@pytest.mark.parametrize("module,name,mutant", [
+    (cli, "first_second_moments", _conjugate_second_moment),
+    (cli, "integrate_constant", _constant_off_by_a_phase),
+    (oscillatory, "phase_det", _signature_mod_4),
+])
+def test_closed_form_mutation_fails_oscillatory_suite(monkeypatch, module,
+                                                      name, mutant):
+    monkeypatch.setattr(module, name, mutant)
+    table = cli.selfcheck()
+    assert table["oscillatory_closed_forms"]["pass"] is False
+    assert all(row["pass"] for key, row in table.items()
+               if key != "oscillatory_closed_forms")
 
 
 def _declared_console_script():

@@ -59,8 +59,11 @@ def test_oracle_pairing_cosine():
 
 def test_oracle_budget_guard():
     mu = OscGaussMeasure(-2.0 * np.eye(3), np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oracle budget exceeded"):
         epsilon_oracle(mu, lambda p: np.ones(len(p)), schedule=(0.001,))
+    # the eigenbasis path refuses what the grid path refuses
+    with pytest.raises(ValueError, match="oracle budget exceeded"):
+        epsilon_oracle(mu, (), schedule=(0.001,))
 
 
 def test_phase_det_squares_to_determinant():
@@ -113,9 +116,44 @@ def test_constant_integral_matches_oracle(d, count, lam_range, schedule):
     rng = np.random.default_rng(100 + d)
     for _ in range(count):
         mu = _random_measure(rng, d, lam_range)
-        got = epsilon_oracle(mu, lambda p: np.ones(len(p)),
-                             schedule=schedule)
+        got = epsilon_oracle(mu, (), schedule=schedule)
         assert abs(got - integrate_constant(mu)) < 1e-3
+
+
+def _linear_product(vectors):
+    """The callable form of prod_j <v_j, x>, for the grid path."""
+    def f(p):
+        out = np.ones(len(p), dtype=complex)
+        for v in vectors:
+            out *= p @ v
+        return out
+    return f
+
+
+@pytest.mark.parametrize("d,count", [(1, 3), (2, 3), (3, 1)])
+def test_vector_integrand_matches_grid_at_fixed_eps(d, count):
+    # At one eps both paths approximate the same regularized integral by
+    # midpoint sums of the same step, the grid over a box in x and the
+    # eigenbasis path over a box in y = Q^T x.  The boxes truncate where
+    # the damping is about 1e-9, which a degree-4 product lifts to about
+    # 1e-6 relative; the pad moves both edges out so that only the sums
+    # are compared.
+    rng = np.random.default_rng(300 + d)
+    for _ in range(count):
+        mu = _random_measure(rng, d)
+        assert not mu.centered
+        for k in (0, 1, 2, 4):
+            vectors = [rng.uniform(-1, 1, size=d) for _ in range(k)]
+            got = epsilon_oracle(mu, vectors, schedule=(0.3,),
+                                 radius_pad=3.0)
+            want = epsilon_oracle(mu, _linear_product(vectors),
+                                  schedule=(0.3,), radius_pad=3.0)
+            assert abs(got - want) <= 1e-6 * abs(want)
+
+
+def test_vector_integrand_rejects_mismatched_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        epsilon_oracle(pairing_measure(), ([1.0, 0.0, 0.0],))
 
 
 @pytest.mark.parametrize("dim,count", [(1, 150000), (2, 300), (3, 70),
@@ -165,9 +203,9 @@ def test_moments_with_mean_match_oracle():
     first, second = first_second_moments(mu, [1.0], [1.0])
     assert abs(first - 0.7) < 1e-14
     assert abs(second - (0.5j + 0.49)) < 1e-14
-    got = epsilon_oracle(mu, lambda p: p[:, 0] ** 2)
+    got = epsilon_oracle(mu, ([1.0], [1.0]))
     assert abs(got - second) < 1e-3
-    got1 = epsilon_oracle(mu, lambda p: p[:, 0])
+    got1 = epsilon_oracle(mu, ([1.0],))
     assert abs(got1 - first) < 1e-3
 
 
@@ -182,7 +220,7 @@ def test_wick_fourth_moment_fresnel():
     # E[x^4] = 3 cov^2 = 3 (i/2)^2 = -3/4
     got = wick_moment(mu, [np.array([1.0])] * 4)
     assert abs(got - (-0.75)) < 1e-14
-    num = epsilon_oracle(mu, lambda p: p[:, 0] ** 4)
+    num = epsilon_oracle(mu, [np.array([1.0])] * 4)
     assert abs(num - got) < 1e-3
 
 
@@ -192,18 +230,10 @@ def test_wick_moments_match_oracle_coupled():
     rng = np.random.default_rng(3)
     vs = [rng.uniform(-1, 1, size=2) for _ in range(4)]
     want = wick_moment(mu, vs)
-
-    def f(p):
-        out = np.ones(len(p), dtype=complex)
-        for v in vs:
-            out *= p @ v
-        return out
-
-    assert abs(epsilon_oracle(mu, f) - want) < 1e-3
+    assert abs(epsilon_oracle(mu, vs) - want) < 1e-3
     # odd products vanish
     assert wick_moment(mu, vs[:3]) == 0
-    assert abs(epsilon_oracle(mu, lambda p: (p @ vs[0]) * (p @ vs[1])
-                              * (p @ vs[2]))) < 1e-3
+    assert abs(epsilon_oracle(mu, vs[:3])) < 1e-3
 
 
 def test_factorized_expectation_pairing():
