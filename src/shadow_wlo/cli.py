@@ -27,7 +27,7 @@ from .discrete import det_block, det_twisted_restricted
 from .lie import ad_det_k, fusion_coefficient, level_labels, lie_data
 from .oscillatory import (OscGaussMeasure, epsilon_oracle,
                           first_second_moments, integrate_constant)
-from .statesum import (ColoredRibbon, RibbonLink, _parents, compare_theorem,
+from .statesum import (ColoredRibbon, RibbonLink, _forest, compare_theorem,
                        embed_link, face_chi, shadow_invariant,
                        step6_transform, wlo_unnormalized)
 
@@ -128,7 +128,7 @@ def parse_config(data):
                               f"{parent}")
         ribbons.append(ColoredRibbon(tuple(color), winding, sign, parent))
     try:
-        _parents(RibbonLink(genus, tuple(ribbons)))
+        _forest(RibbonLink(genus, tuple(ribbons)))
     except ValueError as exc:
         raise ConfigError("ribbons", str(exc))
 
@@ -528,6 +528,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: config field {exc.path}: {exc.message}",
               file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # a state sum refusing a config it accepted, e.g. a normalization
+        # that vanishes in floating point
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
     _emit(report, args.out)

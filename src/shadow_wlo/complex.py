@@ -45,6 +45,13 @@ __all__ = [
 hodge_star_signs = {"K1": 1, "K2": -1}
 
 
+def _dart_tail(edges, dart):
+    """Start vertex of a dart (edge id, +-1) over an {edge: (tail, head)} map."""
+    eid, sign = dart
+    t, h = edges[eid]
+    return t if sign == 1 else h
+
+
 class SurfaceComplex:
     """Immutable oriented cell decomposition with its quad subdivision.
 
@@ -90,19 +97,7 @@ class SurfaceComplex:
                     f"edge {eid} has the same face on both sides; "
                     "refinement too small for a well-defined dual")
 
-        def tail(dart):
-            eid, sign = dart
-            t, h = self.edges[eid]
-            return t if sign == 1 else h
-
-        def head(dart):
-            eid, sign = dart
-            t, h = self.edges[eid]
-            return h if sign == 1 else t
-
-        self.dart_tail = tail
-        self.dart_head = head
-
+        tail, head = self.dart_tail, self.dart_head
         nxt = {}
         for fid, cycle in self.faces.items():
             for i, dart in enumerate(cycle):
@@ -141,7 +136,6 @@ class SurfaceComplex:
         if chi != 2 - 2 * self.genus:
             raise ValueError(f"Euler characteristic {chi} does not match "
                              f"genus {self.genus}")
-        self.face_next_dart = nxt
 
     def _build_quad_subdivision(self):
         qv = []
@@ -189,7 +183,6 @@ class SurfaceComplex:
         for qeid, qs in incidence.items():
             if len(qs) != 2:
                 raise ValueError(f"qK edge {qeid} borders {len(qs)} quarters")
-        self.qk_edge_quarters = {k: tuple(v) for k, v in incidence.items()}
 
         for qeid, (t, h) in qe.items():
             ends = {t[0], h[0]}
@@ -197,6 +190,14 @@ class SurfaceComplex:
                 "every qK edge joins a midpoint to a vertex or center"
 
     # -- helpers -----------------------------------------------------------
+
+    def dart_tail(self, dart):
+        return _dart_tail(self.edges, dart)
+
+    def dart_head(self, dart):
+        eid, sign = dart
+        t, h = self.edges[eid]
+        return h if sign == 1 else t
 
     def quarters_at(self, qk_vertex):
         """All quarters whose closure contains the given qK vertex."""
@@ -339,13 +340,7 @@ def _carve_ring_patch(edges, faces, cell_id, depth, tag):
         raise ValueError("ring patch needs a quadrilateral cell")
     edges = dict(edges)
     del faces[idx]
-
-    def tail(dart):
-        eid, sign = dart
-        t, h = edges[eid]
-        return t if sign == 1 else h
-
-    outer_corners = [tail(d) for d in cycle]
+    outer_corners = [_dart_tail(edges, d) for d in cycle]
 
     def ring_corner(j, i):
         if j == 0:
@@ -385,11 +380,6 @@ def _select_site_cells(edges, faces, n):
     Disjoint corner sets keep the carved loop systems of different sites
     from ever sharing a vertex, so their ribbon strips cannot meet.
     """
-    def tail(dart):
-        eid, sign = dart
-        t, h = edges[eid]
-        return t if sign == 1 else h
-
     chosen = []
     used = set()
     for fid, cycle in sorted(faces):
@@ -397,7 +387,7 @@ def _select_site_cells(edges, faces, n):
             break
         if len(cycle) != 4:
             continue
-        corners = {tail(d) for d in cycle}
+        corners = {_dart_tail(edges, d) for d in cycle}
         if corners & used:
             continue
         chosen.append(fid)

@@ -253,18 +253,7 @@ def block_action(lie, cx, B, n):
         # vice versa; symmetry then rests on hat^T = -check
         mat[r1:r2, r2:r2 + side] = s2 * chk
         mat[r2:r2 + side, r1:r2] = s1 * hat
-    fb = _fourier_basis(n)
-    cols = []
-    for blk in range(2 * len(edges)):
-        base = blk * side
-        for j in range(n):
-            for a in range(dim):
-                if a < r and j == 0:
-                    continue
-                v = np.zeros(total)
-                v[base + a:base + side:dim] = fb[:, j]
-                cols.append(v)
-    basis = np.column_stack(cols)
+    basis = np.kron(np.eye(2 * len(edges)), _restricted_basis(lie, "hat", n))
     restricted = basis.T @ mat @ basis
     return BlockAction(n, edges, mat, basis, restricted, dim, r)
 

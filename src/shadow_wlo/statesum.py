@@ -18,6 +18,11 @@ adjacency) is recomputed from the cells and checked against the abstract
 data; any disagreement is a structural error, never a warning.  That check
 runs once, when the link is made (embed_link) or handed in (validate_link);
 both state sums then read the nesting forest only.
+
+What the sums read of a link is one forest record (_forest), validated
+once per evaluation; what they read of a level is one cached table per
+(group, level): the coset table, and the labels with their quantum
+dimensions and phase exponents (_label_table).
 """
 
 import math
@@ -129,10 +134,29 @@ class Step6Term:
     det_residual: float
 
 
-def _parents(link):
-    """Per-face parent index, validating the nesting forest."""
+class _Forest(NamedTuple):
+    """The nesting forest of a link, with everything the sums read of it.
+
+    parent[j] is the face enclosing face j (-1 for the base face 0), order
+    lists the ribbon faces deepest first (a stable sort, so every face
+    precedes its parent), chi and gleam hold each face's Euler
+    characteristic and gleam, and marked each ribbon's (Y+, Y-) faces.
+    """
+
+    parent: tuple
+    order: tuple
+    chi: tuple
+    gleam: tuple
+    marked: tuple
+
+
+def _forest(link):
+    """The validated nesting forest of a link."""
     m = len(link.ribbons)
     par = [-1] * (m + 1)
+    chi = [2 - 2 * link.genus] + [1] * m
+    gl = [0] * (m + 1)
+    marked = []
     for pos, rib in enumerate(link.ribbons, start=1):
         p = rib.parent
         if not isinstance(p, int) or not 0 <= p <= m:
@@ -142,6 +166,14 @@ def _parents(link):
         if int(rib.winding) != rib.winding:
             raise ValueError(f"ribbon {pos - 1}: winding must be an integer")
         par[pos] = p
+        # the ribbon cuts a disk out of its parent face, and its gleam
+        # share enters its inner face and leaves the parent face
+        chi[p] -= 1
+        gl[pos] += rib.winding * rib.orientation
+        gl[p] -= rib.winding * rib.orientation
+        # Y+ is the side on which the face potential jumps up
+        marked.append((pos, p) if rib.orientation == 1 else (p, pos))
+    depth = [0] * (m + 1)
     for start in range(1, m + 1):
         seen = set()
         j = start
@@ -151,7 +183,10 @@ def _parents(link):
                                  " cycle in the nesting relation")
             seen.add(j)
             j = par[j]
-    return tuple(par)
+        depth[start] = len(seen)
+    order = sorted(range(1, m + 1), key=depth.__getitem__, reverse=True)
+    return _Forest(tuple(par), tuple(order), tuple(chi), tuple(gl),
+                   tuple(marked))
 
 
 def face_chi(link):
@@ -160,14 +195,17 @@ def face_chi(link):
     The base face is the genus-g surface minus one disk per child; every
     other face is a disk minus one disk per child.
     """
-    par = _parents(link)
-    m = len(link.ribbons)
-    kids = [0] * (m + 1)
-    for j in range(1, m + 1):
-        kids[par[j]] += 1
-    chi = [1 - kids[j] for j in range(m + 1)]
-    chi[0] = 2 - 2 * link.genus - kids[0]
-    return tuple(chi)
+    return _forest(link).chi
+
+
+def _face_weights(link, par):
+    table = [[0] * len(par) for _ in link.ribbons]
+    for j in range(1, len(par)):
+        x = j
+        while x != 0:
+            table[x - 1][j] = link.ribbons[x - 1].orientation
+            x = par[x]
+    return tuple(tuple(row) for row in table)
 
 
 def face_weights(link):
@@ -177,20 +215,7 @@ def face_weights(link):
     enclosed by ribbon i and vanishes outside, which normalizes it to zero
     on the base face.
     """
-    par = _parents(link)
-    m = len(link.ribbons)
-    table = []
-    for pos, rib in enumerate(link.ribbons, start=1):
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            x = j
-            while x != 0:
-                if x == pos:
-                    row[j] = rib.orientation
-                    break
-                x = par[x]
-        table.append(tuple(row))
-    return tuple(table)
+    return _face_weights(link, _forest(link).parent)
 
 
 def gleam(link, face):
@@ -199,18 +224,11 @@ def gleam(link, face):
     Each ribbon adds winding*orientation to its inner face and subtracts
     the same from its parent face, so the gleams of any link sum to zero.
     """
-    par = _parents(link)
-    m = len(link.ribbons)
-    if not 0 <= face <= m:
-        raise ValueError(f"no face {face} in a link with {m} ribbons")
-    out = 0
-    for pos, rib in enumerate(link.ribbons, start=1):
-        g = rib.winding * rib.orientation
-        if face == pos:
-            out += g
-        if par[pos] == face:
-            out -= g
-    return out
+    gl = _forest(link).gleam
+    if not 0 <= face < len(gl):
+        raise ValueError(f"no face {face} in a link with {len(gl) - 1}"
+                         " ribbons")
+    return gl[face]
 
 
 def fusion_faces(link, i):
@@ -220,11 +238,7 @@ def fusion_faces(link, i):
     the ribbon's first loop; with the orientation convention used here that
     is the side on which the face potential jumps up.
     """
-    par = _parents(link)
-    pos = i + 1
-    if link.ribbons[i].orientation == 1:
-        return pos, par[pos]
-    return par[pos], pos
+    return _forest(link).marked[i]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +391,10 @@ def _ribbon_potential(cx, arcs, strip):
 
     The potential is constant on each side of the strip, affine across it,
     and solves the defining equation: star of the projected differential
-    equals the half-sum boundary chain.  Both unit jumps are tried; exactly
-    one satisfies the equation, and that sign is the ribbon orientation the
-    embedding realizes.
+    equals the half-sum boundary chain.  The equation is linear, so the
+    potential of jump +1 is built once and its image compared with plus
+    and minus the chain; the sign that matches is the ribbon orientation
+    the embedding realizes.
     """
     rest = [qid for qid in cx.quarters if qid not in strip]
     comps = _components(cx, rest)
@@ -407,40 +422,43 @@ def _ribbon_potential(cx, arcs, strip):
     if side_l is None or side_lp is None or side_l is side_lp:
         raise ValueError("ribbon arcs do not separate the two strip sides")
 
+    f = {}
+    for v in closure_vertices(side_lp):
+        f[v] = Fraction(0)
+    for v in closure_vertices(side_l):
+        f[v] = Fraction(1)
+    if set(f) != set(cx.qk_vertices):
+        raise ValueError("strip interior contains vertices off the"
+                         " ribbon arcs")
+    image = _star_projected_differential(cx, f)
     target = _half_sum_chain(cx, arcs)
-    for jump in (1, -1):
-        f = {}
-        for v in closure_vertices(side_lp):
-            f[v] = Fraction(0)
-        for v in closure_vertices(side_l):
-            f[v] = Fraction(jump)
-        if set(f) != set(cx.qk_vertices):
-            raise ValueError("strip interior contains vertices off the"
-                             " ribbon arcs")
-        if _star_projected_differential(cx, f) == target:
-            df = coboundary(cx, f)
-            transverse = set()
-            for qid in strip:
-                for qe in sides[qid]:
-                    if qe not in arcs["l_edges"] and \
-                       qe not in arcs["lp_edges"]:
-                        transverse.add(qe)
-            support = {qe for qe, val in df.items() if val}
-            # unit jumps exactly on the strip crossing edges
-            if support != transverse:
-                raise ValueError("potential differential is not supported"
-                                 " on the strip crossing edges")
-            if any(abs(df[qe]) != 1 for qe in support):
-                raise ValueError("potential jump is not a unit on some"
-                                 " strip crossing edge")
-            for qid, corners in sorted(cx.quarter_corners.items()):
-                v, m_in, m_out, c = corners
-                if f[v] + f[c] != f[m_in] + f[m_out]:
-                    raise ValueError(f"potential is not affine on quarter"
-                                     f" {qid!r}")
-            return f, jump
-    raise ValueError("no unit-jump potential satisfies the defining"
-                     " equation for this ribbon")
+    if image == target:
+        jump = 1
+    elif image == tuple({e: -c for e, c in side.items()} for side in target):
+        jump = -1
+        f = {v: -val for v, val in f.items()}
+    else:
+        raise ValueError("no unit-jump potential satisfies the defining"
+                         " equation for this ribbon")
+    df = coboundary(cx, f)
+    transverse = set()
+    for qid in strip:
+        for qe in sides[qid]:
+            if qe not in arcs["l_edges"] and qe not in arcs["lp_edges"]:
+                transverse.add(qe)
+    support = {qe for qe, val in df.items() if val}
+    # unit jumps exactly on the strip crossing edges
+    if support != transverse:
+        raise ValueError("potential differential is not supported on the"
+                         " strip crossing edges")
+    if any(abs(df[qe]) != 1 for qe in support):
+        raise ValueError("potential jump is not a unit on some strip"
+                         " crossing edge")
+    for qid, corners in sorted(cx.quarter_corners.items()):
+        v, m_in, m_out, c = corners
+        if f[v] + f[c] != f[m_in] + f[m_out]:
+            raise ValueError(f"potential is not affine on quarter {qid!r}")
+    return f, jump
 
 
 class _EmbeddedFaces:
@@ -455,6 +473,7 @@ class _EmbeddedFaces:
     """
 
     def __init__(self, link):
+        forest = _forest(link)
         cx = link.complex
         if cx is None:
             raise ValueError("link carries no surface complex")
@@ -513,7 +532,7 @@ class _EmbeddedFaces:
             raise ValueError(f"strip complement has {len(regions)} regions"
                              f" for {m} ribbons, expected {m + 1}")
 
-        table = face_weights(link)
+        table = _face_weights(link, forest.parent)
         want = {}
         for j in range(m + 1):
             vec = tuple(table[i][j] for i in range(m))
@@ -536,13 +555,12 @@ class _EmbeddedFaces:
         census = face_euler_characteristics(
             cx, {j: set(comp) for j, comp in enumerate(self.regions)})
         self.chi = tuple(census[j] for j in range(m + 1))
-        abstract = face_chi(link)
-        if self.chi != abstract:
+        if self.chi != forest.chi:
             raise ValueError(f"face Euler characteristics {self.chi}"
                              f" disagree with the abstract values"
-                             f" {abstract}")
+                             f" {forest.chi}")
 
-        par = _parents(link)
+        par = forest.parent
         self.marked = []
         for pos in range(m):
             sig = self.arcs[pos]["sigma"]
@@ -611,8 +629,9 @@ def validate_link(link):
     regions, Euler characteristics and marked faces with the abstract
     data.
     """
-    _parents(link)
-    if link.complex is not None:
+    if link.complex is None:
+        _forest(link)
+    else:
         _EmbeddedFaces(link)
 
 
@@ -709,19 +728,7 @@ def _coset_table(lie, k):
                        tuple(sines), _phase_table(modulus))
 
 
-def _leaves_first(par):
-    """Ribbon faces ordered so that every face precedes its parent."""
-    def depth(j):
-        d = 0
-        while j:
-            j = par[j]
-            d += 1
-        return d
-
-    return sorted(range(1, len(par)), key=depth, reverse=True)
-
-
-def _wlo_contract(lie, k, link, chi):
+def _wlo_contract(lie, k, link, forest):
     """Holonomy sum and its term census by contraction over the forest.
 
     The k-scaled holonomy of face c = i+1 is beta_c = beta_parent +
@@ -733,16 +740,16 @@ def _wlo_contract(lie, k, link, chi):
     regular paths the same way, weight one per support choice.
     """
     table = _coset_table(lie, k)
-    par = _parents(link)
+    par = forest.parent
     size = total = len(table.reps)
     modulus = (lie.rank + 1) * k
     vals = []
     counts = []
-    for x in chi:
+    for x in forest.chi:
         vals.append([s ** x if ok else 0.0
                      for s, ok in zip(table.sines, table.regular)])
         counts.append([int(ok) for ok in table.regular])
-    for c in _leaves_first(par):
+    for c in forest.order:
         rib = link.ribbons[c - 1]
         o, w = rib.orientation, int(rib.winding)
         child, child_count = vals[c], counts[c]
@@ -769,7 +776,7 @@ def _wlo_contract(lie, k, link, chi):
                           total - sum(counts[0]))
 
 
-def _wlo_terms(lie, k, link, chi):
+def _wlo_terms(lie, k, link, forest):
     """Every holonomy term explicitly, on the coset table.
 
     Per support choice, face c = i+1 lifts to beta_c = beta_parent +
@@ -781,10 +788,10 @@ def _wlo_terms(lie, k, link, chi):
     order of the representatives, then of the choices.
     """
     table = _coset_table(lie, k)
-    par = _parents(link)
+    par = forest.parent
     r = lie.rank
     modulus = (r + 1) * k
-    top_down = _leaves_first(par)[::-1]
+    top_down = forest.order[::-1]
     supports = [sorted(weight_multiplicities(lie, rib.color).items())
                 for rib in link.ribbons]
     choices = []
@@ -818,7 +825,7 @@ def _wlo_terms(lie, k, link, chi):
                 skipped += 1
                 continue
             det = 1.0
-            for p, x in zip(pos, chi):
+            for p, x in zip(pos, forest.chi):
                 det *= table.sines[p] ** x
             e = (_dot(pull, alpha0) + e0) % (2 * modulus)
             acc.add(mult * det * table.phases[e])
@@ -852,49 +859,61 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     k = int(k)
     if k < 1:
         raise ValueError("level must be a positive integer")
-    chi = face_chi(link)
+    forest = _forest(link)
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
 
     if record_terms:
-        return _wlo_terms(lie, k, link, chi)
-    return _wlo_contract(lie, k, link, chi)
+        return _wlo_terms(lie, k, link, forest)
+    return _wlo_contract(lie, k, link, forest)
 
 
 # ---------------------------------------------------------------------------
 # the shadow side
 
 
-def _label_phase_exponents(lie, labels):
-    """{lam: (r+1)<lam, lam + 2 rho>}: gleam g gives phase index g * e."""
+class _LabelTable(NamedTuple):
+    """The level-k labels in level_labels order, with their face data.
+
+    dims maps a label to its quantum dimension and exps to the integer
+    (r+1)<lam, lam + 2 rho>: a face of gleam g colored lam carries phase
+    index g * exps[lam] in the phase table of modulus (r+1)k.
+    """
+
+    labels: tuple
+    dims: MappingProxyType
+    exps: MappingProxyType
+
+
+@lru_cache(maxsize=None)
+def _label_table(lie, k):
+    """The label table of (lie, k), shared by the shadow sums and Step 6."""
+    labels = tuple(level_labels(lie, k))
+    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
     exps = {}
     for lam in labels:
         shifted = tuple(l + 2 * p for l, p in zip(lam, lie.rho))
         exps[lam] = _dot(lam, [_dot(row, shifted) for row in lie.scaled_gram])
-    return exps
+    return _LabelTable(labels, MappingProxyType(dims), MappingProxyType(exps))
 
 
-def _shadow_contract(lie, k, link, labels):
+def _shadow_contract(lie, k, link, forest, table):
     """Shadow sum by contraction over the nesting forest.
 
     Face c carries a vector over the labels, dim^chi_c times the gleam
     phase, times the kernels of its child ribbons; the kernel of ribbon i
     applies the fusion matrix of its color to the child vector.
     """
-    par = _parents(link)
-    chi = face_chi(link)
+    labels = table.labels
     phases = _phase_table((lie.rank + 1) * k)
-    exps = _label_phase_exponents(lie, labels)
-    dims = [quantum_dim(lie, k, lam) for lam in labels]
     vals = []
-    for j, x in enumerate(chi):
-        g = gleam(link, j)
-        vec = [d ** x for d in dims]
+    for x, g in zip(forest.chi, forest.gleam):
+        vec = [table.dims[lam] ** x for lam in labels]
         if g:
-            vec = [v * phases[g * exps[lam] % len(phases)]
+            vec = [v * phases[g * table.exps[lam] % len(phases)]
                    for v, lam in zip(vec, labels)]
         vals.append(vec)
-    for c in _leaves_first(par):
+    for c in forest.order:
         rib = link.ribbons[c - 1]
         child = vals[c]
         kern = []
@@ -908,7 +927,8 @@ def _shadow_contract(lie, k, link, labels):
                 if n:
                     s += n * v
             kern.append(s)
-        vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
+        par = forest.parent[c]
+        vals[par] = [v * q for v, q in zip(vals[par], kern)]
     return _compensated_sum(vals[0])
 
 
@@ -925,12 +945,13 @@ def shadow_invariant(lie, k, link):
     k = int(k)
     if k < 1:
         raise ValueError("level must be a positive integer")
-    _parents(link)
-    labels = level_labels(lie, k)
-    if not labels:
+    forest = _forest(link)
+    table = _label_table(lie, k)
+    if not table.labels:
         return StateSumResult(0j, 0, 0, flag="empty label set")
-    total = len(labels) ** (len(link.ribbons) + 1)
-    return StateSumResult(_shadow_contract(lie, k, link, labels), total, 0)
+    total = len(table.labels) ** (len(link.ribbons) + 1)
+    return StateSumResult(_shadow_contract(lie, k, link, forest, table),
+                          total, 0)
 
 
 def compare_theorem(lie, k, link):
@@ -973,14 +994,13 @@ def compare_theorem(lie, k, link):
 
 
 @lru_cache(maxsize=None)
-def _step6_table(lie, k):
-    """The face-independent sine constant and {label: quantum_dim} at k."""
+def _rho_sine_constant(lie, k):
+    """The face-independent Step 6 constant: prod 4 sin^2(pi <rho, alpha>/k)."""
     const = 1.0
     for alpha in lie.positive_roots:
         const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
                                                       alpha)) / k) ** 2
-    dims = {lam: quantum_dim(lie, k, lam) for lam in level_labels(lie, k)}
-    return const, MappingProxyType(dims)
+    return const
 
 
 def step6_transform(lie, k, link, term, tol=1e-10):
@@ -998,11 +1018,11 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     level.  Any violation raises with the offending term in the message.
     """
     k = int(k)
-    chi = face_chi(link)
-    gl = tuple(gleam(link, j) for j in range(len(chi)))
+    forest = _forest(link)
     table = _coset_table(lie, k)
     modulus = (lie.rank + 1) * k
-    const, dims = _step6_table(lie, k)
+    const = _rho_sine_constant(lie, k)
+    label_table = _label_table(lie, k)
     labels = []
     signs = []
     sines = []
@@ -1021,19 +1041,19 @@ def step6_transform(lie, k, link, term, tol=1e-10):
         signs.append(sign)
         sines.append(table.sines[table.index[_coset_key(lie, modulus, x)]])
         det = sines[-1] ** 2
-        dimsq = dims[lam] ** 2 * const
+        dimsq = label_table.dims[lam] ** 2 * const
         res = abs(det / dimsq - 1.0)
         det_residual = max(det_residual, res)
         if res > tol:
             raise ValueError(f"term {term.alpha0}: face {j} determinant"
                              f" misses the squared dimension by {res:.3e}")
-    exps = _label_phase_exponents(lie, labels)
-    q = Fraction(sum(g * exps[lam] for g, lam in zip(gl, labels)), modulus)
+    q = Fraction(sum(g * label_table.exps[lam]
+                     for g, lam in zip(forest.gleam, labels)), modulus)
     if (q - term.phase) % 2:
         raise ValueError(f"term {term.alpha0}: winding phase {term.phase}"
                          f" is not the gleam phase {q % 2} mod 2")
     det = 1.0
-    for sine, x in zip(sines, chi):
+    for sine, x in zip(sines, forest.chi):
         det *= sine ** x
     value = term.multiplicity * det * _phase(term.phase)
     return Step6Term(tuple(labels), tuple(signs), value, det_residual)
@@ -1062,18 +1082,14 @@ def shadow_terms(lie, k, link):
     """
     k = int(k)
     m = len(link.ribbons)
-    chi = face_chi(link)
-    gl = tuple(gleam(link, j) for j in range(m + 1))
-    marked = [fusion_faces(link, i) for i in range(m)]
-    labels = level_labels(lie, k)
-    dims = {lam: quantum_dim(lie, k, lam) for lam in labels}
+    forest = _forest(link)
+    table = _label_table(lie, k)
     phases = _phase_table((lie.rank + 1) * k)
-    exps = _label_phase_exponents(lie, labels)
     out = {}
-    for phi in product(labels, repeat=m + 1):
+    for phi in product(table.labels, repeat=m + 1):
         nfac = 1
         for i in range(m):
-            jp, jn = marked[i]
+            jp, jn = forest.marked[i]
             nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
                                        phi[jp], phi[jn])
             if nfac == 0:
@@ -1084,8 +1100,8 @@ def shadow_terms(lie, k, link):
         val = float(nfac)
         e = 0
         for j in range(m + 1):
-            val *= dims[phi[j]] ** chi[j]
-            e += gl[j] * exps[phi[j]]
+            val *= table.dims[phi[j]] ** forest.chi[j]
+            e += forest.gleam[j] * table.exps[phi[j]]
         out[phi] = val * phases[e % len(phases)]
     return out
 
@@ -1141,22 +1157,17 @@ def embed_link(link, refinement=None, n=2):
     for pos, rib in enumerate(link.ribbons, start=1):
         strip = tuple(sorted(
             (("trap", 0, pos, i), p) for i in range(4) for p in (1, 2)))
-        # reversing both loops negates the realized jump and keeps their
-        # start vertices, so the forward direction's jump decides; the
-        # validation of the finished link below confirms the choice
-        ring = _ring_step(0, pos, reverse=False)
-        arcs = _arc_data(cx, ColoredRibbon(rib.color, rib.winding,
-                                           steps=(ring,)))
-        _, jump = _ribbon_potential(cx, arcs,
-                                    _strip_quarters(cx, arcs, strip))
-        if jump != rib.orientation:
-            ring = _ring_step(0, pos, reverse=True)
+        # the forward ring realizes jump +1 and the reversed one, which
+        # keeps both loops' start vertices, jump -1; the validation of the
+        # finished link below confirms every jump
+        ring = _ring_step(0, pos, reverse=rib.orientation == -1)
+        sigma = _chain_vertices(cx, ring.l_sigma)[0]
+        sigma_prime = _chain_vertices(cx, ring.lp_sigma)[0]
         steps = [ring]
         direction = 1 if rib.winding >= 0 else -1
         for j in range(n * abs(rib.winding)):
             steps.append(RibbonStep(t=(j * direction) % n, dt=direction,
-                                    l_vertex=arcs["sigma"],
-                                    lp_vertex=arcs["sigma_prime"]))
+                                    l_vertex=sigma, lp_vertex=sigma_prime))
         ribbons.append(ColoredRibbon(rib.color, rib.winding,
                                      rib.orientation, rib.parent,
                                      tuple(steps), strip))

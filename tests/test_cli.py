@@ -103,8 +103,8 @@ def test_embedded_run_validates_once(capsys, monkeypatch):
     code, _, _ = run_main(
         ["run", str(CONFIGS / "torus_unknot_su2_k5_embedded.json")], capsys)
     assert code == 0
-    # one ribbon: embed_link's direction probe and the validation
-    assert calls == {"faces": 1, "potential": 2}
+    # one ribbon, whose potential only the validation solves
+    assert calls == {"faces": 1, "potential": 1}
 
 
 def test_threads_option_rejected(capsys):
@@ -147,6 +147,22 @@ def test_parent_cycle_exits_2(tmp_path, capsys):
     assert code == 2
     assert "parent" in err
     assert "ribbon 0" in err
+
+
+def test_vanishing_normalization_exits_2(tmp_path, capsys):
+    # at genus 5000 the empty-link holonomy sum underflows to 0.0; the
+    # refusal is an error line and exit 2, not a traceback or a report
+    cfg = tmp_path / "huge_genus.json"
+    cfg.write_text(json.dumps({
+        "group": "su2", "level": 5, "genus": 5000,
+        "ribbons": [{"color": [1], "winding": 1}],
+    }))
+    code, out, err = run_main(["run", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "normalization vanishes" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_group_exits_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Tests for the ribbon link state sums and their embedded realizations."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,67 @@ def test_fusion_faces_follow_orientation():
     down = ss._chain(0, (((1,), 1, -1),))
     assert ss.fusion_faces(up, 0) == (1, 0)
     assert ss.fusion_faces(down, 0) == (0, 1)
+
+
+@st.composite
+def _random_nesting(draw):
+    """A random forest of up to 6 ribbons, faces relabelled at random."""
+    m = draw(st.integers(0, 6))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    ribbons = [None] * m
+    for face in range(1, m + 1):
+        ribbons[label[face] - 1] = ss.ColoredRibbon(
+            (1,), draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1))),
+            label[draw(st.integers(0, face - 1))])
+    return ss.RibbonLink(draw(st.integers(0, 2)), tuple(ribbons))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_nesting())
+def test_forest_record_matches_per_face_recomputation(link):
+    forest = ss._forest(link)
+    ribbons = link.ribbons
+    m = len(ribbons)
+    assert forest.parent == (-1,) + tuple(r.parent for r in ribbons)
+    assert sorted(forest.order) == list(range(1, m + 1))
+    where = {c: n for n, c in enumerate(forest.order)}
+    for c in forest.order:
+        if forest.parent[c]:
+            assert where[c] < where[forest.parent[c]]
+    for j in range(m + 1):
+        kids = sum(1 for r in ribbons if r.parent == j)
+        assert forest.chi[j] == (2 - 2 * link.genus if j == 0 else 1) - kids
+        assert forest.gleam[j] == sum(
+            r.winding * r.orientation * ((i + 1 == j) - (r.parent == j))
+            for i, r in enumerate(ribbons))
+    for i, r in enumerate(ribbons):
+        inner_up = (i + 1, r.parent)
+        assert forest.marked[i] == (inner_up if r.orientation == 1
+                                    else inner_up[::-1])
+    assert ss.face_chi(link) == forest.chi
+    assert [ss.gleam(link, j) for j in range(m + 1)] == list(forest.gleam)
+    assert [ss.fusion_faces(link, i) for i in range(m)] == \
+        list(forest.marked)
+
+
+@pytest.mark.parametrize("ribbons, message", [
+    (((1, 1, 5),), "ribbon 0: invalid parent face 5"),
+    (((1, 1, 0), (1, 1, -1)), "ribbon 1: invalid parent face -1"),
+    (((1, 2, 0),), "ribbon 0: orientation must be +-1"),
+    (((1.5, 1, 0),), "ribbon 0: winding must be an integer"),
+    (((1, 1, 2), (1, 1, 1)),
+     "ribbon 0: parent 2 closes a cycle in the nesting relation"),
+    (((1, 1, 0), (1, 1, 2)),
+     "ribbon 1: parent 2 closes a cycle in the nesting relation"),
+])
+def test_forest_errors(ribbons, message):
+    link = ss.RibbonLink(0, tuple(ss.ColoredRibbon((1,), w, o, p)
+                                  for w, o, p in ribbons))
+    for derive in (ss._forest, ss.face_chi, ss.face_weights,
+                   ss.validate_link, lambda lk: ss.gleam(lk, 0),
+                   lambda lk: ss.fusion_faces(lk, 0)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            derive(link)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +427,18 @@ def test_embed_rejects_non_chain():
 def test_embed_rejects_high_genus():
     with pytest.raises(ValueError, match="genus"):
         ss.embed_link(ss.RibbonLink(2))
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_embedded_chains_realize_every_sign_pattern(genus):
+    """The ring direction alone fixes each embedded ribbon's jump."""
+    for depth in range(1, 5):
+        for signs in product((1, -1), repeat=depth):
+            link = ss._chain(genus, tuple(
+                ((1,), (1, -1, 2, 0)[i], s) for i, s in enumerate(signs)))
+            # embed_link validates the link it returns
+            emb = ss.embed_link(link)
+            assert tuple(ss._EmbeddedFaces(emb).jumps) == signs
 
 
 # ---------------------------------------------------------------------------
