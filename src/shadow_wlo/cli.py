@@ -535,7 +535,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     print(f"wall clock: {elapsed:.3f}s", file=sys.stderr)
     return 0 if ok else 1
 

