@@ -322,26 +322,24 @@ def _suite_fusion_ring():
         lie = lie_data(series)
         labels = level_labels(lie, k)
         zero = tuple(0 for _ in range(lie.rank))
-
-        def prod(a, b, c):
-            return fusion_coefficient(lie, k, tuple(reversed(a)), b, c)
-
+        prod = {(a, b, c): fusion_coefficient(lie, k, a[::-1], b, c)
+                for a in labels for b in labels for c in labels}
         for a in labels:
             for b in labels:
-                if prod(zero, a, b) != (a == b) or \
-                        prod(a, zero, b) != (a == b):
+                if prod[zero, a, b] != (a == b) or \
+                        prod[a, zero, b] != (a == b):
                     return False, f"{series} k={k}: unit fails at {a},{b}"
                 for c in labels:
-                    if prod(a, b, c) != prod(b, a, c):
+                    if prod[a, b, c] != prod[b, a, c]:
                         return False, (f"{series} k={k}: commutativity "
                                        f"fails at {a},{b},{c}")
         for a in labels:
             for b in labels:
                 for c in labels:
                     for d in labels:
-                        lhs = sum(prod(a, b, e) * prod(e, c, d)
+                        lhs = sum(prod[a, b, e] * prod[e, c, d]
                                   for e in labels)
-                        rhs = sum(prod(b, c, e) * prod(a, e, d)
+                        rhs = sum(prod[b, c, e] * prod[a, e, d]
                                   for e in labels)
                         if lhs != rhs:
                             return False, (f"{series} k={k}: associativity "

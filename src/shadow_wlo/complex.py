@@ -11,6 +11,10 @@ midpoints and face centers.  Every qK edge joins a midpoint to a primal
 vertex or a center, giving the half-edge structure the downstream operators
 rely on.
 
+Exact structural checks (the B0 kernel check) solve their linear systems
+with rational_rref: fraction-free Gauss-Jordan elimination in integers,
+with one normalization by the pivots at the end.
+
 Orientation conventions, fixed once here and asserted by tests:
   - face cycles are counterclockwise w.r.t. the surface orientation;
   - the dual edge e' of e runs from the left face of e to the right face,
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 __all__ = [
     "SurfaceComplex",
@@ -548,9 +553,9 @@ def affine_constraint_rows(cx, index):
     rows = []
     for qid in sorted(cx.quarter_corners):
         v, m_in, m_out, c = cx.quarter_corners[qid]
-        row = {index[v]: Fraction(1), index[c]: Fraction(1)}
+        row = {index[v]: 1, index[c]: 1}
         for mvert in (m_in, m_out):
-            row[index[mvert]] = row.get(index[mvert], Fraction(0)) - 1
+            row[index[mvert]] = row.get(index[mvert], 0) - 1
         rows.append(row)
     return rows
 
@@ -558,50 +563,62 @@ def affine_constraint_rows(cx, index):
 def rational_rref(rows, ncols, rhs=None):
     """Exact row reduction of a sparse rational system.
 
-    rows: list of {col: Fraction}.  rhs: optional list of Fractions.  Rows
-    stay sparse, with the rhs in column ncols; each row pivots on its first
-    nonzero column, is normalized and is eliminated from every other row,
-    which yields the unique reduced row echelon form.  Returns (rank,
-    pivots, solution, nullspace) where solution is one solution of
-    rows*x = rhs (None if inconsistent or rhs omitted) and nullspace is a
-    list of basis vectors (dense tuples) of the kernel.
+    rows: list of {col: int or Fraction}.  rhs: optional list of ints or
+    Fractions.  Each row is scaled to integers by the lcm of its
+    denominators and stays sparse, with the rhs in column ncols.
+    Fraction-free Gauss-Jordan elimination: each row pivots on its first
+    nonzero column and is eliminated from every other row as
+    other = pv*other - f*row, which is then divided by the gcd of its
+    entries.  Scaling a row never moves a pivot, so dividing each pivot
+    row by its pivot once, at the end, yields the unique reduced row
+    echelon form.  Returns (rank, pivots, solution, nullspace) where
+    solution is one solution of rows*x = rhs as Fractions (None if
+    inconsistent or rhs omitted) and nullspace is a list of basis vectors
+    (dense tuples of Fractions) of the kernel.
     """
     work = []
     for i, row in enumerate(rows):
-        vec = {c: f for c, v in row.items() if (f := Fraction(v))}
-        if rhs is not None and (f := Fraction(rhs[i])):
-            vec[ncols] = f
-        work.append(vec)
+        vec = {c: v for c, v in row.items() if v}
+        if rhs is not None and rhs[i]:
+            vec[ncols] = rhs[i]
+        den = lcm(*(v.denominator for v in vec.values()))
+        work.append({c: v.numerator * (den // v.denominator)
+                     for c, v in vec.items()})
     reduced = {}
     for i, vec in enumerate(work):
         col = min((c for c in vec if c < ncols), default=None)
         if col is None:
             continue
+        reduced[col] = i
         pv = vec[col]
-        vec = work[i] = reduced[col] = {c: v / pv for c, v in vec.items()}
-        for other in work:
+        for j, other in enumerate(work):
             f = other.get(col)
-            if f is None or other is vec:
+            if f is None or j == i:
                 continue
+            new = {c: pv * v for c, v in other.items()}
             for c, v in vec.items():
-                if x := other.get(c, 0) - f * v:
-                    other[c] = x
+                if x := new.get(c, 0) - f * v:
+                    new[c] = x
                 else:
-                    del other[c]
+                    del new[c]
+            g = gcd(*new.values())
+            work[j] = {c: v // g for c, v in new.items()} if g > 1 else new
     pivots = sorted(reduced)
     solution = None
     # a row reduced to its rhs alone reads 0 = b with b nonzero
     if rhs is not None and not any(list(vec) == [ncols] for vec in work):
         solution = [Fraction(0)] * ncols
         for col in pivots:
-            solution[col] = reduced[col].get(ncols, Fraction(0))
+            row = work[reduced[col]]
+            solution[col] = Fraction(row.get(ncols, 0), row[col])
     free = [c for c in range(ncols) if c not in reduced]
     nullspace = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for col, row in reduced.items():
-            vec[col] = -row.get(fc, Fraction(0))
+        for col, i in reduced.items():
+            row = work[i]
+            vec[col] = Fraction(-row.get(fc, 0), row[col])
         nullspace.append(tuple(vec))
     return len(pivots), pivots, solution, nullspace
 
@@ -613,7 +630,7 @@ def _b0_rows(cx, sigma0, index):
         patch.update(cx.quarter_corners[qid])
     patch.discard(sigma0)
     for qv in sorted(patch):
-        rows.append({index[qv]: Fraction(1), index[sigma0]: Fraction(-1)})
+        rows.append({index[qv]: 1, index[sigma0]: -1})
     return rows
 
 
@@ -633,11 +650,9 @@ def kernel_check_B0(cx, sigma0=None):
     # across each dual edge; loop edges impose nothing
     for e, (t, h) in sorted(cx.edges.items()):
         if t != h:
-            rows.append({index[("v", t)]: Fraction(1),
-                         index[("v", h)]: Fraction(-1)})
+            rows.append({index[("v", t)]: 1, index[("v", h)]: -1})
         left, right = cx.edge_left[e], cx.edge_right[e]
-        rows.append({index[("c", left)]: Fraction(1),
-                     index[("c", right)]: Fraction(-1)})
+        rows.append({index[("c", left)]: 1, index[("c", right)]: -1})
     rank, _, _, nullspace = rational_rref(rows, len(cx.qk_vertices))
     return len(nullspace) == 1
 

@@ -173,8 +173,10 @@ def _eigen_quadrature(lam, shift, forms, eps, radius, count):
 
 
 def _oracle_points(eps, lam_max, m_norm, dim, pad, oversample):
-    # truncation where the eps-damping reaches ~1e-9, sampling fine enough
-    # that the aliasing error of the midpoint rule stays below ~1e-10
+    # truncation where the eps-damping reaches ~1e-9: an error of ~1e-9 for
+    # a bounded integrand, ~radius^k * 1e-9 for a product of k linear
+    # forms; sampling fine enough that the aliasing error of the midpoint
+    # rule stays below ~1e-10
     radius = math.sqrt(math.log(1e9) / eps) + m_norm + pad
     omega = math.sqrt(25.0 * (4.0 * eps ** 2 + lam_max ** 2) / eps)
     step = 2.0 * math.pi / (1.3 * omega * oversample)

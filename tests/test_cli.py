@@ -331,6 +331,28 @@ def test_closed_form_mutation_fails_oscillatory_suite(monkeypatch, module,
                if key != "oscillatory_closed_forms")
 
 
+_FUSION = cli.fusion_coefficient
+
+
+@pytest.mark.parametrize("triple,law", [
+    (((0,), (0,), (0,)), "unit"),
+    (((1,), (2,), (1,)), "commutativity"),
+    # symmetric in its first two slots, so only associativity can see it
+    (((1,), (1,), (2,)), "associativity"),
+])
+def test_fusion_mutation_fails_fusion_ring_suite(monkeypatch, triple, law):
+    def one_coefficient_off(lie, k, mu, nu, lam):
+        n = _FUSION(lie, k, mu, nu, lam)
+        return n + 1 if (lie.series, mu, nu, lam) == ("A1",) + triple else n
+
+    monkeypatch.setattr(cli, "fusion_coefficient", one_coefficient_off)
+    table = cli.selfcheck()
+    assert table["fusion_ring"]["pass"] is False
+    assert law in table["fusion_ring"]["detail"]
+    assert all(row["pass"] for key, row in table.items()
+               if key != "fusion_ring")
+
+
 def _declared_console_script():
     """The `shadow-wlo` entry of `[project.scripts]` in the checkout."""
     if sys.version_info >= (3, 11):

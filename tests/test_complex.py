@@ -263,7 +263,7 @@ def test_rational_rref_solves_and_finds_kernel():
 def _sparse_systems(draw):
     nrows = draw(st.integers(0, 10))
     ncols = draw(st.integers(1, 8))
-    entry = st.integers(-3, 3).map(Fraction)
+    entry = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
     rows = [draw(st.dictionaries(st.integers(0, ncols - 1), entry))
             for _ in range(nrows)]
     rhs = draw(st.none() | st.lists(entry, min_size=nrows, max_size=nrows))
@@ -273,6 +273,10 @@ def _sparse_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_sparse_systems())
 @example(([{0: Fraction(1)}, {0: Fraction(2)}], 2, [Fraction(1)] * 2))
+# mixed denominators, plain ints among them, and a pivot of 2/3
+@example(([{0: Fraction(2, 3), 1: Fraction(1, 2)},
+           {0: Fraction(3, 4), 1: 5, 2: Fraction(-5, 6)}], 3,
+          [Fraction(1, 4), 2]))
 def test_sparse_rref_matches_dense_oracle(system):
     rows, ncols, rhs = system
     assert rational_rref(rows, ncols, rhs) == \
