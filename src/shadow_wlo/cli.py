@@ -19,6 +19,10 @@ import sys
 import time
 from fractions import Fraction
 
+# the largest matrix here is the selfcheck's A2 twisted operator at n=4
+# (32x32), so a BLAS thread pool would only spin; must precede numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

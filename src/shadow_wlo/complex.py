@@ -9,7 +9,8 @@ incidence) are derived from that data.
 The quad subdivision qK has three vertex classes: primal vertices, edge
 midpoints and face centers.  Every qK edge joins a midpoint to a primal
 vertex or a center, giving the half-edge structure the downstream operators
-rely on.
+rely on.  RibbonStep, one step of a ribbon's boundary walk over qK edges,
+is defined here beside the subdivision it indexes.
 
 Exact structural checks (the B0 kernel check) solve their linear systems
 with rational_rref: fraction-free Gauss-Jordan elimination in integers,
@@ -25,6 +26,7 @@ Orientation conventions, fixed once here and asserted by tests:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -35,6 +37,7 @@ __all__ = [
     "coboundary",
     "project_to_K",
     "psi_embed",
+    "RibbonStep",
     "kernel_check_B0",
     "face_euler_characteristics",
     "HodgePair",
@@ -480,6 +483,28 @@ def psi_embed(cx, primal, dual=None):
             out[("d1", e)] = val
             out[("d2", e)] = val
     return out
+
+
+@dataclass(frozen=True)
+class RibbonStep:
+    """One step of a paired-boundary ribbon.
+
+    t is the time slice at the start of the step.  l_sigma and lp_sigma
+    are the surface parts of the two boundary loops, as tuples of
+    (subdivision edge, sign); they are empty for a pure time step.
+    l_vertex and lp_vertex are the subdivision vertices where the two
+    surface parts start (for time steps: where the loops currently sit),
+    which is where the twist field is sampled.  dt is the signed time
+    displacement in units of 1/n; both loops share it, since validated
+    ribbons have identical time projections.
+    """
+
+    t: int
+    l_sigma: tuple = ()
+    lp_sigma: tuple = ()
+    l_vertex: tuple | None = None
+    lp_vertex: tuple | None = None
+    dt: int = 0
 
 
 class HodgePair:

@@ -13,6 +13,13 @@ Conventions shared with the rest of the package: Cartan elements are
 tuples in fundamental-weight coordinates, ad(b) rotates each positive-root
 plane by 2*pi*<alpha, b>, and exp(b) acts on a weight alpha as
 exp(2*pi*i*<alpha, b>).
+
+Because b is Cartan-valued (torus gauge), the step exponential
+exp(ad(b)/n) of the twisted operators has a closed form: the identity on
+the Cartan coordinates and, in each positive-root plane, the rotation
+[[cos phi, -sin phi], [sin phi, cos phi]] with phi = 2*pi*<alpha, b>/n.
+The backward step exp(-ad(b)/n) is its transpose, so the mean variant's
+identity bar = (hat + check)/2 holds exactly at matrix level.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .complex import hodge_star_signs
+from .complex import RibbonStep, hodge_star_signs
 from .lie import ad_det_k, inner, is_regular
 
 __all__ = [
@@ -88,11 +94,15 @@ def build_twisted(lie, variant, n, b):
     """Dense time-twisted difference operator on maps Z_n -> algebra.
 
     hat is n*(shift exp(ad(b)/n) - 1), check is n*(1 - backshift
-    exp(-ad(b)/n)), bar is their mean and needs even n.  The backward
-    exponential is the transpose of the forward one (ad(b) is
-    antisymmetric), which keeps the mean identity exact at matrix level.
-    Applied to samples of a smooth field, each variant reproduces the
-    continuum operator d/dt + ad(b) to first order in 1/n.
+    exp(-ad(b)/n)), bar is their mean and needs even n.  The forward
+    exponential is built in closed form: the identity on the Cartan
+    coordinates and, at rows r+2p and r+2p+1 for the p-th positive root
+    alpha, the rotation [[cos phi, -sin phi], [sin phi, cos phi]] with
+    phi = 2*pi*<alpha, b>/n, the exponential of ad_matrix(lie, b)/n.  The
+    backward exponential is its transpose (ad(b) is antisymmetric), which
+    keeps the mean identity exact at matrix level.  Applied to samples of
+    a smooth field, each variant reproduces the continuum operator
+    d/dt + ad(b) to first order in 1/n.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -101,8 +111,13 @@ def build_twisted(lie, variant, n, b):
     if variant == "bar" and n % 2 != 0:
         raise ValueError("bar variant needs an even number of time steps")
     dim = algebra_dim(lie)
-    fwd = scipy.linalg.expm(ad_matrix(lie, b) / n)
     eye = np.eye(dim)
+    fwd = eye.copy()
+    for p, alpha in enumerate(lie.positive_roots):
+        phi = 2.0 * math.pi * float(inner(lie, alpha, b)) / n
+        c, s = math.cos(phi), math.sin(phi)
+        i = lie.rank + 2 * p
+        fwd[i:i + 2, i:i + 2] = ((c, -s), (s, c))
     mat = np.zeros((n * dim, n * dim))
     for t in range(n):
         rows = slice(t * dim, (t + 1) * dim)
@@ -301,28 +316,6 @@ def det_fp_disc(lie, B):
 
 # ---------------------------------------------------------------------------
 # discrete ribbon holonomy
-
-
-@dataclass(frozen=True)
-class RibbonStep:
-    """One step of a paired-boundary ribbon.
-
-    t is the time slice at the start of the step.  l_sigma and lp_sigma
-    are the surface parts of the two boundary loops, as tuples of
-    (subdivision edge, sign); they are empty for a pure time step.
-    l_vertex and lp_vertex are the subdivision vertices where the two
-    surface parts start (for time steps: where the loops currently sit),
-    which is where the twist field is sampled.  dt is the signed time
-    displacement in units of 1/n; both loops share it, since validated
-    ribbons have identical time projections.
-    """
-
-    t: int
-    l_sigma: tuple = ()
-    lp_sigma: tuple = ()
-    l_vertex: tuple | None = None
-    lp_vertex: tuple | None = None
-    dt: int = 0
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .complex import (build_standard_surface, coboundary, default_sigma0,
-                      face_euler_characteristics, hodge_star_signs,
-                      project_to_K)
-from .discrete import RibbonStep
+from .complex import (RibbonStep, build_standard_surface, coboundary,
+                      default_sigma0, face_euler_characteristics,
+                      hodge_star_signs, project_to_K)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
 from .lie import (_alcove_reduce, _fusion_table, fusion_coefficient, inner,

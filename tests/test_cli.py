@@ -400,6 +400,58 @@ def test_console_script_installed():
         _check_empty_sphere_run([exe])
 
 
+def _fresh_interpreter(code, **env):
+    """stdout of code run by a new interpreter on the checkout's src.
+
+    OPENBLAS_NUM_THREADS is removed from the inherited environment; env
+    entries are set on top.
+    """
+    full = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    full["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), full.get("PYTHONPATH")]))
+    full.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=full)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_import_loads_neither_numpy_nor_scipy():
+    out = _fresh_interpreter(
+        "import importlib, pkgutil, sys\n"
+        "import shadow_wlo\n"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        "for mod in pkgutil.iter_modules(shadow_wlo.__path__):\n"
+        "    importlib.import_module('shadow_wlo.' + mod.name)\n"
+        "print('shadow_wlo.discrete' in sys.modules, 'scipy' in sys.modules)\n")
+    assert out == ["False", "False", "True", "False"]
+
+
+# Prints OPENBLAS_NUM_THREADS as numpy starts to load and after the CLI
+# import: the pin only takes effect if it is set before numpy loads.
+PIN_PROBE = (
+    "import os, sys\n"
+    "seen = []\n"
+    "class Probe:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy' and not seen:\n"
+    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "sys.meta_path.insert(0, Probe())\n"
+    "import shadow_wlo.cli\n"
+    "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
+)
+
+
+def test_cli_pins_openblas_to_one_thread_before_numpy_loads():
+    assert _fresh_interpreter(PIN_PROBE) == ["1", "1"]
+
+
+def test_cli_keeps_a_preset_openblas_thread_count():
+    assert _fresh_interpreter(PIN_PROBE, OPENBLAS_NUM_THREADS="2") == \
+        ["2", "2"]
+
+
 def test_complex_values_are_pairs(capsys):
     _, out, _ = run_main(["run", str(CONFIGS / "nested_pair_su3_k6.json")],
                          capsys)

@@ -62,14 +62,23 @@ def test_bar_is_mean_of_hat_and_check():
     np.testing.assert_array_equal(bar, (hat + chk) / 2.0)
 
 
-def test_step_exponential_is_orthogonal():
-    # the hat operator's block at rows t = 0, columns t = 1 is n exp(ad(b)/n)
-    b = (Fraction(2, 7), Fraction(1, 3))
-    dim = discrete.algebra_dim(A2)
-    mat = discrete.build_twisted(A2, "hat", 3, b).matrix
-    fwd = mat[:dim, dim:2 * dim] / 3
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("lie, b", [
+    (A1, (Fraction(2, 7),)),
+    (A1, (Fraction(-5, 2),)),                   # large pairing
+    (A1, (Fraction(1),)),                       # singular: integer pairing
+    (A2, (Fraction(2, 7), Fraction(1, 3))),
+    (A2, (Fraction(7, 3), Fraction(-5, 2))),    # large pairings
+    (A2, (Fraction(1), Fraction(0))),           # singular: integer pairings
+], ids=["A1", "A1-large", "A1-singular", "A2", "A2-large", "A2-singular"])
+def test_step_exponential_is_orthogonal(lie, b, n):
+    # the hat operator's block at rows t = 0, columns t = 1 is n exp(ad(b)/n);
+    # the closed-form rotation blocks must match the matrix exponential
+    dim = discrete.algebra_dim(lie)
+    mat = discrete.build_twisted(lie, "hat", n, b).matrix
+    fwd = mat[:dim, dim:2 * dim] / n
     assert np.max(np.abs(fwd.T @ fwd - np.eye(dim))) < 1e-13
-    want = scipy.linalg.expm(discrete.ad_matrix(A2, b) / 3)
+    want = scipy.linalg.expm(discrete.ad_matrix(lie, b) / n)
     assert np.max(np.abs(fwd - want)) < 1e-13
 
 
