@@ -458,8 +458,9 @@ def _emit(report, out_path):
     text = json.dumps(report, sort_keys=True, indent=2,
                       ensure_ascii=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        # str.encode needs no codec module, unlike a text file's encoding=
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode("ascii"))
     else:
         sys.stdout.write(text)
 

@@ -12,9 +12,11 @@ vertex or a center, giving the half-edge structure the downstream operators
 rely on.  RibbonStep, one step of a ribbon's boundary walk over qK edges,
 is defined here beside the subdivision it indexes.
 
-Exact structural checks (the B0 kernel check) solve their linear systems
-with rational_rref: fraction-free Gauss-Jordan elimination in integers,
-with one normalization by the pivots at the end.
+The B0 kernel check first merges the vertices its equality conditions
+tie together (the star of the base vertex, the ends of each primal and
+dual edge) into classes, then solves the tetragon affinity on the class
+values with rational_rref: fraction-free Gauss-Jordan elimination in
+integers, with one normalization by the pivots at the end.
 
 Orientation conventions, fixed once here and asserted by tests:
   - face cycles are counterclockwise w.r.t. the surface orientation;
@@ -51,6 +53,14 @@ __all__ = [
 
 # sign convention of the Hodge pair in the canonical dual-edge indexing
 hodge_star_signs = {"K1": 1, "K2": -1}
+
+
+def _find(parent, x):
+    """Root of x in a union-find forest {node: parent}, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _dart_tail(edges, dart):
@@ -648,38 +658,54 @@ def rational_rref(rows, ncols, rhs=None):
     return len(pivots), pivots, solution, nullspace
 
 
-def _b0_rows(cx, sigma0, index):
-    rows = affine_constraint_rows(cx, index)
-    patch = set()
-    for qid in cx.quarters_at(sigma0):
-        patch.update(cx.quarter_corners[qid])
-    patch.discard(sigma0)
-    for qv in sorted(patch):
-        rows.append({index[qv]: 1, index[sigma0]: -1})
-    return rows
-
-
 def kernel_check_B0(cx, sigma0=None):
     """True iff ker of (project o coboundary) on B0(qK) is the constants.
 
     B0(qK) imposes the tetragon affinity on every quarter and constancy on
     the closed star of sigma0.  The projected coboundary vanishes exactly
-    when all primal values agree and all center values agree, so the check
-    reduces to an exact rank computation over the rationals.
+    when the two primal values along each non-loop edge agree and the two
+    center values across each dual edge agree.  Apart from the affinity,
+    every condition is an equality x_a = x_b; merged by union-find into
+    classes, the equalities parametrize their solution space by one value
+    per class.  Summing each affinity row's coefficients per class gives
+    the restriction of the affinity to that space, so the kernel has
+    dimension #classes - rank of the quotient rows, found by exact
+    elimination.
     """
     if sigma0 is None:
         sigma0 = default_sigma0(cx)
-    index = {qv: i for i, qv in enumerate(cx.qk_vertices)}
-    rows = _b0_rows(cx, sigma0, index)
-    # projected coboundary kernel rows: equality along each primal edge and
-    # across each dual edge; loop edges impose nothing
-    for e, (t, h) in sorted(cx.edges.items()):
+    parent = {qv: qv for qv in cx.qk_vertices}
+
+    def union(a, b):
+        parent[_find(parent, a)] = _find(parent, b)
+
+    for corners in cx.quarter_corners.values():
+        if sigma0 in corners:
+            for qv in corners:
+                union(qv, sigma0)
+    # loop edges impose nothing
+    for e, (t, h) in cx.edges.items():
         if t != h:
-            rows.append({index[("v", t)]: 1, index[("v", h)]: -1})
-        left, right = cx.edge_left[e], cx.edge_right[e]
-        rows.append({index[("c", left)]: 1, index[("c", right)]: -1})
-    rank, _, _, nullspace = rational_rref(rows, len(cx.qk_vertices))
-    return len(nullspace) == 1
+            union(("v", t), ("v", h))
+        union(("c", cx.edge_left[e]), ("c", cx.edge_right[e]))
+    # the class of sigma0 meets almost every row; as the last column it is
+    # pivoted on last, which keeps the elimination sparse
+    star = _find(parent, sigma0)
+    cls = {}
+    for qv in cx.qk_vertices:
+        if (root := _find(parent, qv)) != star:
+            cls.setdefault(root, len(cls))
+    cls[star] = len(cls)
+    rows = []
+    for v, m_in, m_out, c in cx.quarter_corners.values():
+        row = {}
+        for qv, coef in ((v, 1), (c, 1), (m_in, -1), (m_out, -1)):
+            col = cls[_find(parent, qv)]
+            row[col] = row.get(col, 0) + coef
+        if any(row.values()):
+            rows.append(row)
+    rank = rational_rref(rows, len(cls))[0]
+    return len(cls) - rank == 1
 
 
 def face_euler_characteristics(cx, regions):

@@ -36,9 +36,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .complex import (RibbonStep, build_standard_surface, coboundary,
+from .complex import (RibbonStep, _find, build_standard_surface, coboundary,
                       default_sigma0, face_euler_characteristics,
-                      hodge_star_signs, project_to_K)
+                      hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
 from .lie import (_alcove_reduce, _fusion_table, fusion_coefficient, inner,
@@ -331,13 +331,13 @@ def _arc_data(cx, rib):
 
 
 def _quarter_sides(cx):
+    """The set of qK edges bounding each quarter, by quarter id."""
     return {qid: frozenset(qe for qe, _ in darts)
             for qid, darts in cx.quarters.items()}
 
 
-def _strip_quarters(cx, arcs, declared=None):
+def _strip_quarters(sides, arcs, declared=None):
     """Quarters with one side on each arc; checked against the declaration."""
-    sides = _quarter_sides(cx)
     found = frozenset(qid for qid, ss in sides.items()
                       if ss & arcs["l_edges"] and ss & arcs["lp_edges"])
     if declared:
@@ -347,78 +347,81 @@ def _strip_quarters(cx, arcs, declared=None):
     return found
 
 
-def _components(cx, quarters):
+def _components(sides, quarters):
     """Connected components of a quarter set, glued along shared edges."""
-    sides = _quarter_sides(cx)
     parent = {qid: qid for qid in quarters}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_edge = {}
     for qid in quarters:
         for qe in sides[qid]:
             by_edge.setdefault(qe, []).append(qid)
     for group in by_edge.values():
         for other in group[1:]:
-            ra, rb = find(group[0]), find(other)
+            ra, rb = _find(parent, group[0]), _find(parent, other)
             if ra != rb:
                 parent[ra] = rb
     comps = {}
     for qid in quarters:
-        comps.setdefault(find(qid), set()).add(qid)
+        comps.setdefault(_find(parent, qid), set()).add(qid)
     return [frozenset(c) for c in comps.values()]
 
 
 def _star_projected_differential(cx, f):
     """Apply the marked-complex star to the projected coboundary of f.
 
-    Returns (primal, dual) coefficient dicts over the base edges.  This is
-    the holonomy-side momentum map whose value on a valid ribbon potential
-    is the half-sum chain of the two boundary loops.
+    Returns (primal, dual) coefficient dicts over the base edges, in
+    quarter units: 4 times star(project_to_K(coboundary(f))).  The
+    projection of an edge is the mean of its two halves x_a, x_b, so the
+    value is 2*s*(x_a + x_b), with s the star's sign; the halves telescope
+    to the difference of f at the edge's ends.  This is the holonomy-side
+    momentum map whose value on a valid ribbon potential is the half-sum
+    chain of the two boundary loops; an integer f gives integers.
     """
-    x, y = project_to_K(cx, coboundary(cx, f))
     s1 = hodge_star_signs["K1"]
     s2 = hodge_star_signs["K2"]
-    primal = {e: s2 * y[e] for e in cx.edges}
-    dual = {e: s1 * x[e] for e in cx.edges}
+    primal = {}
+    dual = {}
+    for e, (t, h) in cx.edges.items():
+        primal[e] = 2 * s2 * (f[("c", cx.edge_right[e])]
+                              - f[("c", cx.edge_left[e])])
+        dual[e] = 2 * s1 * (f[("v", h)] - f[("v", t)])
     return primal, dual
 
 
 def _half_sum_chain(cx, arcs):
-    """Projected half-sum of the two boundary loops, by base edge and side."""
-    quarter = Fraction(1, 4)
-    primal = {e: Fraction(0) for e in cx.edges}
-    dual = {e: Fraction(0) for e in cx.edges}
+    """Projected half-sum of the two boundary loops, by base edge and side.
+
+    In quarter units, like _star_projected_differential: each chain dart
+    adds its sign to the side of its base edge.
+    """
+    primal = dict.fromkeys(cx.edges, 0)
+    dual = dict.fromkeys(cx.edges, 0)
     for chain in (arcs["l_chain"], arcs["lp_chain"]):
         for (kind, e), sgn in chain:
             if kind in ("h1", "h2"):
-                primal[e] += quarter * sgn
+                primal[e] += sgn
             else:
-                dual[e] += quarter * sgn
+                dual[e] += sgn
     return primal, dual
 
 
-def _ribbon_potential(cx, arcs, strip):
+def _ribbon_potential(cx, sides, arcs, strip):
     """Unit-jump potential of one ribbon, with its derived jump sign.
 
     The potential is constant on each side of the strip, affine across it,
     and solves the defining equation: star of the projected differential
     equals the half-sum boundary chain.  The equation is linear, so the
-    potential of jump +1 is built once and its image compared with plus
-    and minus the chain; the sign that matches is the ribbon orientation
-    the embedding realizes.
+    potential of jump +1 is built once, with values 0 and 1, and its image
+    compared with plus and minus the chain; the sign that matches is the
+    ribbon orientation the embedding realizes.  Both sides of the equation
+    are multiples of 1/4, so they are compared exactly as integers in
+    quarter units.  sides is _quarter_sides(cx).
     """
     rest = [qid for qid in cx.quarters if qid not in strip]
-    comps = _components(cx, rest)
+    comps = _components(sides, rest)
     if len(comps) != 2:
         raise ValueError(f"ribbon strip complement has {len(comps)}"
                          " components, expected 2: the ribbon is not an"
                          " embedded annulus with two sides")
-    sides = _quarter_sides(cx)
 
     def closure_vertices(comp):
         out = set()
@@ -440,9 +443,9 @@ def _ribbon_potential(cx, arcs, strip):
 
     f = {}
     for v in closure_vertices(side_lp):
-        f[v] = Fraction(0)
+        f[v] = 0
     for v in closure_vertices(side_l):
-        f[v] = Fraction(1)
+        f[v] = 1
     if set(f) != set(cx.qk_vertices):
         raise ValueError("strip interior contains vertices off the"
                          " ribbon arcs")
@@ -500,6 +503,7 @@ class _EmbeddedFaces:
                              f" complex genus {cx.genus}")
         m = len(link.ribbons)
         self.cx = cx
+        self.sides = sides = _quarter_sides(cx)
         self.arcs = []
         self.strips = []
         for pos, rib in enumerate(link.ribbons):
@@ -511,7 +515,8 @@ class _EmbeddedFaces:
                                  f" {sum(arcs['dts'])}/{link.n}, declared"
                                  f" winding is {rib.winding}")
             self.arcs.append(arcs)
-            self.strips.append(_strip_quarters(cx, arcs, rib.strip_quarters))
+            self.strips.append(_strip_quarters(sides, arcs,
+                                               rib.strip_quarters))
 
         self._check_disjointness()
         self._check_strip_tetragons()
@@ -524,7 +529,8 @@ class _EmbeddedFaces:
         self.potentials = []
         self.jumps = []
         for pos, rib in enumerate(link.ribbons):
-            f, jump = _ribbon_potential(cx, self.arcs[pos], self.strips[pos])
+            f, jump = _ribbon_potential(cx, sides, self.arcs[pos],
+                                        self.strips[pos])
             shift = f[self.sigma0]
             if shift not in (0, jump):
                 raise ValueError(f"ribbon {pos}: basepoint value {shift}"
@@ -542,8 +548,8 @@ class _EmbeddedFaces:
         all_strips = set()
         for strip in self.strips:
             all_strips |= strip
-        regions = _components(cx, [qid for qid in cx.quarters
-                                   if qid not in all_strips])
+        regions = _components(sides, [qid for qid in cx.quarters
+                                      if qid not in all_strips])
         if len(regions) != m + 1:
             raise ValueError(f"strip complement has {len(regions)} regions"
                              f" for {m} ribbons, expected {m + 1}")
@@ -615,7 +621,7 @@ class _EmbeddedFaces:
                     raise ValueError("ribbon strips overlap")
 
     def _check_strip_tetragons(self):
-        sides = _quarter_sides(self.cx)
+        sides = self.sides
         for pos, strip in enumerate(self.strips):
             arcs = self.arcs[pos]
             arc_verts = arcs["l_vertices"] | arcs["lp_vertices"]

@@ -613,3 +613,43 @@ def rational_rref_dense(rows, ncols, rhs=None):
             vec[col] = -dense[r][fc]
         nullspace.append(tuple(vec))
     return rank, pivots, solution, nullspace
+
+
+# ---------------------------------------------------------------------------
+# the B0 kernel check on the full row system
+
+
+def _b0_rows(cx, sigma0, index):
+    """Tetragon affinity rows plus constancy on the closed star of sigma0."""
+    from shadow_wlo.complex import affine_constraint_rows
+
+    rows = affine_constraint_rows(cx, index)
+    patch = set()
+    for qid in cx.quarters_at(sigma0):
+        patch.update(cx.quarter_corners[qid])
+    patch.discard(sigma0)
+    for qv in sorted(patch):
+        rows.append({index[qv]: 1, index[sigma0]: -1})
+    return rows
+
+
+def kernel_check_B0_rows(cx, sigma0=None):
+    """kernel_check_B0 with one column per qK vertex and one row per condition.
+
+    The B0 rows are joined by the kernel rows of the projected coboundary:
+    equality along each primal edge (loop edges impose nothing) and across
+    each dual edge.  The kernel is the constants iff its dimension is 1.
+    """
+    from shadow_wlo.complex import default_sigma0, rational_rref
+
+    if sigma0 is None:
+        sigma0 = default_sigma0(cx)
+    index = {qv: i for i, qv in enumerate(cx.qk_vertices)}
+    rows = _b0_rows(cx, sigma0, index)
+    for e, (t, h) in sorted(cx.edges.items()):
+        if t != h:
+            rows.append({index[("v", t)]: 1, index[("v", h)]: -1})
+        left, right = cx.edge_left[e], cx.edge_right[e]
+        rows.append({index[("c", left)]: 1, index[("c", right)]: -1})
+    _, _, _, nullspace = rational_rref(rows, len(cx.qk_vertices))
+    return len(nullspace) == 1

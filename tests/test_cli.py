@@ -452,6 +452,19 @@ def test_cli_keeps_a_preset_openblas_thread_count():
         ["2", "2"]
 
 
+def test_report_file_is_written_without_a_codec_import(tmp_path):
+    # the report is ASCII by construction and goes out as bytes
+    out = tmp_path / "unknot_su2_k4.json"
+    argv = ["run", str(CONFIGS / out.name), "--out", str(out)]
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from shadow_wlo import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, 'encodings.ascii' in sys.modules)\n",
+        PYTHONIOENCODING="utf-8") == ["0", "False"]
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
 def test_complex_values_are_pairs(capsys):
     _, out, _ = run_main(["run", str(CONFIGS / "nested_pair_su3_k6.json")],
                          capsys)

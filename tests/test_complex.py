@@ -144,7 +144,9 @@ def test_kernel_check_on_two_faces_sharing_two_edges():
     # bigon pillow sphere: the affinity constraints alone already force the
     # two primal values to agree, so the kernel criterion still holds
     cx = SurfaceComplex(0, *_bigon_pillow("x"))
-    assert kernel_check_B0(cx) is True
+    for sigma0 in cx.qk_vertices:
+        assert kernel_check_B0(cx, sigma0) is True
+        assert oracles.kernel_check_B0_rows(cx, sigma0) is True
 
 
 def test_kernel_check_fails_on_two_disjoint_spheres():
@@ -153,7 +155,35 @@ def test_kernel_check_fails_on_two_disjoint_spheres():
     edges, faces = _bigon_pillow("x")
     edges2, faces2 = _bigon_pillow("y")
     cx = SurfaceComplex(-1, {**edges, **edges2}, faces + faces2)
-    assert kernel_check_B0(cx) is False
+    for sigma0 in cx.qk_vertices:
+        assert kernel_check_B0(cx, sigma0) is False
+        assert oracles.kernel_check_B0_rows(cx, sigma0) is False
+
+
+# (genus, refinement, ring sites); genus 1 needs refinement >= 2 and ring
+# sites are generated for genus 0 and 1 only
+_KERNEL_SURFACES = (
+    [(0, r, s) for r in (1, 2, 3, 4) for s in ((), (2,))]
+    + [(1, r, s) for r in (2, 3, 4) for s in ((), (1,))]
+    + [(2, r, ()) for r in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("g,r,sites", _KERNEL_SURFACES)
+def test_kernel_check_matches_full_row_oracle(g, r, sites):
+    """The equality-class quotient gives the full row system's verdict.
+
+    Every base vertex is tried on surfaces of at most 60 qK vertices; on
+    larger ones six evenly spaced base vertices, which cover centers,
+    midpoints and primal vertices, bound the oracle's cost.
+    """
+    cx = build_standard_surface(g, r, sites)
+    qvs = cx.qk_vertices
+    if len(qvs) > 60:
+        qvs = qvs[::-(-len(qvs) // 6)]
+    assert {qv[0] for qv in qvs} == {"c", "m", "v"}
+    for sigma0 in qvs:
+        assert oracles.kernel_check_B0_rows(cx, sigma0) is True
+        assert kernel_check_B0(cx, sigma0) is True
 
 
 def test_affinity_rows_annihilate_constants():
@@ -294,7 +324,7 @@ def test_sparse_rref_matches_dense_oracle_on_kernel_rows(
         return rational_rref(rows, ncols, rhs)
 
     monkeypatch.setattr(complex_module, "rational_rref", spy)
-    assert kernel_check_B0(build_standard_surface(g, r, sites))
+    assert oracles.kernel_check_B0_rows(build_standard_surface(g, r, sites))
     [(rows, ncols)] = systems
     assert rational_rref(rows, ncols) == \
         oracles.rational_rref_dense(rows, ncols)

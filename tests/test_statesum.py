@@ -1,6 +1,7 @@
 """Tests for the ribbon link state sums and their embedded realizations."""
 
 import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
-from shadow_wlo.complex import _b0_rows, kernel_check_B0, rational_rref
+from shadow_wlo.complex import (build_standard_surface, coboundary,
+                                hodge_star_signs, kernel_check_B0,
+                                project_to_K, rational_rref)
 from shadow_wlo.discrete import RibbonStep, covariance_vanishing_check
 from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
@@ -276,9 +280,10 @@ def test_potential_unique_up_to_constant(corpus):
     edge_order = sorted(cx.edges)
     erow = {e: i for i, e in enumerate(edge_order)}
     nedges = len(edge_order)
+    # both sides in quarter units: four times the defining system
     rows = [dict() for _ in range(2 * nedges)]
     for qv, col in index.items():
-        ind = {w: Fraction(int(w == qv)) for w in cx.qk_vertices}
+        ind = {w: int(w == qv) for w in cx.qk_vertices}
         primal, dual = ss._star_projected_differential(cx, ind)
         for e in edge_order:
             if primal[e]:
@@ -290,7 +295,7 @@ def test_potential_unique_up_to_constant(corpus):
     rhs += [target_dual[e] for e in edge_order]
     # membership in B0: tetragon affinity and constancy on the closed star
     # of the basepoint
-    b0 = _b0_rows(cx, faces.sigma0, index)
+    b0 = oracles._b0_rows(cx, faces.sigma0, index)
     rows += b0
     rhs += [Fraction(0)] * len(b0)
     rank, _, sol, null = rational_rref(rows, len(cx.qk_vertices), rhs)
@@ -314,6 +319,64 @@ def test_antiparallel_loops_rejected(corpus):
                            rib.parent, steps, rib.strip_quarters)
     with pytest.raises(ValueError, match="no unit-jump potential"):
         ss.validate_link(replace(emb, ribbons=(bad,)))
+
+
+@pytest.mark.parametrize("g,r,sites", [(0, 1, (2,)), (1, 3, ()),
+                                       (2, 2, ())])
+def test_integer_image_is_four_times_projected_image(g, r, sites):
+    """The quarter-unit image is 4 star(project_to_K(coboundary f))."""
+    cx = build_standard_surface(g, r, sites)
+    rng = random.Random(f"{g}-{r}-{sites}")
+    s1, s2 = hodge_star_signs["K1"], hodge_star_signs["K2"]
+    for _ in range(20):
+        f = {qv: rng.randint(-9, 9) for qv in cx.qk_vertices}
+        x, y = project_to_K(cx, coboundary(cx, f))
+        primal, dual = ss._star_projected_differential(cx, f)
+        assert primal == {e: 4 * s2 * y[e] for e in cx.edges}
+        assert dual == {e: 4 * s1 * x[e] for e in cx.edges}
+        assert {type(v) for v in (*primal.values(), *dual.values())} == {int}
+
+
+def test_flipped_target_dart_rejected(monkeypatch):
+    """One dart of the target with its sign flipped has no potential."""
+    half_sum = ss._half_sum_chain
+
+    def flipped(cx, arcs):
+        primal, dual = half_sum(cx, arcs)
+        (kind, e), sgn = arcs["l_chain"][0]
+        side = primal if kind in ("h1", "h2") else dual
+        side[e] -= 2 * sgn
+        return primal, dual
+
+    monkeypatch.setattr(ss, "_half_sum_chain", flipped)
+    link = ss._chain(0, (((1,), 1, 1),))
+    with pytest.raises(ValueError, match="no unit-jump potential"):
+        ss.embed_link(link)
+
+
+def test_validation_builds_no_fraction(corpus, monkeypatch):
+    """The embedded validation runs in integers, potential check included."""
+    def refuse(*args):
+        raise AssertionError("Fraction built during validation")
+
+    monkeypatch.setattr(ss, "Fraction", refuse)
+    monkeypatch.setattr(complex_module, "Fraction", refuse)
+    for ent in corpus:
+        ss.validate_link(ent.embedded)
+
+
+def test_validation_builds_quarter_sides_once(corpus, monkeypatch):
+    # strips, strip complements, potentials and regions share one table
+    calls = {"sides": 0}
+    sides = ss._quarter_sides
+
+    def counted_sides(cx):
+        calls["sides"] += 1
+        return sides(cx)
+
+    monkeypatch.setattr(ss, "_quarter_sides", counted_sides)
+    ss.validate_link(_by_name(corpus, "a1_g0_three_k4").embedded)
+    assert calls == {"sides": 1}
 
 
 def test_declared_strip_checked(corpus):
