@@ -2,7 +2,9 @@
 
 The package computes a gauge-theoretic state sum for colored ribbon links
 and, independently, the corresponding shadow state sum on the surface, so
-the two can be compared term by term and in aggregate.
+the two can be compared term by term and in aggregate.  It runs on the
+standard library alone: the selfcheck's determinants, solves and
+eigendecompositions come from the small pure-Python kernels in linalg.
 """
 
 __version__ = "0.1.0"

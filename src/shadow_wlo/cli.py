@@ -18,12 +18,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-
-# the largest matrix here is the selfcheck's A2 twisted operator at n=4
-# (32x32), so a BLAS thread pool would only spin; must precede numpy
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
+from functools import lru_cache
 
 from . import __version__
 from .complex import build_standard_surface, hodge_pair, kernel_check_B0
@@ -270,8 +265,8 @@ def _suite_oscillatory():
     mu2 = OscGaussMeasure.make_normalized(S, m)
     # both parts of the second moment are nonzero: <v, S^(-1) w> = 1/2
     # and <v, m><w, m> = 3/16
-    v = np.array([1.0, 0.0])
-    w = np.array([1.0, 0.5])
+    v = (1.0, 0.0)
+    w = (1.0, 0.5)
     _, second = first_second_moments(mu2, v, w)
     num = epsilon_oracle(mu2, (v, w))
     if abs(num - second) > 1e-3:
@@ -337,17 +332,26 @@ def _suite_fusion_ring():
                     if prod[a, b, c] != prod[b, a, c]:
                         return False, (f"{series} k={k}: commutativity "
                                        f"fails at {a},{b},{c}")
+        # (a b) c and a (b c) as coefficient vectors over d; most products
+        # vanish, so only the nonzero coefficients of a b and b c are summed
+        vec = {(a, b): [prod[a, b, d] for d in labels]
+               for a in labels for b in labels}
+        terms = {ab: [(e, n) for e, n in zip(labels, row) if n]
+                 for ab, row in vec.items()}
+        zeros = [0] * len(labels)
         for a in labels:
             for b in labels:
                 for c in labels:
-                    for d in labels:
-                        lhs = sum(prod[a, b, e] * prod[e, c, d]
-                                  for e in labels)
-                        rhs = sum(prod[b, c, e] * prod[a, e, d]
-                                  for e in labels)
-                        if lhs != rhs:
-                            return False, (f"{series} k={k}: associativity "
-                                           f"fails at {a},{b},{c},{d}")
+                    lhs = rhs = zeros
+                    for e, n in terms[a, b]:
+                        lhs = [x + n * y for x, y in zip(lhs, vec[e, c])]
+                    for e, n in terms[b, c]:
+                        rhs = [x + n * y for x, y in zip(rhs, vec[a, e])]
+                    if lhs != rhs:
+                        d = next(d for d, x, y in zip(labels, lhs, rhs)
+                                 if x != y)
+                        return False, (f"{series} k={k}: associativity "
+                                       f"fails at {a},{b},{c},{d}")
     return True, "fusion rings are unital, commutative and associative"
 
 
@@ -361,16 +365,15 @@ def _suite_euler_characteristics():
     return True, "face characteristics sum to 2 - 2g on every forest"
 
 
-def _suite_projected_kernel():
+def _suite_projected_kernel(surface):
     for g, refinement, sites in ((0, 1, ()), (0, 1, (2,)), (1, 2, (1,))):
-        cx = build_standard_surface(g, refinement, sites)
-        if not kernel_check_B0(cx):
+        if not kernel_check_B0(surface(g, refinement, sites)):
             return False, f"genus {g} refinement {refinement} sites {sites}"
     return True, "projected coboundary kernels are exactly the constants"
 
 
-def _suite_hodge_symmetry():
-    cx = build_standard_surface(0, 1)
+def _suite_hodge_symmetry(surface):
+    cx = surface(0, 1, ())
     hp = hodge_pair(cx)
     edges = sorted(cx.edges)
     x = {e: float((i % 5) - 2) for i, e in enumerate(edges)}
@@ -420,14 +423,16 @@ def _suite_empty_label_paths():
 
 def selfcheck():
     """Run the invariant suites of every module; returns the pass table."""
+    # the genus-0 refinement-1 surface serves two suites; build it once
+    surface = lru_cache(maxsize=None)(build_standard_surface)
     suites = [
         ("oscillatory_closed_forms", _suite_oscillatory),
         ("twisted_determinants", _suite_twisted_determinants),
         ("block_determinant", _suite_block_determinant),
         ("fusion_ring", _suite_fusion_ring),
         ("euler_characteristics", _suite_euler_characteristics),
-        ("projected_kernel", _suite_projected_kernel),
-        ("hodge_symmetry", _suite_hodge_symmetry),
+        ("projected_kernel", lambda: _suite_projected_kernel(surface)),
+        ("hodge_symmetry", lambda: _suite_hodge_symmetry(surface)),
         ("step6_identities", _suite_step6_identities),
         ("empty_label_paths", _suite_empty_label_paths),
     ]

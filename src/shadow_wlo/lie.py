@@ -177,7 +177,17 @@ def lie_data(series):
 
 
 def inner(lie, x, y):
-    """Normalized invariant pairing of two weight-basis coordinate vectors."""
+    """Normalized invariant pairing of two weight-basis coordinate vectors.
+
+    Exact coordinates (ints and Fractions) pair through the integer
+    scaled_gram with one division, (x.scaled_gram.y)/(r+1), the same
+    Fraction as the entrywise sum over gram; any float coordinate takes
+    that entrywise sum.
+    """
+    if all(isinstance(c, (int, Fraction)) for c in (*x, *y)):
+        u = [sum(a * s for a, s in zip(x, col))
+             for col in zip(*lie.scaled_gram)]
+        return Fraction(sum(a * c for a, c in zip(u, y)), lie.rank + 1)
     g = lie.gram
     r = lie.rank
     return sum(g[i][j] * x[i] * y[j] for i in range(r) for j in range(r))

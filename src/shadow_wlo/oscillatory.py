@@ -7,13 +7,17 @@ closed forms below are certified against a direct quadrature of that limit
 (epsilon_oracle), which shares no code with them.  The damping e^(-eps|x|^2)
 is rotation invariant, so for the constant and for products of linear
 forms prod_j <v_j, x> the regularized integral factors in the eigenbasis
-of S into 1-D midpoint sums; any other integrand is summed on a grid.
+of S into 1-D midpoint sums.
 
 The phase determinant uses det^(1/2)(iS) = prod_k sqrt(i lambda_k) with
 the principal square root, i.e. e^((pi i/4) sum sgn(lambda_k)) times
 prod |lambda_k|^(1/2).  For degenerate S all formulas restrict S to the
 orthogonal complement of its kernel; the normalization constant then
 carries (2 pi)^(rank/2), which is what makes the constant integral 1.
+
+Everything runs in plain Python on d <= 4: matrices are tuples of rows,
+eigenvalues come from linalg.eigh (cyclic Jacobi) and the moments' solve
+from linalg.solve.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import accumulate, chain, islice, product, repeat
+from operator import add, mul
 
-import numpy as np
+from .linalg import eigh, solve
 
 __all__ = [
     "OscGaussMeasure",
@@ -32,51 +38,76 @@ __all__ = [
     "epsilon_oracle",
     "integrate_constant",
     "first_second_moments",
-    "covariance",
-    "factorized_expectation",
-    "wick_moment",
-    "delta_limit",
 ]
 
 _KERNEL_TOL = 1e-10
-_BLOCK = 1 << 16  # quadrature points per slab
+_RESTART = 256  # axis points between exact weight evaluations
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _rows(S):
+    return tuple(tuple(float(x) for x in row) for row in S)
+
+
+@lru_cache(maxsize=64)
+def _spectrum(S):
+    """linalg.eigh of a matrix given as a tuple of rows, as tuples.
+
+    A measure's eigenvalues, phase_det and epsilon_oracle all read the
+    eigendecomposition of the same S, several times per closed form, so
+    it is computed once per S.
+    """
+    lam, Q = eigh(S)
+    return tuple(lam), tuple(map(tuple, Q))
+
+
+def _nonzero_cut(lam):
+    """|eigenvalue| at or below which an eigenvalue counts as zero."""
+    return _KERNEL_TOL * max(1.0, max((abs(v) for v in lam), default=0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class OscGaussMeasure:
-    S: np.ndarray
-    m: np.ndarray
+    """The measure (1/Z) exp(-(i/2) <x-m, S(x-m)>) dx on R^d.
+
+    S and m are stored as tuples of floats, the eigenvalues of S ascending.
+    """
+
+    S: tuple
+    m: tuple
     Z: complex
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1] or m.shape != (S.shape[0],):
+        S = _rows(self.S)
+        m = tuple(float(x) for x in self.m)
+        if any(len(row) != len(S) for row in S) or len(m) != len(S):
             raise ValueError("S must be square and m a matching vector")
-        if not np.allclose(S, S.T, atol=1e-12):
+        # symmetric to 1e-12 absolute plus 1e-5 relative
+        if any(abs(x - S[j][i]) > 1e-12 + 1e-5 * abs(S[j][i])
+               for i, row in enumerate(S) for j, x in enumerate(row)):
             raise ValueError("S must be symmetric")
         if self.Z == 0:
             raise ValueError("Z must be nonzero")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "eigenvalues", np.linalg.eigvalsh(S))
+        object.__setattr__(self, "eigenvalues", _spectrum(S)[0])
 
     @property
     def dim(self):
-        return self.S.shape[0]
+        return len(self.S)
 
     @property
     def centered(self):
-        return bool(np.all(self.m == 0))
-
-    def _kernel_mask(self):
-        scale = max(1.0, float(np.max(np.abs(self.eigenvalues), initial=0.0)))
-        return np.abs(self.eigenvalues) <= _KERNEL_TOL * scale
+        return all(x == 0 for x in self.m)
 
     @property
     def kernel_dim(self):
-        return int(np.sum(self._kernel_mask()))
+        cut = _nonzero_cut(self.eigenvalues)
+        return sum(1 for v in self.eigenvalues if abs(v) <= cut)
 
     @property
     def rank(self):
@@ -93,12 +124,9 @@ class OscGaussMeasure:
 
     @classmethod
     def make_normalized(cls, S, m=None):
-        S = np.asarray(S, dtype=float)
-        if m is None:
-            m = np.zeros(S.shape[0])
-        d = cls(S, np.asarray(m, dtype=float), 1.0)
-        Z = (2 * math.pi) ** (d.rank / 2) / phase_det(S).value
-        return cls(S, d.m, Z)
+        d = cls(S, [0.0] * len(S) if m is None else m, 1.0)
+        Z = (2 * math.pi) ** (d.rank / 2) / phase_det(d.S).value
+        return cls(d.S, d.m, Z)
 
 
 @dataclass(frozen=True)
@@ -110,42 +138,44 @@ class PhaseDet:
 
 def phase_det(S):
     """det^(1/2)(iS) over the nonzero eigenvalues of symmetric S."""
-    lam = np.linalg.eigvalsh(np.asarray(S, dtype=float))
-    scale = max(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    nonzero = lam[np.abs(lam) > _KERNEL_TOL * scale]
-    signs = tuple(int(np.sign(v)) for v in nonzero)
-    mod = float(np.prod(np.sqrt(np.abs(nonzero)))) if len(nonzero) else 1.0
+    lam = _spectrum(_rows(S))[0]
+    cut = _nonzero_cut(lam)
+    nonzero = tuple(v for v in lam if abs(v) > cut)
+    signs = tuple(1 if v > 0 else -1 for v in nonzero)
+    mod = math.prod((math.sqrt(abs(v)) for v in nonzero), start=1.0)
     value = mod * cmath.exp(0.25j * math.pi * sum(signs))
-    return PhaseDet(value, tuple(float(v) for v in nonzero), signs)
+    return PhaseDet(value, nonzero, signs)
 
 
 # ---------------------------------------------------------------------------
 # regularized quadrature oracle
 
 
-def _axis_points(radius, count):
-    step = 2.0 * radius / count
-    return -radius + (np.arange(count) + 0.5) * step, step
+def _axis_weights(lam, shift, eps, radius, count):
+    """exp(-(i/2) lam (y - shift)^2 - eps y^2) at the axis midpoints.
 
-
-def _grid_quadrature(func, dim, radius, count):
-    """Midpoint-rule integral of func over [-radius, radius]^dim.
-
-    func takes an (M, dim) array of points and returns (M,) complex values.
-    Points are evaluated in slabs of whole rows along the first axis, at
-    most _BLOCK points per slab unless a single row is larger.
+    The midpoints are y_j = -radius + (j + 1/2) step with step =
+    2 radius/count, and the weights come as an iterator.  The exponent is
+    quadratic in j, so consecutive weights differ by a ratio r_j with
+    r_(j+1) = r_j q, q = exp(2 a step^2), a = -(i/2) lam - eps: two complex
+    products per point instead of an exp.  Weight and ratio are evaluated
+    exactly every _RESTART points, which keeps the recurrence's rounding
+    drift near 1e-13 relative.
     """
-    axis, step = _axis_points(radius, count)
-    rows = max(1, _BLOCK // count ** (dim - 1))
-    total = 0.0 + 0.0j
-    for start in range(0, count, rows):
-        grid = np.meshgrid(axis[start:start + rows], *[axis] * (dim - 1),
-                           indexing="ij", copy=False)
-        # a named slab is freed after the next is allocated; passed inline,
-        # dimension 3 took about 40% more page faults
-        pts = np.stack(grid, axis=-1).reshape(-1, dim)
-        total += np.sum(func(pts))
-    return total * step ** dim
+    step = 2.0 * radius / count
+    a = -0.5j * lam - eps
+    lin = 1j * lam * shift
+    q = cmath.exp(2.0 * a * step * step)
+
+    def block(j0):
+        y0 = -radius + (j0 + 0.5) * step
+        first = cmath.exp(-0.5j * lam * (y0 - shift) ** 2 - eps * y0 * y0)
+        ratio = cmath.exp(a * (2.0 * y0 + step) * step + lin * step)
+        size = min(_RESTART, count - j0)
+        ratios = accumulate(repeat(q, size - 2), mul, initial=ratio)
+        return islice(accumulate(ratios, mul, initial=first), size)
+
+    return chain.from_iterable(map(block, range(0, count, _RESTART)))
 
 
 def _eigen_quadrature(lam, shift, forms, eps, radius, count):
@@ -157,17 +187,27 @@ def _eigen_quadrature(lam, shift, forms, eps, radius, count):
     weight are taken once; the product of the forms is expanded over the
     assignments of forms to axes, d^len(forms) products of those sums.
     """
-    y, step = _axis_points(radius, count)
-    weight = np.exp(-0.5j * lam[:, None] * (y - shift[:, None]) ** 2
-                    - eps * y ** 2)
-    powers = y ** np.arange(len(forms) + 1)[:, None]
-    moments = (weight @ powers.T) * step
+    step = 2.0 * radius / count
+    # the midpoints by repeated addition: about 1e-13 off the exact grid
+    # at the largest counts, far below the quadrature's accuracy
+    y = list(accumulate(repeat(step, count - 1), add,
+                        initial=-radius + 0.5 * step)) if forms else ()
+    moments = []
+    for li, si in zip(lam, shift):
+        terms = _axis_weights(li, si, eps, radius, count)
+        if forms:
+            terms = list(terms)
+        sums = [sum(terms)]
+        for _ in forms:
+            terms = list(map(mul, terms, y))
+            sums.append(sum(terms))
+        moments.append([x * step for x in sums])
     dim = len(lam)
     total = 0.0 + 0.0j
     for axes in product(range(dim), repeat=len(forms)):
         term = complex(math.prod(a[i] for a, i in zip(forms, axes)))
         for i in range(dim):
-            term *= moments[i, axes.count(i)]
+            term *= moments[i][axes.count(i)]
         total += term
     return total
 
@@ -209,62 +249,20 @@ def _neville_to_zero(eps, values):
     return [T[j][0] for j in range(n)]
 
 
-def epsilon_oracle(mu, f, schedule=(0.1, 0.05, 0.025, 0.0125), tol=None,
-                   radius_pad=0.0, oversample=1.0):
-    """Regularized numeric evaluation of the improper integral of f.
+def _regularized_limit(mu, quadrature, m_norm, schedule, tol, radius_pad,
+                       oversample):
+    """Evaluate quadrature on each eps of the schedule and extrapolate.
 
-    Evaluates (eps/pi)^(n/2) Int f e^(-eps|x|^2) dmu for each eps in the
-    schedule by midpoint quadrature and extrapolates the schedule
-    polynomially to eps = 0.  f is either a callable on (M, dim) point
-    arrays, integrated on a dense grid, or a sequence of gradient vectors
-    v_j standing for prod_j <v_j, x> (() is the constant 1, the convention
-    of wick_moment).  The damping is rotation invariant, so a product of
-    linear forms is integrated in the eigenbasis of S, x = Q y, where the
-    weight factors into 1-D midpoint sums over the same radius and step;
-    that path calls eigh and nothing of phase_det, solve or the closed
-    forms.  Both kinds share the truncation, the budget refusal (with the
-    mean measured in the coordinates integrated) and the extrapolation.
-
-    The regularized value is analytic in eps with convergence radius about
-    half the smallest nonzero |eigenvalue|, so the extrapolation error
-    scales like prod(eps_i / radius); schedules need not reach tiny eps,
-    which keeps the grids bounded.  Returns the extrapolated value; if tol
-    is given and the extrapolants have not settled to within tol, raises
-    with the residual sequence.  radius_pad widens the truncation box for
-    integrands that grow: a product of k linear forms lifts the truncated
-    tail by about radius^k, and exp(c x) shifts the damped mass by
-    c/(2 eps); the same factor shifts the spectrum by an imaginary
-    frequency, eroding the aliasing margin, so such integrands should also
-    raise oversample.  Test oracle only: the grid's cost grows quickly
-    with dim.
+    quadrature(eps, radius, count) is the raw midpoint integral of the
+    damped integrand over [-radius, radius]^d with count points per axis;
+    m_norm is the largest |mean coordinate| in the coordinates it
+    integrates.  Each value is scaled by (eps/pi)^(n/2)/Z and the schedule
+    extrapolated to eps = 0 (see epsilon_oracle).
     """
     if mu.dim > 4:
         raise ValueError("oracle supports dimension <= 4")
     n = mu.kernel_dim
-    lam_max = float(np.max(np.abs(mu.eigenvalues), initial=0.0))
-    if callable(f):
-        S = mu.S
-        shift = mu.m
-
-        def quadrature(eps, radius, count):
-            def integrand(pts):
-                y = pts - shift
-                phase = -0.5j * np.einsum("ij,jk,ik->i", y, S, y)
-                damp = -eps * np.einsum("ij,ij->i", pts, pts)
-                return np.asarray(f(pts), dtype=complex) * np.exp(phase + damp)
-            return _grid_quadrature(integrand, mu.dim, radius, count)
-    else:
-        vectors = [np.asarray(v, dtype=float) for v in f]
-        if any(v.shape != (mu.dim,) for v in vectors):
-            raise ValueError("gradient vectors must have the measure's "
-                             "dimension")
-        lam, Q = np.linalg.eigh(mu.S)
-        shift = Q.T @ mu.m
-        forms = [Q.T @ v for v in vectors]
-
-        def quadrature(eps, radius, count):
-            return _eigen_quadrature(lam, shift, forms, eps, radius, count)
-    m_norm = float(np.max(np.abs(shift), initial=0.0))
+    lam_max = max((abs(v) for v in mu.eigenvalues), default=0.0)
     values = []
     for eps in schedule:
         radius, count = _oracle_points(eps, lam_max, m_norm, mu.dim,
@@ -279,6 +277,46 @@ def epsilon_oracle(mu, f, schedule=(0.1, 0.05, 0.025, 0.0125), tol=None,
         raise RuntimeError(
             f"oracle did not settle: residuals {residuals}")
     return diagonal[-1]
+
+
+def epsilon_oracle(mu, vectors, schedule=(0.1, 0.05, 0.025, 0.0125),
+                   tol=None, radius_pad=0.0, oversample=1.0):
+    """Regularized numeric integral of prod_j <v_j, x> under mu.
+
+    vectors holds the gradients v_j (() is the constant 1, the convention
+    of a Wick moment).  Evaluates (eps/pi)^(n/2) Int prod_j <v_j, x>
+    e^(-eps|x|^2) dmu for each eps in the schedule by midpoint quadrature
+    and extrapolates the schedule polynomially to eps = 0.  The damping is
+    rotation invariant, so the product is integrated in the eigenbasis of
+    S, x = Q y, where the weight factors into 1-D midpoint sums; this
+    reads the eigendecomposition of S (linalg.eigh) and nothing of
+    phase_det, solve or the closed forms.
+
+    The regularized value is analytic in eps with convergence radius about
+    half the smallest nonzero |eigenvalue|, so the extrapolation error
+    scales like prod(eps_i / radius); schedules need not reach tiny eps,
+    which keeps the point counts bounded.  Returns the extrapolated value;
+    if tol is given and the extrapolants have not settled to within tol,
+    raises with the residual sequence.  radius_pad widens the truncation
+    box: a product of k linear forms lifts the truncated tail by about
+    radius^k.  oversample refines the step.  Test oracle only: the budget
+    caps the points per axis by dimension.
+    """
+    vectors = [tuple(float(x) for x in v) for v in vectors]
+    if any(len(v) != mu.dim for v in vectors):
+        raise ValueError("gradient vectors must have the measure's "
+                         "dimension")
+    lam, Q = _spectrum(mu.S)
+    columns = list(zip(*Q))
+    shift = [_dot(q, mu.m) for q in columns]
+    forms = [[_dot(q, v) for q in columns] for v in vectors]
+
+    def quadrature(eps, radius, count):
+        return _eigen_quadrature(lam, shift, forms, eps, radius, count)
+
+    m_norm = max((abs(x) for x in shift), default=0.0)
+    return _regularized_limit(mu, quadrature, m_norm, schedule, tol,
+                              radius_pad, oversample)
 
 
 # ---------------------------------------------------------------------------
@@ -301,111 +339,8 @@ def first_second_moments(mu, v, w):
         raise ValueError("moment formulas require a normalized measure")
     if mu.degenerate:
         raise ValueError("S must be invertible")
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    first = float(v @ mu.m)
-    second = (-1j) * float(v @ np.linalg.solve(mu.S, w)) \
-        + first * float(w @ mu.m)
+    v = [float(x) for x in v]
+    w = [float(x) for x in w]
+    first = _dot(v, mu.m)
+    second = (-1j) * _dot(v, solve(mu.S, w)) + first * _dot(w, mu.m)
     return complex(first), complex(second)
-
-
-def covariance(mu, a, b):
-    """Covariance (1/i) <a, S^(-1) b> of the linear parts of two affine maps."""
-    if mu.degenerate:
-        raise ValueError("S must be invertible")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (-1j) * float(a @ np.linalg.solve(mu.S, b))
-
-
-def factorized_expectation(mu, Ys, Phi, tol=1e-10):
-    """Expectation of Phi((Y_k)_k) when all pairwise covariances vanish.
-
-    Ys is a list of affine maps (a, c) ~ x -> <a,x> + c.  The shortcut
-    Phi(first moments) is only valid under the vanishing-covariance
-    precondition, which is checked for every pair including the diagonal;
-    a violating pair is reported and the shortcut refused.
-    """
-    if not mu.normalized:
-        raise ValueError("factorization requires a normalized measure")
-    for i, (a, _) in enumerate(Ys):
-        for j, (b, _) in enumerate(Ys[i:], start=i):
-            c = covariance(mu, a, b)
-            if abs(c) > tol:
-                raise ValueError(
-                    f"covariance of maps {i} and {j} is {c}, not zero; "
-                    "factorization does not apply")
-    firsts = [float(np.asarray(a) @ mu.m) + c for a, c in Ys]
-    return Phi(*firsts)
-
-
-def wick_moment(mu, vectors):
-    """Moment of a product of centered linear maps via pairings.
-
-    vectors are the gradients of the linear maps; odd counts give zero and
-    even counts the symmetrized sum over pairings of pairwise covariances.
-    """
-    n = len(vectors)
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    if n == 0:
-        return 1.0 + 0.0j
-    half = n // 2
-    total = 0.0 + 0.0j
-    for sigma in permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i in range(half):
-            term *= covariance(mu, vectors[sigma[2 * i]],
-                               vectors[sigma[2 * i + 1]])
-        total += term
-    return total / (math.factorial(half) * 2 ** half)
-
-
-# ---------------------------------------------------------------------------
-# delta-type concentration
-
-
-def delta_limit(dims, M, F, v, lattice=None, grid=64, check_points=5,
-                rng_seed=7):
-    """Concentration of the measure (1/Z) exp(i<x_2, M x_1>) dx.
-
-    dims = (d0, d1, d2) are the dimensions of the orthogonal pieces
-    V_0 + V_1 + V_2; M is an invertible d2 x d1 matrix; F(x0, x1) must be
-    bounded and uniformly continuous, and for d0 > 0 periodic w.r.t. the
-    declared lattice (columns of the basis matrix) so that the remaining
-    improper integral is a lattice-cell average.  Returns
-
-        (1/vol Q) Int_Q F(x0 - M^(-1) v) dx0,
-
-    which for d0 = 0 is the single value F(-M^(-1) v).  The cell average
-    uses an equispaced grid, exact for trigonometric polynomials of
-    frequency below the grid order.
-    """
-    d0, d1, d2 = dims
-    M = np.asarray(M, dtype=float)
-    if M.shape != (d2, d1) or d1 != d2:
-        raise ValueError("M must be a square isomorphism V1 -> V2")
-    v = np.asarray(v, dtype=float)
-    shift = -np.linalg.solve(M, v)
-    if d0 == 0:
-        return complex(F(np.zeros(0), shift))
-    if lattice is None:
-        raise ValueError("periodic lattice required when V0 is nontrivial")
-    T = np.asarray(lattice, dtype=float)
-    if T.shape != (d0, d0) or abs(np.linalg.det(T)) < 1e-12:
-        raise ValueError("lattice basis must be invertible")
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(check_points):
-        t = rng.random(d0)
-        x0 = T @ t
-        base = F(x0, shift)
-        for k in range(d0):
-            moved = F(x0 + T[:, k], shift)
-            if abs(moved - base) > 1e-8 * (1.0 + abs(base)):
-                raise ValueError(
-                    "F is not periodic w.r.t. the declared lattice")
-    ticks = (np.arange(grid) + 0.5) / grid
-    total = 0.0 + 0.0j
-    for t in product(ticks, repeat=d0):
-        total += F(T @ np.asarray(t), shift)
-    return total / grid ** d0

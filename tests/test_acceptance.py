@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 
 import oracles
+from numpy_models import covariance_vanishing_check, delta_limit, grid_oracle
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import build_standard_surface, kernel_check_B0
-from shadow_wlo.discrete import (covariance_vanishing_check, det_block,
-                                 det_twisted_restricted)
+from shadow_wlo.discrete import det_block, det_twisted_restricted
 from shadow_wlo.lie import (fusion_coefficient, inner, is_regular,
                             level_labels, lie_data, quantum_dim)
-from shadow_wlo.oscillatory import (OscGaussMeasure, delta_limit,
-                                    epsilon_oracle, first_second_moments,
-                                    integrate_constant)
+from shadow_wlo.oscillatory import (OscGaussMeasure, epsilon_oracle,
+                                    first_second_moments, integrate_constant)
 from shadow_wlo.statesum import RibbonLink
 
 A1 = lie_data("A1")
@@ -120,9 +119,9 @@ def test_criterion_3_oscillatory_closed_forms():
     assert abs(got - SQRT_I_PI) < 1e-3
     got = epsilon_oracle(fresnel, ([1.0], [1.0]))
     assert abs(got - 0.5j * SQRT_I_PI) < 1e-3
-    got = epsilon_oracle(fresnel, lambda p: np.exp(p[:, 0]),
-                         schedule=(0.1, 0.05, 0.025, 0.0167),
-                         radius_pad=45.0, oversample=1.6)
+    got = grid_oracle(fresnel, lambda p: np.exp(p[:, 0]),
+                      schedule=(0.1, 0.05, 0.025, 0.0167),
+                      radius_pad=45.0, oversample=1.6)
     assert abs(got - cmath.exp(0.25j) * SQRT_I_PI) < 1e-3
     # normalization and moment formulas against the oracle, dimensions 1-3
     rng = np.random.default_rng(5)
@@ -151,7 +150,7 @@ def test_criterion_3_oscillatory_closed_forms():
         got = delta_limit((0, 1, 1), [[1.0]],
                           lambda x0, x1: f(float(x1[0])), [v])
         assert abs(got - f(-v)) < 1e-12
-        num = epsilon_oracle(
+        num = grid_oracle(
             pairing,
             lambda p: (np.cos(p[:, 0]) + 0.3) * np.exp(1j * p[:, 1] * v))
         assert abs(num - got) < 1e-3

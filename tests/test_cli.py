@@ -7,12 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from shadow_wlo import cli, oscillatory, statesum
-from shadow_wlo.complex import hodge_star_signs
+from shadow_wlo.lie import level_labels, lie_data
+from shadow_wlo.complex import build_standard_surface, hodge_star_signs
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -353,6 +355,43 @@ def test_fusion_mutation_fails_fusion_ring_suite(monkeypatch, triple, law):
                if key != "fusion_ring")
 
 
+def _first_associativity_failure(series, k, coefficient):
+    """The first (a, b, c, d) of the full quadruple scan, or None."""
+    lie = lie_data(series)
+    labels = level_labels(lie, k)
+    prod = {(a, b, c): coefficient(lie, k, a[::-1], b, c)
+            for a in labels for b in labels for c in labels}
+    for a, b, c, d in product(labels, repeat=4):
+        if sum(prod[a, b, e] * prod[e, c, d] for e in labels) != \
+                sum(prod[b, c, e] * prod[a, e, d] for e in labels):
+            return a, b, c, d
+    return None
+
+
+def test_associativity_reports_the_first_failing_quadruple(monkeypatch):
+    # the suite sums only nonzero coefficients; on every symmetric
+    # one-coefficient change it must name the quadruple a full scan finds
+    labels = level_labels(lie_data("A1"), 5)
+    compared = 0
+    for a, b, c in product(labels, repeat=3):
+        changed = {(a, b, c), (b, a, c)}
+
+        def symmetric_change(lie, k, mu, nu, lam):
+            n = _FUSION(lie, k, mu, nu, lam)
+            return n + 1 if lie.series == "A1" and \
+                (mu, nu, lam) in changed else n
+
+        monkeypatch.setattr(cli, "fusion_coefficient", symmetric_change)
+        passed, detail = cli._suite_fusion_ring()
+        first = _first_associativity_failure("A1", 5, symmetric_change)
+        if first is None:
+            assert passed or "associativity" not in detail
+        elif "associativity" in detail:
+            assert detail.endswith("fails at " + ",".join(map(str, first)))
+            compared += 1
+    assert compared > 0
+
+
 def _declared_console_script():
     """The `shadow-wlo` entry of `[project.scripts]` in the checkout."""
     if sys.version_info >= (3, 11):
@@ -403,11 +442,9 @@ def test_console_script_installed():
 def _fresh_interpreter(code, **env):
     """stdout of code run by a new interpreter on the checkout's src.
 
-    OPENBLAS_NUM_THREADS is removed from the inherited environment; env
-    entries are set on top.
+    env entries are set on top of the inherited environment.
     """
-    full = {k: v for k, v in os.environ.items()
-            if k != "OPENBLAS_NUM_THREADS"}
+    full = dict(os.environ)
     full["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), full.get("PYTHONPATH")]))
     full.update(env)
@@ -424,32 +461,64 @@ def test_package_import_loads_neither_numpy_nor_scipy():
         "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
         "for mod in pkgutil.iter_modules(shadow_wlo.__path__):\n"
         "    importlib.import_module('shadow_wlo.' + mod.name)\n"
-        "print('shadow_wlo.discrete' in sys.modules, 'scipy' in sys.modules)\n")
-    assert out == ["False", "False", "True", "False"]
+        "print('shadow_wlo.discrete' in sys.modules, 'numpy' in sys.modules,"
+        " 'scipy' in sys.modules)\n")
+    assert out == ["False", "False", "True", "False", "False"]
 
 
-# Prints OPENBLAS_NUM_THREADS as numpy starts to load and after the CLI
-# import: the pin only takes effect if it is set before numpy loads.
-PIN_PROBE = (
-    "import os, sys\n"
-    "seen = []\n"
-    "class Probe:\n"
-    "    def find_spec(self, name, path=None, target=None):\n"
-    "        if name == 'numpy' and not seen:\n"
-    "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-    "sys.meta_path.insert(0, Probe())\n"
-    "import shadow_wlo.cli\n"
-    "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
-)
+def test_selfcheck_runs_without_loading_numpy(tmp_path):
+    out = tmp_path / "selfcheck.json"
+    assert _fresh_interpreter(
+        "import sys\n"
+        "import shadow_wlo.cli\n"
+        f"code = shadow_wlo.cli.main(['--selfcheck', '--out', {str(out)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n") == ["0", "False"]
+    assert out.read_bytes() == (GOLDEN / "selfcheck_option.json").read_bytes()
 
 
-def test_cli_pins_openblas_to_one_thread_before_numpy_loads():
-    assert _fresh_interpreter(PIN_PROBE) == ["1", "1"]
+# A numpy whose import fails, placed first on the path: the program must not
+# need numpy for a run or for the selfcheck.
+NO_NUMPY = "raise ImportError('numpy is not installed')\n"
 
 
-def test_cli_keeps_a_preset_openblas_thread_count():
-    assert _fresh_interpreter(PIN_PROBE, OPENBLAS_NUM_THREADS="2") == \
-        ["2", "2"]
+@pytest.mark.parametrize("args,golden", [
+    (["run", str(CONFIGS / "nested_pair_su3_k6.json")],
+     "nested_pair_su3_k6.json"),
+    (["--selfcheck"], "selfcheck_option.json"),
+])
+def test_console_script_runs_without_numpy(tmp_path, args, golden):
+    stub = tmp_path / "stub"
+    (stub / "numpy").mkdir(parents=True)
+    (stub / "numpy" / "__init__.py").write_text(NO_NUMPY)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(stub), str(SRC), env.get("PYTHONPATH")]))
+    check = subprocess.run([sys.executable, "-c", "import numpy"],
+                           capture_output=True, text=True, timeout=120,
+                           env=env)
+    assert "numpy is not installed" in check.stderr
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, _declared_console_script(),
+         *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_selfcheck_builds_each_surface_once(monkeypatch):
+    built = []
+
+    def spy(g, refinement, sites=()):
+        built.append((g, refinement, tuple(sites)))
+        return build_standard_surface(g, refinement, sites)
+
+    monkeypatch.setattr(cli, "build_standard_surface", spy)
+    table = cli.selfcheck()
+    # the genus-0 refinement-1 surface serves two suites
+    assert sorted(built) == [(0, 1, ()), (0, 1, (2,)), (1, 2, (1,))]
+    with open(GOLDEN / "selfcheck_option.json", encoding="ascii") as fh:
+        assert table == json.load(fh)["results"]["selfcheck"]
 
 
 def test_report_file_is_written_without_a_codec_import(tmp_path):

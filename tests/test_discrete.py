@@ -7,8 +7,11 @@ import pytest
 import scipy.linalg
 
 import oracles
+from numpy_models import (RibbonHolonomyInput, ad_matrix, block_action,
+                          covariance_vanishing_check, det_fp_disc, hol_disc)
 from shadow_wlo import discrete
-from shadow_wlo.complex import SurfaceComplex, build_standard_surface
+from shadow_wlo.complex import RibbonStep, SurfaceComplex, \
+    build_standard_surface
 from shadow_wlo.lie import ad_det_k, inner, is_regular, lie_data, \
     weight_multiplicities
 
@@ -55,9 +58,9 @@ def test_hat_zero_twist_is_circulant_difference():
 
 def test_bar_is_mean_of_hat_and_check():
     b = (Fraction(1, 3), Fraction(1, 5))
-    hat = discrete.build_twisted(A2, "hat", 4, b).matrix
-    chk = discrete.build_twisted(A2, "check", 4, b).matrix
-    bar = discrete.build_twisted(A2, "bar", 4, b).matrix
+    hat = np.array(discrete.build_twisted(A2, "hat", 4, b).matrix)
+    chk = np.array(discrete.build_twisted(A2, "check", 4, b).matrix)
+    bar = np.array(discrete.build_twisted(A2, "bar", 4, b).matrix)
     # identical exponentials on both sides make the identity exact
     np.testing.assert_array_equal(bar, (hat + chk) / 2.0)
 
@@ -75,10 +78,10 @@ def test_step_exponential_is_orthogonal(lie, b, n):
     # the hat operator's block at rows t = 0, columns t = 1 is n exp(ad(b)/n);
     # the closed-form rotation blocks must match the matrix exponential
     dim = discrete.algebra_dim(lie)
-    mat = discrete.build_twisted(lie, "hat", n, b).matrix
+    mat = np.array(discrete.build_twisted(lie, "hat", n, b).matrix)
     fwd = mat[:dim, dim:2 * dim] / n
     assert np.max(np.abs(fwd.T @ fwd - np.eye(dim))) < 1e-13
-    want = scipy.linalg.expm(discrete.ad_matrix(lie, b) / n)
+    want = scipy.linalg.expm(ad_matrix(lie, b) / n)
     assert np.max(np.abs(fwd - want)) < 1e-13
 
 
@@ -110,7 +113,7 @@ def test_twisted_consistent_with_continuum_operator(variant):
         # derivative plus the root-plane rotation by theta
         target[1::3] = -2 * math.pi * f2 - theta * f2
         target[2::3] = 2 * math.pi * f1 + theta * f1
-        return np.max(np.abs(op.matrix @ vec - target))
+        return np.max(np.abs(np.array(op.matrix) @ vec - target))
 
     ratio = err(200) / err(400)
     # the one-sided variants converge at first order; the mean variant is
@@ -197,7 +200,7 @@ def test_hat_eigenvalue_census_rank_one(n):
     b = (0.37,)
     theta = 2.0 * math.pi * float(inner(A1, A1.positive_roots[0], b))
     op = discrete.build_twisted(A1, "hat", n, b)
-    got = sorted(np.linalg.eigvals(op.matrix / n),
+    got = sorted(np.linalg.eigvals(np.array(op.matrix) / n),
                  key=lambda z: (round(z.real, 7), round(z.imag, 7)))
     want = []
     for k in range(n):
@@ -224,9 +227,9 @@ def test_det_twisted_restricted_rejects_singular_twist():
 
 def test_block_action_is_symmetric():
     cube = build_standard_surface(0, 1)
-    act = discrete.block_action(A1, cube, constant_field(cube, (Fraction(1, 3),)), 3)
+    act = block_action(A1, cube, constant_field(cube, (Fraction(1, 3),)), 3)
     assert np.max(np.abs(act.matrix - act.matrix.T)) < 1e-12
-    act2 = discrete.block_action(
+    act2 = block_action(
         A2, dihedron(),
         constant_field(dihedron(), (Fraction(1, 5), Fraction(1, 7))), 2)
     assert np.max(np.abs(act2.matrix - act2.matrix.T)) < 1e-12
@@ -238,7 +241,7 @@ def test_det_block_matches_restricted_assembly_dihedron(series, n):
     cx = dihedron()
     b = tuple(Fraction(1, 3 + 2 * i) for i in range(lie.rank))
     B = constant_field(cx, b)
-    act = discrete.block_action(lie, cx, B, n)
+    act = block_action(lie, cx, B, n)
     dense = float(np.linalg.det(act.restricted))
     closed = discrete.det_block(lie, B, n)
     assert abs(dense - closed) < 1e-7 * abs(closed)
@@ -247,7 +250,7 @@ def test_det_block_matches_restricted_assembly_dihedron(series, n):
 def test_det_block_matches_restricted_assembly_cube():
     cube = build_standard_surface(0, 1)
     B = constant_field(cube, (Fraction(2, 5),))
-    act = discrete.block_action(A1, cube, B, 2)
+    act = block_action(A1, cube, B, 2)
     dense = float(np.linalg.det(act.restricted))
     closed = discrete.det_block(A1, B, 2)
     assert abs(dense - closed) < 1e-7 * abs(closed)
@@ -285,7 +288,7 @@ def test_det_block_sign_odd_pair_count():
     B = constant_field(cx, (Fraction(1, 3),))
     val = discrete.det_block(A1, B, 2)
     assert val < 0
-    act = discrete.block_action(A1, cx, B, 2)
+    act = block_action(A1, cx, B, 2)
     assert float(np.linalg.det(act.restricted)) < 0
 
 
@@ -304,8 +307,8 @@ def test_det_block_dependence_on_twist_channels_through_root_planes():
     # power of the same local quantity
     cx = dihedron()
     b1, b2 = (Fraction(1, 3),), (Fraction(2, 5),)
-    act1 = discrete.block_action(A1, cx, constant_field(cx, b1), 2)
-    act2 = discrete.block_action(A1, cx, constant_field(cx, b2), 2)
+    act1 = block_action(A1, cx, constant_field(cx, b1), 2)
+    act2 = block_action(A1, cx, constant_field(cx, b2), 2)
     got = float(np.linalg.det(act1.restricted)) / float(np.linalg.det(act2.restricted))
     want = (ad_det_k(A1, b1) / ad_det_k(A1, b2)) ** (2 * len(cx.edges))
     assert abs(got - want) < 1e-9 * abs(want)
@@ -322,9 +325,9 @@ def test_det_block_reports_singular_vertex():
 
 def test_det_fp_zero_and_constant():
     cube = build_standard_surface(0, 1)
-    assert discrete.det_fp_disc(A1, constant_field(cube, (0,))) == 0.0
+    assert det_fp_disc(A1, constant_field(cube, (0,))) == 0.0
     b = (Fraction(1, 3),)
-    val = discrete.det_fp_disc(A1, constant_field(cube, b))
+    val = det_fp_disc(A1, constant_field(cube, b))
     # 8 + 12 + 6 subdivision vertices, half power each
     assert val == pytest.approx(ad_det_k(A1, b) ** 13)
 
@@ -337,7 +340,7 @@ def test_det_fp_against_block_quotient():
 
     def q(b):
         B = constant_field(cube, b)
-        return discrete.det_fp_disc(A1, B) / math.sqrt(
+        return det_fp_disc(A1, B) / math.sqrt(
             abs(discrete.det_block(A1, B, 2)))
 
     nv, ne, nf = 8, 12, 6
@@ -354,22 +357,22 @@ def _time_steps(n, winding, vert=("n",)):
     total = n * abs(winding)
     sgn = 1 if winding >= 0 else -1
     for k in range(total):
-        steps.append(discrete.RibbonStep(
+        steps.append(RibbonStep(
             t=(k * sgn) % n, l_vertex=("v", vert), lp_vertex=("c", vert),
             dt=sgn))
     return tuple(steps)
 
 
 def test_hol_disc_identity_for_zero_fields():
-    steps = (discrete.RibbonStep(t=0, l_sigma=((("h1", ("a",)), 1),),
+    steps = (RibbonStep(t=0, l_sigma=((("h1", ("a",)), 1),),
                                  lp_sigma=((("d1", ("a",)), 1),)),
              ) + _time_steps(2, 1)
-    inp = discrete.RibbonHolonomyInput(
+    inp = RibbonHolonomyInput(
         2, steps,
         {0: {("h1", ("a",)): (0,), ("d1", ("a",)): (0,)}, 1: {}},
         {("v", ("n",)): (0,), ("c", ("n",)): (0,)})
     rho = weight_multiplicities(A1, (2,))
-    np.testing.assert_allclose(discrete.hol_disc(A1, inp, rho), np.eye(3),
+    np.testing.assert_allclose(hol_disc(A1, inp, rho), np.eye(3),
                                atol=1e-14)
 
 
@@ -378,9 +381,9 @@ def test_hol_disc_constant_twist_winding():
     # the representation of exp(2b), checked against an ordered product of
     # explicitly exponentiated step matrices
     n, lam, h = 2, 3, 0.3
-    inp = discrete.RibbonHolonomyInput(
+    inp = RibbonHolonomyInput(
         n, _time_steps(n, 2), {}, {("v", ("n",)): (h,), ("c", ("n",)): (h,)})
-    got = discrete.hol_disc(A1, inp, weight_multiplicities(A1, (lam,)))
+    got = hol_disc(A1, inp, weight_multiplicities(A1, (lam,)))
     step = oracles.su2_rep_matrix(lam, h / n)
     product = np.eye(lam + 1, dtype=complex)
     for _ in range(2 * n):
@@ -392,9 +395,9 @@ def test_hol_disc_constant_twist_winding():
 
 def test_hol_disc_trace_is_weight_sum():
     n, lam, h = 3, 4, 0.21
-    inp = discrete.RibbonHolonomyInput(
+    inp = RibbonHolonomyInput(
         n, _time_steps(n, -1), {}, {("v", ("n",)): (h,), ("c", ("n",)): (h,)})
-    got = np.trace(discrete.hol_disc(A1, inp, weight_multiplicities(A1, (lam,))))
+    got = np.trace(hol_disc(A1, inp, weight_multiplicities(A1, (lam,))))
     want = sum(m * complex(math.cos(2 * math.pi * inner(A1, w, (-h,))),
                            math.sin(2 * math.pi * inner(A1, w, (-h,))))
                for w, m in weight_multiplicities(A1, (lam,)).items())
@@ -402,10 +405,10 @@ def test_hol_disc_trace_is_weight_sum():
 
 
 def test_hol_disc_single_surface_step():
-    steps = (discrete.RibbonStep(t=0, l_sigma=((("h1", ("a",)), 1),)),)
-    inp = discrete.RibbonHolonomyInput(
+    steps = (RibbonStep(t=0, l_sigma=((("h1", ("a",)), 1),)),)
+    inp = RibbonHolonomyInput(
         2, steps, {0: {("h1", ("a",)): (0.6,)}}, {})
-    got = discrete.hol_disc(A1, inp, weight_multiplicities(A1, (1,)))
+    got = hol_disc(A1, inp, weight_multiplicities(A1, (1,)))
     # half of 0.6 paired with the weights +-1 under <1, h> = h/2
     want = np.diag([np.exp(0.3j * math.pi), np.exp(-0.3j * math.pi)])
     np.testing.assert_allclose(got, want, atol=1e-14)
@@ -417,14 +420,14 @@ def test_hol_disc_concatenation_and_cyclic_relabeling():
     s1 = _time_steps(n, 1)
     s2 = _time_steps(n, 2)
     rho = weight_multiplicities(A1, (lam,))
-    h1 = discrete.hol_disc(A1, discrete.RibbonHolonomyInput(n, s1, {}, b), rho)
-    h2 = discrete.hol_disc(A1, discrete.RibbonHolonomyInput(n, s2, {}, b), rho)
-    both = discrete.hol_disc(
-        A1, discrete.RibbonHolonomyInput(n, s1 + s2, {}, b), rho)
+    h1 = hol_disc(A1, RibbonHolonomyInput(n, s1, {}, b), rho)
+    h2 = hol_disc(A1, RibbonHolonomyInput(n, s2, {}, b), rho)
+    both = hol_disc(
+        A1, RibbonHolonomyInput(n, s1 + s2, {}, b), rho)
     np.testing.assert_allclose(both, h1 @ h2, atol=1e-13)
     rolled = s2[1:] + s2[:1]
     np.testing.assert_allclose(
-        discrete.hol_disc(A1, discrete.RibbonHolonomyInput(n, rolled, {}, b),
+        hol_disc(A1, RibbonHolonomyInput(n, rolled, {}, b),
                           rho),
         h2, atol=1e-13)
 
@@ -432,20 +435,20 @@ def test_hol_disc_concatenation_and_cyclic_relabeling():
 def test_hol_disc_accepts_weight_table_pairs():
     n = 2
     b = {("v", ("n",)): (0.4,), ("c", ("n",)): (0.4,)}
-    inp = discrete.RibbonHolonomyInput(n, _time_steps(n, 1), {}, b)
-    as_dict = discrete.hol_disc(A1, inp, weight_multiplicities(A1, (2,)))
-    as_pairs = discrete.hol_disc(
+    inp = RibbonHolonomyInput(n, _time_steps(n, 1), {}, b)
+    as_dict = hol_disc(A1, inp, weight_multiplicities(A1, (2,)))
+    as_pairs = hol_disc(
         A1, inp, list(weight_multiplicities(A1, (2,)).items()))
     np.testing.assert_array_equal(as_dict, as_pairs)
 
 
 def test_hol_disc_rejects_out_of_range_time():
-    steps = (discrete.RibbonStep(t=3, l_vertex=("v", ("n",)),
+    steps = (RibbonStep(t=3, l_vertex=("v", ("n",)),
                                  lp_vertex=("c", ("n",)), dt=1),)
-    inp = discrete.RibbonHolonomyInput(2, steps, {}, {("v", ("n",)): (0,),
+    inp = RibbonHolonomyInput(2, steps, {}, {("v", ("n",)): (0,),
                                                       ("c", ("n",)): (0,)})
     with pytest.raises(ValueError):
-        discrete.hol_disc(A1, inp, {(0,): 1})
+        hol_disc(A1, inp, {(0,): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +485,9 @@ def _ring_ribbon(tag, ring, n, winding=1, violate=False):
         else:
             first = ((("d1", f), 1),)
             second = ((("d2", f), 1),)
-        steps.append(discrete.RibbonStep(t=0, l_sigma=((("h1", e), 1),),
+        steps.append(RibbonStep(t=0, l_sigma=((("h1", e), 1),),
                                          lp_sigma=first))
-        steps.append(discrete.RibbonStep(t=0, l_sigma=((("h2", e), 1),),
+        steps.append(RibbonStep(t=0, l_sigma=((("h2", e), 1),),
                                          lp_sigma=second))
     steps.extend(_time_steps(n, winding))
     return _Ribbon(tuple(steps))
@@ -498,7 +501,7 @@ def test_covariance_vanishes_single_ribbon():
     cx = _carved_cube()
     B = constant_field(cx, (Fraction(1, 3),))
     link = _Link(2, (_ring_ribbon(0, 1, 2),))
-    rep = discrete.covariance_vanishing_check(A1, cx, link, B)
+    rep = covariance_vanishing_check(A1, cx, link, B)
     assert rep
     assert rep.ok
     assert rep.max_abs < 1e-12
@@ -510,7 +513,7 @@ def test_covariance_vanishes_nested_pair():
     cx = _carved_cube()
     B = constant_field(cx, (Fraction(1, 3),))
     link = _Link(2, (_ring_ribbon(0, 1, 2), _ring_ribbon(0, 2, 2, winding=-2)))
-    rep = discrete.covariance_vanishing_check(A1, cx, link, B)
+    rep = covariance_vanishing_check(A1, cx, link, B)
     assert rep.ok
     assert rep.max_abs < 1e-12
     assert rep.checked == 16 * 16
@@ -521,7 +524,7 @@ def test_covariance_detects_shared_pair():
     B = constant_field(cx, (Fraction(1, 3),))
     link = _Link(2, (_ring_ribbon(0, 1, 2),
                      _ring_ribbon(0, 2, 2, violate=True)))
-    rep = discrete.covariance_vanishing_check(A1, cx, link, B)
+    rep = covariance_vanishing_check(A1, cx, link, B)
     assert not rep
     assert rep.first_failure is not None
     l1, l2, val = rep.first_failure
@@ -535,16 +538,16 @@ def test_covariance_pair_selection():
     B = constant_field(cx, (Fraction(1, 3),))
     link = _Link(2, (_ring_ribbon(0, 1, 2),))
     lab = (0, 0, 0)
-    rep = discrete.covariance_vanishing_check(A1, cx, link, B,
+    rep = covariance_vanishing_check(A1, cx, link, B,
                                               pairs=[(lab, lab)])
     assert rep.ok and rep.checked == 1
     with pytest.raises(ValueError):
-        discrete.covariance_vanishing_check(A1, cx, link, B,
+        covariance_vanishing_check(A1, cx, link, B,
                                             pairs=[((0, 99, 0), lab)])
 
 
 def test_covariance_empty_link():
     cx = _carved_cube()
     B = constant_field(cx, (Fraction(1, 3),))
-    rep = discrete.covariance_vanishing_check(A1, cx, _Link(2, ()), B)
+    rep = covariance_vanishing_check(A1, cx, _Link(2, ()), B)
     assert rep.ok and rep.checked == 0 and rep.max_abs == 0.0

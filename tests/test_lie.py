@@ -23,6 +23,34 @@ def test_root_data_normalization():
     assert A2.dual_coxeter == 3
 
 
+exact_coords = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([A1, A2, A3, A4]), st.data())
+def test_inner_exact_pairing_equals_the_gram_sum(data, draw):
+    # ints and Fractions pair through scaled_gram with one division; the
+    # result must be the very Fraction the entrywise gram sum gives
+    r = data.rank
+    x = tuple(draw.draw(exact_coords) for _ in range(r))
+    y = tuple(draw.draw(exact_coords) for _ in range(r))
+    want = sum(data.gram[i][j] * x[i] * y[j]
+               for i in range(r) for j in range(r))
+    got = lie.inner(data, x, y)
+    assert got == want and type(got) is Fraction
+
+
+def test_inner_float_coordinates_keep_the_gram_sum():
+    b = (0.3, Fraction(1, 7))
+    alpha = A2.positive_roots[2]
+    want = sum(A2.gram[i][j] * alpha[i] * b[j]
+               for i in range(2) for j in range(2))
+    assert lie.inner(A2, alpha, b) == want
+    assert isinstance(lie.inner(A2, alpha, b), float)
+
+
 def test_level_labels_a1_k4():
     labels = lie.level_labels(A1, 4)
     # alpha = 2*omega, so the documented set {0, alpha/2, alpha} is n = 0, 1, 2

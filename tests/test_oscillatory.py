@@ -6,18 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from shadow_wlo.oscillatory import (
-    OscGaussMeasure,
+from numpy_models import (
+    _BLOCK,
+    _grid_quadrature,
     covariance,
     delta_limit,
-    epsilon_oracle,
     factorized_expectation,
+    grid_oracle,
+    wick_moment,
+)
+from shadow_wlo.oscillatory import (
+    OscGaussMeasure,
+    epsilon_oracle,
     first_second_moments,
     integrate_constant,
     phase_det,
-    wick_moment,
-    _BLOCK,
-    _grid_quadrature,
 )
 
 SQRT_I_PI = cmath.sqrt(1j * math.pi)
@@ -35,32 +38,32 @@ def pairing_measure():
 
 
 def test_oracle_fresnel_constant():
-    got = epsilon_oracle(fresnel_measure(), lambda p: np.ones(len(p)),
-                         tol=1e-3)
+    got = grid_oracle(fresnel_measure(), lambda p: np.ones(len(p)),
+                      tol=1e-3)
     assert abs(got - SQRT_I_PI) < 1e-3
 
 
 def test_oracle_fresnel_exponential():
     # exp(x) exp(-eps x^2) carries mass out to 1/(2 eps) + O(1/sqrt(eps)),
     # so pad the box and keep eps large enough that the pad covers it
-    got = epsilon_oracle(fresnel_measure(),
-                         lambda p: np.exp(p[:, 0]),
-                         schedule=(0.1, 0.05, 0.025, 0.0167),
-                         radius_pad=45.0, oversample=1.6, tol=1e-3)
+    got = grid_oracle(fresnel_measure(),
+                      lambda p: np.exp(p[:, 0]),
+                      schedule=(0.1, 0.05, 0.025, 0.0167),
+                      radius_pad=45.0, oversample=1.6, tol=1e-3)
     want = cmath.exp(0.25j) * SQRT_I_PI
     assert abs(got - want) < 1e-3
 
 
 def test_oracle_pairing_cosine():
-    got = epsilon_oracle(pairing_measure(), lambda p: np.cos(p[:, 0]),
-                         tol=1e-3)
+    got = grid_oracle(pairing_measure(), lambda p: np.cos(p[:, 0]),
+                      tol=1e-3)
     assert abs(got - 1.0) < 1e-3
 
 
 def test_oracle_budget_guard():
     mu = OscGaussMeasure(-2.0 * np.eye(3), np.zeros(3), 1.0)
     with pytest.raises(ValueError, match="oracle budget exceeded"):
-        epsilon_oracle(mu, lambda p: np.ones(len(p)), schedule=(0.001,))
+        grid_oracle(mu, lambda p: np.ones(len(p)), schedule=(0.001,))
     # the eigenbasis path refuses what the grid path refuses
     with pytest.raises(ValueError, match="oracle budget exceeded"):
         epsilon_oracle(mu, (), schedule=(0.001,))
@@ -146,8 +149,8 @@ def test_vector_integrand_matches_grid_at_fixed_eps(d, count):
             vectors = [rng.uniform(-1, 1, size=d) for _ in range(k)]
             got = epsilon_oracle(mu, vectors, schedule=(0.3,),
                                  radius_pad=3.0)
-            want = epsilon_oracle(mu, _linear_product(vectors),
-                                  schedule=(0.3,), radius_pad=3.0)
+            want = grid_oracle(mu, _linear_product(vectors),
+                               schedule=(0.3,), radius_pad=3.0)
             assert abs(got - want) <= 1e-6 * abs(want)
 
 
@@ -241,7 +244,7 @@ def test_factorized_expectation_pairing():
     got = factorized_expectation(mu, [(np.array([1.0, 0.0]), 0.0)],
                                  lambda z: cmath.cos(z))
     assert got == cmath.cos(0)
-    num = epsilon_oracle(mu, lambda p: np.cos(p[:, 0]))
+    num = grid_oracle(mu, lambda p: np.cos(p[:, 0]))
     assert abs(num - got) < 1e-3
 
 
@@ -301,7 +304,7 @@ def test_delta_limit_pairing_against_oracle():
                       lambda x0, x1: f(float(x1[0])), [v])
     assert abs(got - f(-v)) < 1e-12
     mu = pairing_measure()
-    num = epsilon_oracle(
+    num = grid_oracle(
         mu, lambda p: (np.cos(p[:, 0]) + 0.3) * np.exp(1j * p[:, 1] * v))
     assert abs(num - got) < 1e-3
 
@@ -332,7 +335,7 @@ def test_delta_limit_degenerate_against_oracle():
                       lambda x0, x1: math.cos(float(x1[0])) + 2.0, [v],
                       lattice=[[2 * math.pi]])
     assert abs(got - (math.cos(-v) + 2.0)) < 1e-12
-    num = epsilon_oracle(
+    num = grid_oracle(
         mu,
         lambda p: (np.cos(p[:, 1]) + 2.0) * np.exp(1j * p[:, 2] * v),
         schedule=(0.15, 0.1, 0.075, 0.05))
@@ -345,8 +348,8 @@ def test_kernel_sector_mean_zero_decay():
     # gone in the limit.  Pin the decay law itself.
     mu = OscGaussMeasure(np.zeros((1, 1)), np.zeros(1), 1.0)
     for eps in (0.1, 0.05):
-        raw = epsilon_oracle(mu, lambda p: np.cos(p[:, 0]),
-                             schedule=(eps,))
+        raw = grid_oracle(mu, lambda p: np.cos(p[:, 0]),
+                          schedule=(eps,))
         assert abs(raw - math.exp(-1.0 / (4 * eps))) < 1e-6
 
 

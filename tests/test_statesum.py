@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from numpy_models import covariance_vanishing_check
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
-from shadow_wlo.complex import (build_standard_surface, coboundary,
-                                hodge_star_signs, kernel_check_B0,
-                                project_to_K, rational_rref)
-from shadow_wlo.discrete import RibbonStep, covariance_vanishing_check
+from shadow_wlo.complex import (RibbonStep, build_standard_surface,
+                                coboundary, hodge_star_signs,
+                                kernel_check_B0, project_to_K, rational_rref)
 from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
