@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import __version__
 from .complex import build_standard_surface, hodge_pair, kernel_check_B0
-from .discrete import det_block, det_twisted_restricted
+from .discrete import algebra_dim, det_block, det_twisted_restricted
 from .lie import ad_det_k, fusion_coefficient, level_labels, lie_data
 from .oscillatory import (OscGaussMeasure, epsilon_oracle,
                           first_second_moments, integrate_constant)
@@ -283,7 +283,7 @@ def _suite_twisted_determinants():
         adk = ad_det_k(lie, b)
         for variant, n in (("hat", 3), ("check", 3), ("bar", 4)):
             got = det_twisted_restricted(lie, variant, n, b)
-            dim = lie.rank + 2 * len(lie.positive_roots)
+            dim = algebra_dim(lie)
             if variant == "hat":
                 sgn = -1.0 if (lie.rank % 2 and (n - 1) % 2) else 1.0
                 want = sgn * float(n) ** (n * dim) * adk

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lie import ad_det_k, inner, is_regular
+from .lie import _off_walls, ad_det_k, is_regular, root_pairings
 from .linalg import det
 
 __all__ = [
@@ -61,8 +61,11 @@ class TwistedOperator:
     matrix: list
 
 
-def _twisted_rows(lie, variant, n, b):
-    """The twisted operator's rows, sparse: rows[i] maps column -> value."""
+def _twisted_rows(lie, variant, n, ts):
+    """The twisted operator's rows, sparse: rows[i] maps column -> value.
+
+    ts are b's root pairings, root_pairings(lie, b).
+    """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 2:
@@ -73,8 +76,8 @@ def _twisted_rows(lie, variant, n, b):
     # the step exponential and its transpose, sparse: fwd[i] maps j -> value
     eye = [{i: 1.0} for i in range(dim)]
     fwd = [{i: 1.0} for i in range(dim)]
-    for p, alpha in enumerate(lie.positive_roots):
-        phi = 2.0 * math.pi * float(inner(lie, alpha, b)) / n
+    for p, t in enumerate(ts):
+        phi = 2.0 * math.pi * float(t) / n
         c, s = math.cos(phi), math.sin(phi)
         i = lie.rank + 2 * p
         fwd[i] = {i: c, i + 1: -s}
@@ -116,7 +119,7 @@ def build_twisted(lie, variant, n, b):
     field, each variant reproduces the continuum operator d/dt + ad(b) to
     first order in 1/n.
     """
-    rows = _twisted_rows(lie, variant, n, b)
+    rows = _twisted_rows(lie, variant, n, root_pairings(lie, b))
     mat = [[0.0] * len(rows) for _ in rows]
     for dense, row in zip(mat, rows):
         for j, x in row.items():
@@ -176,10 +179,11 @@ def det_twisted_restricted(lie, variant, n, b):
     variant gives the square (n/2)^(n*dim) * det(...)^2.  b must be
     regular, otherwise the kernel jumps.
     """
-    if not is_regular(lie, b):
+    ts = root_pairings(lie, b)
+    if not _off_walls(ts):
         raise ValueError("b pairs integrally with a root: kernel is larger "
                          "than the Cartan sector")
-    mrows = _twisted_rows(lie, variant, n, b)
+    mrows = _twisted_rows(lie, variant, n, ts)
     basis = _restricted_basis(lie, variant, n)
     # urows[c] lists (k, U[c][k]) for the basis vectors k touching index c
     urows = [[] for _ in mrows]

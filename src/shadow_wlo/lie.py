@@ -5,16 +5,25 @@ squared length 2.  For A_r every root is short, the coroot lattice equals the
 root lattice, and the Gram matrix of the fundamental weights is
 G_ij = min(i,j) - i*j/(r+1), obtained from the hyperplane model of A_r in
 R^(r+1) and already correctly scaled.  G is also the inverse Cartan matrix,
-and the integer matrix (r+1)G (scaled_gram) carries every exact pairing:
-(r+1)<x, y> = x.scaled_gram.y, and scaled_gram.x is (r+1) times the
-coroot coordinates of x.
+and the integer matrix (r+1)G (scaled_gram) carries the exact pairing of
+two weights: (r+1)<x, y> = x.scaled_gram.y, and scaled_gram.x is (r+1)
+times the coroot coordinates of x.
+
+Root pairings need no Gram matrix.  In the fundamental weight basis the
+simple coroot alpha_i pairs with x as x_i, so the positive root
+alpha_i + ... + alpha_j pairs with x as the span sum x_i + ... + x_j
+(root_pairings), exact for ints and Fractions; <x, theta> is sum(x).  Every
+root pairing of the package (sine products, regularity, det(1 - exp ad b),
+quantum dimensions, the coset table) goes through root_pairings.
 
 Weights are integer coordinate tuples in the fundamental weight basis.
 General Cartan-subalgebra elements are tuples of Fractions (or floats on
-explicitly approximate paths) in the same basis.  The tables that feed the
-state sums (the cosets P/kQ, weight systems, fusion rows) are built in
-integer arithmetic; transcendental evaluations (sines, phases) happen once
-per cached argument at the outermost layer.
+explicitly approximate paths) in the same basis.  Levels and weights are
+taken by operator.index: a float or Fraction level or coordinate raises
+ValueError instead of being truncated.  The tables that feed the state
+sums (the cosets P/kQ, weight systems, fusion rows) are built in integer
+arithmetic; transcendental evaluations (sines, phases) happen once per
+cached argument at the outermost layer.
 
 The weight system of an irrep is counted from the contents of its
 semistandard tableaux with entries 0..r, one integer table per
@@ -31,7 +40,8 @@ that is not a level-k label raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -40,6 +50,7 @@ __all__ = [
     "LieData",
     "lie_data",
     "inner",
+    "root_pairings",
     "level_labels",
     "quantum_dim",
     "weight_multiplicities",
@@ -53,13 +64,8 @@ __all__ = [
 Vec = tuple
 Mat = tuple
 
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+# a float root pairing this close to an integer lies on an affine wall
+_WALL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +73,8 @@ class LieData:
     """Immutable root data of A_r in the short-coroot normalization.
 
     Compared and hashed by identity: lie_data keeps one instance per rank,
-    and the lru caches keyed on it would otherwise hash every field, the
-    Weyl group included, on each lookup.
+    and the lru caches keyed on it would otherwise hash every field on
+    each lookup.
     """
 
     series: str
@@ -77,21 +83,10 @@ class LieData:
     scaled_gram: Mat           # (r+1) * gram, integers
     cartan: Mat                # cartan[i][j] = coordinate i of simple root alpha_j
     simple_roots: tuple        # weight-basis coordinates, also the coroots
-    positive_roots: tuple
+    positive_roots: tuple      # alpha_i + ... + alpha_j, (i, j) in lex order
     rho: Vec
     theta: Vec                 # highest root
     dual_coxeter: int
-    weyl: tuple = field(repr=False)          # tuples (matrix, sign)
-
-    def coroot_coordinates(self, x):
-        """Coordinates of x in the simple-coroot basis of the coroot lattice.
-
-        The inverse Cartan matrix of A_r is gram, so these are the
-        Fractions scaled_gram.x / (r+1).
-        """
-        n = self.rank + 1
-        return tuple(Fraction(sum(s * c for s, c in zip(row, x)), n)
-                     for row in self.scaled_gram)
 
 
 @lru_cache(maxsize=None)
@@ -118,34 +113,6 @@ def _build_a_series(rank):
     rho = tuple(1 for _ in range(r))
     # Highest root of A_r is the sum of all simple roots.
     theta = tuple(sum(simple[a][c] for a in range(r)) for c in range(r))
-
-    gens = []
-    for i in range(r):
-        rows = []
-        for a in range(r):
-            row = [0] * r
-            row[a] = 1
-            rows.append(row)
-        for a in range(r):
-            rows[a][i] -= simple[i][a]
-        gens.append(tuple(tuple(row) for row in rows))
-
-    ident = tuple(tuple(1 if a == b else 0 for b in range(r)) for a in range(r))
-    seen = {ident: 1}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod_m = _mat_mul(g, m)
-                if prod_m not in seen:
-                    seen[prod_m] = -seen[m]
-                    nxt.append(prod_m)
-        frontier = nxt
-    weyl = tuple(sorted(seen.items()))
-
-    theta_pair = sum(theta[i] * rho[j] * scaled_gram[i][j]
-                     for i in range(r) for j in range(r))
     return LieData(
         series=f"A{r}",
         rank=r,
@@ -156,8 +123,7 @@ def _build_a_series(rank):
         positive_roots=tuple(positive),
         rho=rho,
         theta=theta,
-        dual_coxeter=1 + theta_pair // (r + 1),
-        weyl=weyl,
+        dual_coxeter=1 + sum(rho),
     )
 
 
@@ -193,32 +159,72 @@ def inner(lie, x, y):
     return sum(g[i][j] * x[i] * y[j] for i in range(r) for j in range(r))
 
 
+def root_pairings(lie, x):
+    """<alpha, x> for each alpha in positive_roots, in that order.
+
+    x is in the fundamental weight basis, where the simple coroot alpha_i
+    pairs with x as x_i; the root alpha_i + ... + alpha_j therefore pairs
+    as the span sum x_i + ... + x_j, accumulated left to right.  Exact
+    (ints stay ints) for int and Fraction coordinates.
+    """
+    if len(x) != lie.rank:
+        raise ValueError(f"{tuple(x)} needs {lie.rank} coordinates for "
+                         f"{lie.series}")
+    out = []
+    for i in range(lie.rank):
+        t = 0
+        for c in x[i:]:
+            t += c
+            out.append(t)
+    return out
+
+
+def _index(value, what):
+    """value as an int by operator.index; any other type raises ValueError.
+
+    A float or Fraction is refused even when integral, never truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") \
+            from None
+
+
+def _weight(values, what):
+    """A weight's coordinates as a tuple of ints (see _index)."""
+    return tuple(_index(c, what) for c in values)
+
+
 def level_labels(lie, k):
     """Dominant weights admissible at level k, lexicographically ordered.
 
     The set is empty below the dual Coxeter number; at k equal to it only the
     zero label survives.
     """
-    k = int(k)
+    k = _index(k, "level")
     if k < 1:
         raise ValueError("level must be a positive integer")
     budget = k - lie.dual_coxeter
     if budget < 0:
         return []
-    theta_w = _theta_coeffs(lie)
+    # <lam, theta> = sum(lam)
     return [lam for lam in product(range(budget + 1), repeat=lie.rank)
-            if sum(l * t for l, t in zip(lam, theta_w)) <= budget]
+            if sum(lam) <= budget]
 
 
 def quantum_dim(lie, k, lam):
-    """sin-product dimension of a level-k label."""
+    """sin-product dimension of a level-k label.
+
+    The product over positive roots of sin(pi <alpha, lam + rho>/k) over
+    sin(pi <alpha, rho>/k).
+    """
+    shifted = tuple(l + p for l, p in zip(lam, lie.rho))
     num = 1.0
     den = 1.0
-    for alpha in lie.positive_roots:
-        a = float(inner(lie, alpha, tuple(l + p for l, p in zip(lam, lie.rho)))) / k
-        b = float(inner(lie, alpha, lie.rho)) / k
-        num *= math.sin(math.pi * a)
-        den *= math.sin(math.pi * b)
+    for t, h in zip(root_pairings(lie, shifted), root_pairings(lie, lie.rho)):
+        num *= math.sin(math.pi * (t / k))
+        den *= math.sin(math.pi * (h / k))
     return num / den
 
 
@@ -230,34 +236,36 @@ def sine_product(lie, b):
     alternating Weyl signs come out of the face determinant factors.
     """
     out = 1.0
-    for alpha in lie.positive_roots:
-        out *= 2.0 * math.sin(math.pi * float(inner(lie, alpha, b)))
+    for t in root_pairings(lie, b):
+        out *= 2.0 * math.sin(math.pi * float(t))
     return out
 
 
 def ad_det_k(lie, b):
     """det(1 - exp(ad b)) on the complement of the Cartan subalgebra."""
     out = 1.0
-    for alpha in lie.positive_roots:
-        out *= 4.0 * math.sin(math.pi * float(inner(lie, alpha, b))) ** 2
+    for t in root_pairings(lie, b):
+        out *= 4.0 * math.sin(math.pi * float(t)) ** 2
     return out
 
 
-def is_regular(lie, b, tol=1e-9):
+def is_regular(lie, b):
     """True when no root pairing with b is an integer.
 
-    Rational input is decided exactly; float input uses the tolerance.
+    Rational input is decided exactly; float input within _WALL_TOL.
     """
-    exact = all(isinstance(c, (int, Fraction)) for c in b)
-    for alpha in lie.positive_roots:
-        a = inner(lie, alpha, b)
-        if exact:
-            if Fraction(a).denominator == 1:
-                return False
-        else:
-            if abs(a - round(a)) <= tol:
-                return False
-    return True
+    return _off_walls(root_pairings(lie, b))
+
+
+def _off_walls(ts):
+    """True when none of the root pairings ts is an integer (see is_regular).
+
+    The pairings are all exact exactly when b's coordinates are, since
+    each coordinate is the pairing with its simple root.
+    """
+    if all(isinstance(t, (int, Fraction)) for t in ts):
+        return all(t.denominator != 1 for t in ts)
+    return all(abs(t - round(t)) > _WALL_TOL for t in ts)
 
 
 @lru_cache(maxsize=None)
@@ -270,6 +278,9 @@ def _full_weight_table(lie, gamma):
     (Fulton-Harris, Representation Theory, 15.3).
     """
     r = lie.rank
+    if len(gamma) != r:
+        raise ValueError(f"highest weight {gamma} needs {r} coordinates for "
+                         f"{lie.series}")
     if any(c < 0 for c in gamma):
         raise ValueError("highest weight must be dominant")
     shape = [sum(gamma[i:]) for i in range(r)]
@@ -297,7 +308,7 @@ def weight_multiplicities(lie, gamma):
     The multiplicity of a weight is the number of semistandard tableaux of
     shape gamma whose content gives that weight (see _full_weight_table).
     """
-    return dict(_full_weight_table(lie, tuple(int(c) for c in gamma)))
+    return dict(_full_weight_table(lie, _weight(gamma, "highest weight")))
 
 
 def fusion_coefficient(lie, k, mu, nu, lam):
@@ -308,9 +319,9 @@ def fusion_coefficient(lie, k, mu, nu, lam):
     reductions.  nu and lam must be level-k labels; anything else raises
     ValueError.  mu may be any dominant weight.
     """
-    rows = _fusion_table(lie, int(k), tuple(int(c) for c in mu))
-    nu = tuple(int(c) for c in nu)
-    lam = tuple(int(c) for c in lam)
+    rows = _fusion_table(lie, _index(k, "level"), _weight(mu, "color"))
+    nu = _weight(nu, "label")
+    lam = _weight(lam, "label")
     if nu not in rows or lam not in rows:
         raise ValueError(f"{nu} and {lam} are not both level-{k} "
                          f"labels of {lie.series}")
@@ -360,7 +371,6 @@ def _alcove_reduce(lie, k, v):
     integer.
     """
     r = lie.rank
-    theta_w = _theta_coeffs(lie)
     steps = 0
     while True:
         if steps > 100000:
@@ -372,7 +382,7 @@ def _alcove_reduce(lie, k, v):
                 v[a] -= coef * lie.simple_roots[i][a]
             steps += 1
             continue
-        h = sum(c * t for c, t in zip(v, theta_w))
+        h = sum(v)  # <v, theta>
         if h > k:
             for a in range(r):
                 v[a] -= (h - k) * lie.theta[a]
@@ -380,14 +390,6 @@ def _alcove_reduce(lie, k, v):
             continue
         on_wall = any(c == 0 for c in v) or h == k
         return v, (0 if on_wall else (-1) ** steps)
-
-
-@lru_cache(maxsize=None)
-def _theta_coeffs(lie):
-    # <x, theta> is linear in the weight coordinates of x with coefficients
-    # <omega_b, theta>, integers since theta is a coroot
-    return tuple(sum(s * t for s, t in zip(row, lie.theta)) // (lie.rank + 1)
-                 for row in lie.scaled_gram)
 
 
 def lattice_points_in_scaled_box(lie, k):
@@ -402,7 +404,7 @@ def lattice_points_in_scaled_box(lie, k):
     x = cartan.key/(r+1).  Returns the (r+1)k^r integer weight-coordinate
     tuples, sorted.
     """
-    k = int(k)
+    k = _index(k, "level")
     n = lie.rank + 1
     col = [row[0] for row in lie.scaled_gram]
     out = []

@@ -41,9 +41,10 @@ from .complex import (RibbonStep, _find, build_standard_surface, coboundary,
                       hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
-from .lie import (_alcove_reduce, _fusion_table, fusion_coefficient, inner,
-                  is_regular, lattice_points_in_scaled_box, level_labels,
-                  quantum_dim, sine_product, weight_multiplicities)
+from .lie import (_alcove_reduce, _fusion_table, _index, _weight,
+                  fusion_coefficient, is_regular, lattice_points_in_scaled_box,
+                  level_labels, quantum_dim, root_pairings, sine_product,
+                  weight_multiplicities)
 
 
 @dataclass(frozen=True)
@@ -736,11 +737,10 @@ def _coset_table(lie, k):
     """The coset table of (lie, k), shared by every holonomy sum at k.
 
     A representative's key already lies in [0, (r+1)k), and each root
-    pairing t = <alpha, x> = alpha.key / (r+1) is an integer: x/k is
-    regular iff no t is divisible by k, and its sine is the product of
+    pairing t = <alpha, x> (root_pairings) is an integer: x/k is regular
+    iff no t is divisible by k, and its sine is the product of
     2 sin(pi t/k) in positive_roots order, the floats of sine_product(x/k).
     """
-    n = lie.rank + 1
     reps = tuple(lattice_points_in_scaled_box(lie, k))
     index = {}
     regular = []
@@ -749,7 +749,7 @@ def _coset_table(lie, k):
     for pos, x in enumerate(reps):
         key = tuple(_dot(row, x) for row in lie.scaled_gram)
         index[key] = pos
-        ts = [_dot(alpha, key) // n for alpha in lie.positive_roots]
+        ts = root_pairings(lie, x)
         ok = all(t % k for t in ts)
         regular.append(ok)
         s = 0.0
@@ -761,7 +761,7 @@ def _coset_table(lie, k):
                 s *= sine[t]
         sines.append(s)
     return _CosetTable(reps, MappingProxyType(index), tuple(regular),
-                       tuple(sines), _phase_table(n * k))
+                       tuple(sines), _phase_table((lie.rank + 1) * k))
 
 
 def _wlo_contract(lie, k, link, forest):
@@ -892,7 +892,7 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     validate_link, which check that the cells realize that forest.  Only
     ratios of values returned by this function are meaningful.
     """
-    k = int(k)
+    k = _index(k, "level")
     if k < 1:
         raise ValueError("level must be a positive integer")
     forest = _forest(link)
@@ -958,7 +958,7 @@ def _shadow_contract(lie, k, link, forest, table):
     for c in forest.order:
         rib = link.ribbons[c - 1]
         child = vals[c]
-        rows = _fusion_table(lie, k, tuple(int(x) for x in rib.color))
+        rows = _fusion_table(lie, k, _weight(rib.color, "color"))
         kern = [0j] * len(labels)
         if rib.orientation == 1:
             for mu, v in zip(labels, child):
@@ -983,7 +983,7 @@ def shadow_invariant(lie, k, link):
     terms_total still counts every coloring.  The empty label set below
     the dual Coxeter number gives an empty sum, flagged as such.
     """
-    k = int(k)
+    k = _index(k, "level")
     if k < 1:
         raise ValueError("level must be a positive integer")
     forest = _forest(link)
@@ -1006,7 +1006,7 @@ def compare_theorem(lie, k, link):
     As in wlo_unnormalized, a link carrying a complex must come from
     embed_link or have passed validate_link.
     """
-    k = int(k)
+    k = _index(k, "level")
     if k < lie.dual_coxeter:
         raise ValueError(f"level {k} is below the dual Coxeter number"
                          f" {lie.dual_coxeter}: the label set is empty and"
@@ -1038,13 +1038,16 @@ def compare_theorem(lie, k, link):
 def _rho_sine_constant(lie, k):
     """The face-independent Step 6 constant: prod 4 sin^2(pi <rho, alpha>/k)."""
     const = 1.0
-    for alpha in lie.positive_roots:
-        const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
-                                                      alpha)) / k) ** 2
+    for h in root_pairings(lie, lie.rho):
+        const *= 4.0 * math.sin(math.pi * h / k) ** 2
     return const
 
 
-def step6_transform(lie, k, link, term, tol=1e-10):
+# relative tolerance of Step 6's determinant identity
+_STEP6_TOL = 1e-10
+
+
+def step6_transform(lie, k, link, term):
     """Alcove reduction of one surviving holonomy term.
 
     Reflects k times each face holonomy, an integer weight, into the
@@ -1052,13 +1055,14 @@ def step6_transform(lie, k, link, term, tol=1e-10):
     element, and verifies the two identities that drive the passage to the
     shadow sum: the sine determinant of each face equals the squared
     quantum dimension of its label times a face-independent constant (to
-    the relative tolerance tol), and the total winding phase equals the
-    gleam phase of the labels exactly, as rationals mod 2.  Each face's
-    sine is read from the coset table, the factor the holonomy sum
-    multiplies, and its label's quantum dimension from one table per
-    level.  Any violation raises with the offending term in the message.
+    the relative tolerance _STEP6_TOL), and the total winding phase
+    equals the gleam phase of the labels exactly, as rationals mod 2.
+    Each face's sine is read from the coset table, the factor the
+    holonomy sum multiplies, and its label's quantum dimension from one
+    table per level.  Any violation raises with the offending term in the
+    message.
     """
-    k = int(k)
+    k = _index(k, "level")
     forest = _forest(link)
     table = _coset_table(lie, k)
     modulus = (lie.rank + 1) * k
@@ -1085,7 +1089,7 @@ def step6_transform(lie, k, link, term, tol=1e-10):
         dimsq = label_table.dims[lam] ** 2 * const
         res = abs(det / dimsq - 1.0)
         det_residual = max(det_residual, res)
-        if res > tol:
+        if res > _STEP6_TOL:
             raise ValueError(f"term {term.alpha0}: face {j} determinant"
                              f" misses the squared dimension by {res:.3e}")
     q = Fraction(sum(g * label_table.exps[lam]
@@ -1098,22 +1102,6 @@ def step6_transform(lie, k, link, term, tol=1e-10):
         det *= sine ** x
     value = term.multiplicity * det * _phase(term.phase)
     return Step6Term(tuple(labels), tuple(signs), value, det_residual)
-
-
-def step6_aggregate(lie, k, link, tol=1e-10):
-    """Holonomy terms grouped by their reduced face coloring.
-
-    Runs the transform over every surviving term of the link and sums the
-    term values per coloring class.  Together with the per-class shadow
-    summands this exhibits the state sum identity class by class.
-    """
-    res = wlo_unnormalized(lie, k, link, record_terms=True)
-    out = {}
-    for term in res.terms:
-        st = step6_transform(lie, k, link, term, tol=tol)
-        acc = out.setdefault(st.labels, _Accumulator())
-        acc.add(st.value)
-    return {key: acc.value() for key, acc in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ never the other way around.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -77,6 +78,119 @@ def kac_walton_fusion(weyl, gram, simple_coroots, rho, weights, k, nu, lam):
             target = tuple(nu_s[a] - wls[a] - kx[a] for a in range(r))
             total += sign * weights.get(target, 0)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the finite Weyl group and coroot coordinates, read only by tests
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_group(lie):
+    """Every element of the Weyl group of lie, as sorted (matrix, sign) pairs.
+
+    The matrices act on weight coordinates, w(x)_i = sum_j w[i][j] x_j, and
+    sign is the determinant.  Breadth-first closure from the identity under
+    the simple reflections s_i(x) = x - x_i alpha_i, each step flipping the
+    sign: (r+1)! matrices for A_r.
+    """
+    r = lie.rank
+    gens = []
+    for i in range(r):
+        rows = [[int(a == b) for b in range(r)] for a in range(r)]
+        for a in range(r):
+            rows[a][i] -= lie.simple_roots[i][a]
+        gens.append(tuple(tuple(row) for row in rows))
+    ident = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
+    seen = {ident: 1}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                gm = tuple(tuple(sum(g[i][c] * m[c][j] for c in range(r))
+                                 for j in range(r)) for i in range(r))
+                if gm not in seen:
+                    seen[gm] = -seen[m]
+                    nxt.append(gm)
+        frontier = nxt
+    return tuple(sorted(seen.items()))
+
+
+def coroot_coordinates(lie, x):
+    """Coordinates of x in the simple-coroot basis of the coroot lattice.
+
+    The inverse Cartan matrix of A_r is gram, so these are the Fractions
+    scaled_gram.x / (r+1).
+    """
+    n = lie.rank + 1
+    return tuple(Fraction(sum(s * c for s, c in zip(row, x)), n)
+                 for row in lie.scaled_gram)
+
+
+# ---------------------------------------------------------------------------
+# the package's former root-pairing formulas, through the Gram pairing
+
+
+def quantum_dim_inner(lie, k, lam):
+    """quantum_dim as it was: one Fraction pairing per root and label."""
+    from shadow_wlo.lie import inner
+
+    shifted = tuple(l + p for l, p in zip(lam, lie.rho))
+    num = 1.0
+    den = 1.0
+    for alpha in lie.positive_roots:
+        a = float(inner(lie, alpha, shifted)) / k
+        b = float(inner(lie, alpha, lie.rho)) / k
+        num *= math.sin(math.pi * a)
+        den *= math.sin(math.pi * b)
+    return num / den
+
+
+def sine_product_inner(lie, b):
+    """sine_product as it was: prod 2 sin(pi <alpha, b>) by lie.inner."""
+    from shadow_wlo.lie import inner
+
+    out = 1.0
+    for alpha in lie.positive_roots:
+        out *= 2.0 * math.sin(math.pi * float(inner(lie, alpha, b)))
+    return out
+
+
+def ad_det_k_inner(lie, b):
+    """ad_det_k as it was: prod 4 sin^2(pi <alpha, b>) by lie.inner."""
+    from shadow_wlo.lie import inner
+
+    out = 1.0
+    for alpha in lie.positive_roots:
+        out *= 4.0 * math.sin(math.pi * float(inner(lie, alpha, b))) ** 2
+    return out
+
+
+def is_regular_inner(lie, b):
+    """is_regular as it was: exact for rational b, else within 1e-9."""
+    from shadow_wlo.lie import inner
+
+    exact = all(isinstance(c, (int, Fraction)) for c in b)
+    for alpha in lie.positive_roots:
+        a = inner(lie, alpha, b)
+        if exact:
+            if Fraction(a).denominator == 1:
+                return False
+        else:
+            if abs(a - round(a)) <= 1e-9:
+                return False
+    return True
+
+
+def rho_sine_constant_inner(lie, k):
+    """statesum._rho_sine_constant as it was, by lie.inner."""
+    from shadow_wlo.lie import inner
+
+    const = 1.0
+    for alpha in lie.positive_roots:
+        const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
+                                                      alpha)) / k) ** 2
+    return const
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +624,25 @@ def wlo_terms_fraction(lie, k, link, bases=None):
             terms.append(WloTerm(tuple(alpha0), alphas, mult, tuple(faces),
                                  q % 2))
     return acc.value(), len(reps) * len(combos), skipped, tuple(terms)
+
+
+def step6_aggregate(lie, k, link):
+    """Holonomy terms grouped by their reduced face coloring.
+
+    Runs step6_transform over every surviving term of the link and sums
+    the term values per coloring class.  Together with the per-class
+    shadow summands this exhibits the state sum identity class by class.
+    """
+    from shadow_wlo.statesum import (_Accumulator, step6_transform,
+                                     wlo_unnormalized)
+
+    res = wlo_unnormalized(lie, k, link, record_terms=True)
+    out = {}
+    for term in res.terms:
+        st = step6_transform(lie, k, link, term)
+        acc = out.setdefault(st.labels, _Accumulator())
+        acc.add(st.value)
+    return {key: acc.value() for key, acc in sorted(out.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from shadow_wlo import lie
+from shadow_wlo.statesum import _rho_sine_constant
 
 
 A1 = lie.lie_data("A1")
@@ -51,6 +53,63 @@ def test_inner_float_coordinates_keep_the_gram_sum():
     assert isinstance(lie.inner(A2, alpha, b), float)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_root_pairings_equal_the_gram_pairing(rank, draw):
+    # the span sums are the very rationals inner gives, in positive_roots
+    # order, and all-int input keeps every pairing an int
+    data = lie.lie_data(f"A{rank}")
+    x = tuple(draw.draw(exact_coords) for _ in range(rank))
+    got = lie.root_pairings(data, x)
+    assert got == [lie.inner(data, alpha, x) for alpha in data.positive_roots]
+    if all(type(c) is int for c in x):
+        assert all(type(t) is int for t in got)
+
+
+def test_root_pairings_need_rank_coordinates():
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        lie.root_pairings(A2, (1,))
+    with pytest.raises(ValueError, match="needs 1 coordinates"):
+        lie.root_pairings(A1, (1, 0))
+
+
+def test_root_pairing_floats_are_bit_equal_to_the_gram_formulas():
+    # quantum_dim, sine_product, ad_det_k, is_regular and the Step 6
+    # constant against their former lie.inner formulas, compared with ==
+    for data, top in ((A1, 30), (A2, 20), (A3, 10)):
+        for k in range(data.dual_coxeter, top + 1):
+            assert _rho_sine_constant(data, k) == \
+                oracles.rho_sine_constant_inner(data, k)
+            for lam in lie.level_labels(data, k):
+                assert lie.quantum_dim(data, k, lam) == \
+                    oracles.quantum_dim_inner(data, k, lam), (k, lam)
+    rng = random.Random(17)
+    walls = 0
+    for data in (A1, A2, A3, A4):
+        for _ in range(300):
+            # small denominators, so that integer pairings (walls) occur too
+            b = tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 12))
+                      for _ in range(data.rank))
+            regular = lie.is_regular(data, b)
+            assert regular == oracles.is_regular_inner(data, b), b
+            walls += not regular
+            assert lie.sine_product(data, b) == \
+                oracles.sine_product_inner(data, b), b
+            assert lie.ad_det_k(data, b) == oracles.ad_det_k_inner(data, b), b
+    assert walls > 0
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_weyl_group_oracle(rank):
+    data = lie.lie_data(f"A{rank}")
+    group = oracles.weyl_group(data)
+    assert len(group) == math.factorial(rank + 1)
+    ident = tuple(tuple(int(i == j) for j in range(rank))
+                  for i in range(rank))
+    assert (ident, 1) in group
+    assert sum(sign for _, sign in group) == 0
+
+
 def test_level_labels_a1_k4():
     labels = lie.level_labels(A1, 4)
     # alpha = 2*omega, so the documented set {0, alpha/2, alpha} is n = 0, 1, 2
@@ -84,8 +143,8 @@ def test_quantum_dim_matches_character_ratio():
         b = tuple(Fraction(c, k) for c in data.rho)
         for lam in lie.level_labels(data, k):
             shifted = tuple(a + p for a, p in zip(lam, data.rho))
-            ref = oracles.character_ratio(data.weyl, data.gram, shifted,
-                                          data.rho, b)
+            ref = oracles.character_ratio(oracles.weyl_group(data),
+                                          data.gram, shifted, data.rho, b)
             assert abs(ref.imag) < 1e-9
             assert lie.quantum_dim(data, k, lam) == pytest.approx(
                 ref.real, abs=1e-9)
@@ -107,8 +166,8 @@ def test_weight_table_matches_character_sum():
                             math.sin(2 * math.pi * float(lie.inner(data, beta, b))))
                 for beta, m in table.items())
             shifted = tuple(a + p for a, p in zip(gamma, data.rho))
-            ref = oracles.character_ratio(data.weyl, data.gram, shifted,
-                                          data.rho, b)
+            ref = oracles.character_ratio(oracles.weyl_group(data),
+                                          data.gram, shifted, data.rho, b)
             assert direct == pytest.approx(ref, abs=1e-8)
 
 
@@ -120,6 +179,31 @@ def test_weight_table_total_dimension():
         want = oracles.weyl_dimension(data.positive_roots, data.gram,
                                       gamma, data.rho)
         assert sum(table.values()) == want
+
+
+@pytest.mark.parametrize("gamma", [(1,), (1, 0, 5), ()])
+def test_weight_table_rejects_the_wrong_number_of_coordinates(gamma):
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        lie.weight_multiplicities(A2, gamma)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lie.level_labels(A1, 4.9),
+    lambda: lie.level_labels(A1, 4.0),
+    lambda: lie.level_labels(A1, Fraction(4)),
+    lambda: lie.weight_multiplicities(A1, (1.7,)),
+    lambda: lie.weight_multiplicities(A2, (1.0, 0)),
+    lambda: lie.fusion_coefficient(A1, 4.5, (1,), (1,), (0,)),
+    lambda: lie.fusion_coefficient(A1, 4, (1.7,), (1,), (0,)),
+    lambda: lie.fusion_coefficient(A1, 4, (1,), (1.2,), (0,)),
+    lambda: lie.fusion_coefficient(A1, 4, (1,), (1,), (0.5,)),
+    lambda: lie.lattice_points_in_scaled_box(A1, 2.5),
+], ids=["level", "integral-float-level", "fraction-level", "color",
+        "integral-float-color", "fusion-level", "fusion-color",
+        "fusion-nu", "fusion-lam", "lattice-level"])
+def test_non_integer_levels_and_weights_are_refused(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_weight_table_rejects_non_dominant_highest_weight():
@@ -205,7 +289,7 @@ def test_fusion_verlinde_dimension_rule_full_a2_k9_table():
 
 def _kac_walton(data, k, mu, nu, lam):
     return oracles.kac_walton_fusion(
-        data.weyl, data.gram, data.simple_roots, data.rho,
+        oracles.weyl_group(data), data.gram, data.simple_roots, data.rho,
         lie.weight_multiplicities(data, mu), k, nu, lam)
 
 
@@ -310,7 +394,7 @@ def test_is_regular_exact_and_float():
     assert not lie.is_regular(A2, (Fraction(1, 2), Fraction(1, 2)))
     assert lie.is_regular(A2, (Fraction(1, 5), Fraction(1, 7)))
     assert not lie.is_regular(A1, (1.0 + 1e-12,))
-    assert lie.is_regular(A1, (1.0 + 1e-6,), tol=1e-9)
+    assert lie.is_regular(A1, (1.0 + 1e-6,))
 
 
 def _assert_alcove_reduction(data, k, beta):
@@ -324,11 +408,11 @@ def _assert_alcove_reduction(data, k, beta):
     assert all(c >= 0 for c in v)
     assert lie.inner(data, v, data.theta) <= k
     dets = set()
-    for w, det in data.weyl:
+    for w, det in oracles.weyl_group(data):
         wv = tuple(sum(w[i][j] * v[j] for j in range(data.rank))
                    for i in range(data.rank))
-        x = data.coroot_coordinates(
-            tuple(Fraction(b - c, k) for b, c in zip(beta, wv)))
+        x = oracles.coroot_coordinates(
+            data, tuple(Fraction(b - c, k) for b, c in zip(beta, wv)))
         if all(c.denominator == 1 for c in x):
             dets.add(det)
     assert dets
@@ -420,5 +504,5 @@ def test_lattice_point_count_matches_orbit_count():
         pts = lie.lattice_points_in_scaled_box(data, k)
         regular = [p for p in pts
                    if lie.is_regular(data, tuple(Fraction(c, k) for c in p))]
-        want = len(lie.level_labels(data, k)) * len(data.weyl)
+        want = len(lie.level_labels(data, k)) * len(oracles.weyl_group(data))
         assert len(regular) == want

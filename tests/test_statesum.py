@@ -687,7 +687,7 @@ def test_color_weight_supports_lie_in_the_root_lattice_shift(corpus):
         for rib in ent.link.ribbons:
             for beta in weight_multiplicities(lie, rib.color):
                 diff = tuple(b - c for b, c in zip(beta, rib.color))
-                coords = lie.coroot_coordinates(diff)
+                coords = oracles.coroot_coordinates(lie, diff)
                 assert all(c.denominator == 1 for c in coords)
 
 
@@ -860,6 +860,27 @@ def test_theorem_below_coxeter_rejected():
         ss.compare_theorem(A2, 2, ss.RibbonLink(0))
 
 
+def test_non_integer_level_and_color_are_refused():
+    link = ss._chain(0, [((1,), 1, 1)])
+    bad_color = ss._chain(0, [((1.7,), 1, 1)])
+    for evaluate in (ss.wlo_unnormalized, ss.shadow_invariant,
+                     ss.compare_theorem):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            evaluate(A1, 4.9, link)
+        with pytest.raises(ValueError, match="must be an integer, not 1.7"):
+            evaluate(A1, 4, bad_color)
+    term = ss.wlo_unnormalized(A1, 4, link, record_terms=True).terms[0]
+    with pytest.raises(ValueError, match="level must be an integer"):
+        ss.step6_transform(A1, 4.0, link, term)
+
+
+def test_color_of_the_wrong_length_is_refused():
+    link = ss._chain(0, [((1, 0, 5), 1, 1)])
+    for evaluate in (ss.wlo_unnormalized, ss.shadow_invariant):
+        with pytest.raises(ValueError, match="needs 2 coordinates"):
+            evaluate(A2, 5, link)
+
+
 # ---------------------------------------------------------------------------
 # the holonomy-to-shadow transform
 
@@ -888,7 +909,7 @@ def test_step6_aggregation_reproduces_shadow_terms(corpus):
     for name in ("a1_g0_one_top_k6", "a1_g1_two_k5"):
         ent = _by_name(corpus, name)
         lie = _lie(ent)
-        agg = ss.step6_aggregate(lie, ent.level, ent.link)
+        agg = oracles.step6_aggregate(lie, ent.level, ent.link)
         total = ss.wlo_unnormalized(lie, ent.level, ent.link,
                                     record_terms=True).value
         assert abs(sum(agg.values()) - total) <= 1e-12 * max(1.0, abs(total))
