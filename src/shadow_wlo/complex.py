@@ -37,17 +37,12 @@ __all__ = [
     "SurfaceComplex",
     "build_standard_surface",
     "coboundary",
-    "project_to_K",
-    "psi_embed",
     "RibbonStep",
     "kernel_check_B0",
     "face_euler_characteristics",
-    "HodgePair",
-    "hodge_pair",
+    "hodge_star",
     "hodge_star_signs",
-    "surface_from_json",
     "rational_rref",
-    "affine_constraint_rows",
     "default_sigma0",
 ]
 
@@ -73,13 +68,14 @@ def _dart_tail(edges, dart):
 class SurfaceComplex:
     """Immutable oriented cell decomposition with its quad subdivision.
 
-    Construct through build_standard_surface or from_cells.  All tables are
-    plain dicts and tuples; nothing is mutated after construction.
+    Construct through build_standard_surface, or directly from an
+    {edge: (tail, head)} map and a list of (face id, dart cycle) pairs.
+    All tables are plain dicts and tuples; nothing is mutated after
+    construction.
     """
 
-    def __init__(self, genus, edges, faces, refinement=None):
+    def __init__(self, genus, edges, faces):
         self.genus = genus
-        self.refinement = refinement
         self.edges = dict(edges)
         self.faces = {}
         for fid, cycle in faces:
@@ -216,14 +212,6 @@ class SurfaceComplex:
         eid, sign = dart
         t, h = self.edges[eid]
         return h if sign == 1 else t
-
-    def quarters_at(self, qk_vertex):
-        """All quarters whose closure contains the given qK vertex."""
-        return tuple(qid for qid, cs in self.quarter_corners.items()
-                     if qk_vertex in cs)
-
-    def edge_list(self):
-        return sorted(self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,7 @@ def build_standard_surface(g, refinement, sites=()):
             edges, faces, info = _carve_ring_patch(edges, faces, cells[p],
                                                    depth, p)
             site_info.append(info)
-    cx = SurfaceComplex(g, edges, faces, refinement=refinement)
+    cx = SurfaceComplex(g, edges, faces)
     cx.ring_sites = tuple(site_info)
     return cx
 
@@ -463,35 +451,6 @@ def coboundary(cx, c):
     out = {}
     for qeid, (t, h) in cx.qk_edges.items():
         out[qeid] = c[h] - c[t]
-    return out
-
-
-def project_to_K(cx, x):
-    """Orthogonal projection of a qK 1-cochain onto the two K-edge spaces.
-
-    Returns (primal, dual): the value on a K1 edge is the mean of its two
-    halves, the value on the dual edge likewise; both are indexed by the
-    primal edge id (the dual edge of e shares its id).
-    """
-    half = Fraction(1, 2)
-    primal = {}
-    dual = {}
-    for e in cx.edges:
-        primal[e] = (x.get(("h1", e), 0) + x.get(("h2", e), 0)) * half
-        dual[e] = (x.get(("d1", e), 0) + x.get(("d2", e), 0)) * half
-    return primal, dual
-
-
-def psi_embed(cx, primal, dual=None):
-    """Half-edge embedding: each K-edge value is copied to both halves."""
-    out = {}
-    for e, val in primal.items():
-        out[("h1", e)] = val
-        out[("h2", e)] = val
-    if dual is not None:
-        for e, val in dual.items():
-            out[("d1", e)] = val
-            out[("d2", e)] = val
     return out
 
 
@@ -517,61 +476,15 @@ class RibbonStep:
     dt: int = 0
 
 
-class HodgePair:
-    """The two Hodge blocks and their block-antidiagonal assembly.
+def hodge_star(x, y):
+    """The Hodge pair on (x, y) in C1(K1) + C1(K2): (star_K2 y, star_K1 x).
 
-    In the canonical indexing (the dual edge of e carries the id of e) the
-    blocks are scalar: star_K1 = +1, star_K2 = -1.  The assembled map sends
-    (x, y) in C1(K1) + C1(K2) to (star_K2 y, star_K1 x) = (-y, x), so
-    applying it twice gives -identity.
+    In the canonical indexing (the dual edge of e carries the id of e) both
+    blocks are scalar, star_K1 = +1 and star_K2 = -1, so the map is
+    (x, y) -> (-y, x) and applying it twice gives -identity.
     """
-
-    def __init__(self, cx):
-        self.cx = cx
-        self.sign_K1 = hodge_star_signs["K1"]
-        self.sign_K2 = hodge_star_signs["K2"]
-
-    def star_K1(self, x):
-        return {e: self.sign_K1 * v for e, v in x.items()}
-
-    def star_K2(self, y):
-        return {e: self.sign_K2 * v for e, v in y.items()}
-
-    def apply(self, x, y):
-        return self.star_K2(y), self.star_K1(x)
-
-
-def hodge_pair(cx):
-    return HodgePair(cx)
-
-
-def surface_from_json(data):
-    """Build a SurfaceComplex from a plain decomposition description.
-
-    Expected keys: "genus" (integer), "vertices" (list of labels), "edges"
-    (list of [edge_id, tail, head]), "faces" (list of [face_id, cycle])
-    where a cycle is a list of [edge_id, sign].  Labels are converted to
-    tuples so they sort deterministically.  Full map validation runs in the
-    constructor; the vertex list is checked against the edges.
-    """
-    def label(x):
-        return tuple(x) if isinstance(x, list) else (x,)
-
-    genus = data["genus"]
-    declared = {label(v) for v in data["vertices"]}
-    edges = {}
-    for eid, t, h in data["edges"]:
-        edges[label(eid)] = (label(t), label(h))
-        for v in (label(t), label(h)):
-            if v not in declared:
-                raise ValueError(f"edge endpoint {v} not in vertex list")
-    faces = []
-    for fid, cycle in data["faces"]:
-        faces.append((label(fid), [(label(e), int(s)) for e, s in cycle]))
-    cx = SurfaceComplex(genus, edges, faces)
-    if set(cx.vertices) != declared:
-        raise ValueError("vertex list does not match the edges used")
-    return cx
+    s1, s2 = hodge_star_signs["K1"], hodge_star_signs["K2"]
+    return {e: s2 * v for e, v in y.items()}, {e: s1 * v for e, v in x.items()}
 
 
 def default_sigma0(cx, excluded=()):
@@ -581,18 +494,6 @@ def default_sigma0(cx, excluded=()):
         if qv not in excluded:
             return qv
     raise ValueError("no admissible base vertex")
-
-
-def affine_constraint_rows(cx, index):
-    """Tetragon affinity rows B(v) + B(c) - B(m_in) - B(m_out) = 0."""
-    rows = []
-    for qid in sorted(cx.quarter_corners):
-        v, m_in, m_out, c = cx.quarter_corners[qid]
-        row = {index[v]: 1, index[c]: 1}
-        for mvert in (m_in, m_out):
-            row[index[mvert]] = row.get(index[mvert], 0) - 1
-        rows.append(row)
-    return rows
 
 
 def rational_rref(rows, ncols, rhs=None):

@@ -6,8 +6,8 @@ algebra.  This module builds the three time-twisted difference operators
 the closed-form determinant of the block operator that couples the primal
 and dual edge spaces of a quad-subdivided surface.  Everything here is a
 pure function of its arguments and runs on the standard library: the
-operators are assembled as sparse rows ({column: value}, densified by
-build_twisted) and their determinants taken by linalg.det.
+operators are assembled as sparse rows ({column: value}) and their
+determinants taken by linalg.det.
 
 Conventions shared with the rest of the package: Cartan elements are
 tuples in fundamental-weight coordinates, ad(b) rotates each positive-root
@@ -25,16 +25,13 @@ identity bar = (hat + check)/2 holds exactly at matrix level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lie import _off_walls, ad_det_k, is_regular, root_pairings
 from .linalg import det
 
 __all__ = [
-    "TwistedOperator",
     "algebra_dim",
-    "build_twisted",
     "det_twisted_restricted",
     "det_block",
 ]
@@ -47,24 +44,13 @@ def algebra_dim(lie):
     return lie.rank + 2 * len(lie.positive_roots)
 
 
-@dataclass(frozen=True, eq=False)
-class TwistedOperator:
-    """One time-twisted difference operator realized as a dense matrix.
-
-    The matrix is a list of rows acting on maps Z_n -> algebra laid out
-    time-major, one algebra block per time step.
-    """
-
-    variant: str
-    n: int
-    b: tuple
-    matrix: list
-
-
 def _twisted_rows(lie, variant, n, ts):
     """The twisted operator's rows, sparse: rows[i] maps column -> value.
 
-    ts are b's root pairings, root_pairings(lie, b).
+    hat is n*(shift exp(ad(b)/n) - 1), check is n*(1 - backshift
+    exp(-ad(b)/n)) and bar is their mean, which needs even n; the maps
+    Z_n -> algebra are laid out time-major.  ts are b's root pairings,
+    root_pairings(lie, b).
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -103,28 +89,6 @@ def _twisted_rows(lie, variant, n, ts):
                     if x:
                         row[base + j] = row.get(base + j, 0.0) + scale * x
     return rows
-
-
-def build_twisted(lie, variant, n, b):
-    """Dense time-twisted difference operator on maps Z_n -> algebra.
-
-    hat is n*(shift exp(ad(b)/n) - 1), check is n*(1 - backshift
-    exp(-ad(b)/n)), bar is their mean and needs even n.  The forward
-    exponential is built in closed form: the identity on the Cartan
-    coordinates and, at rows r+2p and r+2p+1 for the p-th positive root
-    alpha, the rotation [[cos phi, -sin phi], [sin phi, cos phi]] with
-    phi = 2*pi*<alpha, b>/n, the exponential of ad(b)/n.  The backward
-    exponential is its transpose (ad(b) is antisymmetric), which keeps the
-    mean identity exact at matrix level.  Applied to samples of a smooth
-    field, each variant reproduces the continuum operator d/dt + ad(b) to
-    first order in 1/n.
-    """
-    rows = _twisted_rows(lie, variant, n, root_pairings(lie, b))
-    mat = [[0.0] * len(rows) for _ in rows]
-    for dense, row in zip(mat, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return TwistedOperator(variant, n, tuple(b), mat)
 
 
 def _fourier_basis(n):

@@ -49,7 +49,6 @@ from itertools import combinations_with_replacement, product
 __all__ = [
     "LieData",
     "lie_data",
-    "inner",
     "root_pairings",
     "level_labels",
     "quantum_dim",
@@ -79,10 +78,9 @@ class LieData:
 
     series: str
     rank: int
-    gram: Mat                  # Gram matrix of fundamental weights, Fractions
-    scaled_gram: Mat           # (r+1) * gram, integers
-    cartan: Mat                # cartan[i][j] = coordinate i of simple root alpha_j
-    simple_roots: tuple        # weight-basis coordinates, also the coroots
+    scaled_gram: Mat           # (r+1) * Gram matrix of fundamental weights
+    simple_roots: Mat          # weight-basis coordinates, also the coroots;
+                               # the Cartan matrix, symmetric for A_r
     positive_roots: tuple      # alpha_i + ... + alpha_j, (i, j) in lex order
     rho: Vec
     theta: Vec                 # highest root
@@ -96,12 +94,10 @@ def _build_a_series(rank):
         tuple((r + 1) * min(i, j) - i * j for j in range(1, r + 1))
         for i in range(1, r + 1)
     )
-    gram = tuple(tuple(Fraction(c, r + 1) for c in row) for row in scaled_gram)
-    cartan = tuple(
+    simple = tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
         for i in range(r)
     )
-    simple = tuple(tuple(cartan[i][j] for i in range(r)) for j in range(r))
     positive = []
     for i in range(r):
         for j in range(i, r):
@@ -116,9 +112,7 @@ def _build_a_series(rank):
     return LieData(
         series=f"A{r}",
         rank=r,
-        gram=gram,
         scaled_gram=scaled_gram,
-        cartan=cartan,
         simple_roots=simple,
         positive_roots=tuple(positive),
         rho=rho,
@@ -140,23 +134,6 @@ def lie_data(series):
     if r < 1:
         raise ValueError("rank must be >= 1")
     return _build_a_series(r)
-
-
-def inner(lie, x, y):
-    """Normalized invariant pairing of two weight-basis coordinate vectors.
-
-    Exact coordinates (ints and Fractions) pair through the integer
-    scaled_gram with one division, (x.scaled_gram.y)/(r+1), the same
-    Fraction as the entrywise sum over gram; any float coordinate takes
-    that entrywise sum.
-    """
-    if all(isinstance(c, (int, Fraction)) for c in (*x, *y)):
-        u = [sum(a * s for a, s in zip(x, col))
-             for col in zip(*lie.scaled_gram)]
-        return Fraction(sum(a * c for a, c in zip(u, y)), lie.rank + 1)
-    g = lie.gram
-    r = lie.rank
-    return sum(g[i][j] * x[i] * y[j] for i in range(r) for j in range(r))
 
 
 def root_pairings(lie, x):
@@ -217,9 +194,13 @@ def quantum_dim(lie, k, lam):
     """sin-product dimension of a level-k label.
 
     The product over positive roots of sin(pi <alpha, lam + rho>/k) over
-    sin(pi <alpha, rho>/k).
+    sin(pi <alpha, rho>/k).  k and lam are taken by operator.index (see
+    _index); a level below 1 raises ValueError.
     """
-    shifted = tuple(l + p for l, p in zip(lam, lie.rho))
+    k = _index(k, "level")
+    if k < 1:
+        raise ValueError("level must be a positive integer")
+    shifted = tuple(l + p for l, p in zip(_weight(lam, "label"), lie.rho))
     num = 1.0
     den = 1.0
     for t, h in zip(root_pairings(lie, shifted), root_pairings(lie, lie.rho)):
@@ -401,10 +382,13 @@ def lattice_points_in_scaled_box(lie, k):
     j times scaled_gram's first column (which generates P/Q) for some j,
     so the points are enumerated directly: key = b_j + (r+1)q, with b_j
     that multiple reduced mod r+1, for j in 0..r and q in [0, k)^r, and
-    x = cartan.key/(r+1).  Returns the (r+1)k^r integer weight-coordinate
-    tuples, sorted.
+    x = cartan.key/(r+1), the Cartan matrix being simple_roots.  Returns
+    the (r+1)k^r integer weight-coordinate tuples, sorted.  A level below 1
+    raises ValueError.
     """
     k = _index(k, "level")
+    if k < 1:
+        raise ValueError("level must be a positive integer")
     n = lie.rank + 1
     col = [row[0] for row in lie.scaled_gram]
     out = []
@@ -413,6 +397,6 @@ def lattice_points_in_scaled_box(lie, k):
         for q in product(range(k), repeat=lie.rank):
             key = [b + n * a for b, a in zip(base, q)]
             out.append(tuple(sum(c * v for c, v in zip(row, key)) // n
-                             for row in lie.cartan))
+                             for row in lie.simple_roots))
     out.sort()
     return out

@@ -101,10 +101,6 @@ class OscGaussMeasure:
         return len(self.S)
 
     @property
-    def centered(self):
-        return all(x == 0 for x in self.m)
-
-    @property
     def kernel_dim(self):
         cut = _nonzero_cut(self.eigenvalues)
         return sum(1 for v in self.eigenvalues if abs(v) <= cut)

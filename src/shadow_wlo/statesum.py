@@ -216,6 +216,10 @@ def face_chi(link):
 
 
 def _face_weights(link, par):
+    """Face potentials u_i(Y_j) (rows ribbons, columns faces) over par.
+
+    u_i is ribbon i's orientation on every face it encloses and 0 outside.
+    """
     table = [[0] * len(par) for _ in link.ribbons]
     for j in range(1, len(par)):
         x = j
@@ -223,16 +227,6 @@ def _face_weights(link, par):
             table[x - 1][j] = link.ribbons[x - 1].orientation
             x = par[x]
     return tuple(tuple(row) for row in table)
-
-
-def face_weights(link):
-    """Face potential table u_i(Y_j): rows are ribbons, columns faces.
-
-    The i-th potential takes the ribbon's orientation value on every face
-    enclosed by ribbon i and vanishes outside, which normalizes it to zero
-    on the base face.
-    """
-    return _face_weights(link, _forest(link).parent)
 
 
 def gleam(link, face):
@@ -370,10 +364,11 @@ def _star_projected_differential(cx, f):
     """Apply the marked-complex star to the projected coboundary of f.
 
     Returns (primal, dual) coefficient dicts over the base edges, in
-    quarter units: 4 times star(project_to_K(coboundary(f))).  The
-    projection of an edge is the mean of its two halves x_a, x_b, so the
-    value is 2*s*(x_a + x_b), with s the star's sign; the halves telescope
-    to the difference of f at the edge's ends.  This is the holonomy-side
+    quarter units: 4 times star(project_to_K(coboundary(f))), where
+    project_to_K is the test oracle in tests/oracles.py.  The projection
+    of an edge is the mean of its two halves x_a, x_b, so the value is
+    2*s*(x_a + x_b), with s the star's sign; the halves telescope to the
+    difference of f at the edge's ends.  This is the holonomy-side
     momentum map whose value on a valid ribbon potential is the half-sum
     chain of the two boundary loops; an integer f gives integers.
     """

@@ -26,9 +26,11 @@ from itertools import permutations, product
 
 import numpy as np
 
+import oracles
+from oracles import build_twisted, inner
 from shadow_wlo.complex import hodge_star_signs
-from shadow_wlo.discrete import _restricted_basis, algebra_dim, build_twisted
-from shadow_wlo.lie import ad_det_k, inner, is_regular
+from shadow_wlo.discrete import _restricted_basis, algebra_dim
+from shadow_wlo.lie import ad_det_k, is_regular
 from shadow_wlo.oscillatory import _regularized_limit
 
 _BLOCK = 1 << 16  # quadrature points per slab
@@ -288,7 +290,7 @@ def covariance_vanishing_check(lie, cx, link, B, pairs=None, tol=1e-10):
     sol = act.basis @ np.linalg.solve(act.restricted, act.basis.T @ src)
     # contract the algebra index with the Cartan Gram matrix on the solved
     # side; sources have exact zeros outside their own Cartan direction
-    gram = np.array([[float(x) for x in row] for row in lie.gram])
+    gram = np.array([[float(x) for x in row] for row in oracles.gram(lie)])
     resh = sol.T.reshape(len(labels), -1, act.algebra_dim).copy()
     resh[:, :, :act.rank] = resh[:, :, :act.rank] @ gram.T
     weighted = resh.reshape(len(labels), -1).T

@@ -10,6 +10,7 @@ never the other way around.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -128,13 +129,39 @@ def coroot_coordinates(lie, x):
 
 
 # ---------------------------------------------------------------------------
+# the Gram pairing, which the package replaced by root_pairings
+
+
+@functools.lru_cache(maxsize=None)
+def gram(lie):
+    """Gram matrix of the fundamental weights: scaled_gram/(r+1), Fractions."""
+    return tuple(tuple(Fraction(c, lie.rank + 1) for c in row)
+                 for row in lie.scaled_gram)
+
+
+def inner(lie, x, y):
+    """Normalized invariant pairing of two weight-basis coordinate vectors.
+
+    Exact coordinates (ints and Fractions) pair through the integer
+    scaled_gram with one division, (x.scaled_gram.y)/(r+1), the same
+    Fraction as the entrywise sum over gram; any float coordinate takes
+    that entrywise sum.
+    """
+    if all(isinstance(c, (int, Fraction)) for c in (*x, *y)):
+        u = [sum(a * s for a, s in zip(x, col))
+             for col in zip(*lie.scaled_gram)]
+        return Fraction(sum(a * c for a, c in zip(u, y)), lie.rank + 1)
+    g = gram(lie)
+    r = lie.rank
+    return sum(g[i][j] * x[i] * y[j] for i in range(r) for j in range(r))
+
+
+# ---------------------------------------------------------------------------
 # the package's former root-pairing formulas, through the Gram pairing
 
 
 def quantum_dim_inner(lie, k, lam):
     """quantum_dim as it was: one Fraction pairing per root and label."""
-    from shadow_wlo.lie import inner
-
     shifted = tuple(l + p for l, p in zip(lam, lie.rho))
     num = 1.0
     den = 1.0
@@ -147,9 +174,7 @@ def quantum_dim_inner(lie, k, lam):
 
 
 def sine_product_inner(lie, b):
-    """sine_product as it was: prod 2 sin(pi <alpha, b>) by lie.inner."""
-    from shadow_wlo.lie import inner
-
+    """sine_product as it was: prod 2 sin(pi <alpha, b>) by inner."""
     out = 1.0
     for alpha in lie.positive_roots:
         out *= 2.0 * math.sin(math.pi * float(inner(lie, alpha, b)))
@@ -157,9 +182,7 @@ def sine_product_inner(lie, b):
 
 
 def ad_det_k_inner(lie, b):
-    """ad_det_k as it was: prod 4 sin^2(pi <alpha, b>) by lie.inner."""
-    from shadow_wlo.lie import inner
-
+    """ad_det_k as it was: prod 4 sin^2(pi <alpha, b>) by inner."""
     out = 1.0
     for alpha in lie.positive_roots:
         out *= 4.0 * math.sin(math.pi * float(inner(lie, alpha, b))) ** 2
@@ -168,8 +191,6 @@ def ad_det_k_inner(lie, b):
 
 def is_regular_inner(lie, b):
     """is_regular as it was: exact for rational b, else within 1e-9."""
-    from shadow_wlo.lie import inner
-
     exact = all(isinstance(c, (int, Fraction)) for c in b)
     for alpha in lie.positive_roots:
         a = inner(lie, alpha, b)
@@ -183,9 +204,7 @@ def is_regular_inner(lie, b):
 
 
 def rho_sine_constant_inner(lie, k):
-    """statesum._rho_sine_constant as it was, by lie.inner."""
-    from shadow_wlo.lie import inner
-
+    """statesum._rho_sine_constant as it was, by inner."""
     const = 1.0
     for alpha in lie.positive_roots:
         const *= 4.0 * math.sin(math.pi * float(inner(lie, lie.rho,
@@ -555,16 +574,16 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     terms_skipped_singular, terms), with the terms as WloTerm entries in
     base-point, then support-choice order.
 
-    Unlike the rest of this module it runs on the package's own pairing,
+    Unlike the rest of this module it runs on the package's own
     regularity test and sine product (test_lie checks those against the
     dense models above); what it keeps independent is the rational
-    bookkeeping that the production walk replaces by coset indices.
+    bookkeeping, paired by inner, that the production walk replaces by
+    coset indices.
     """
-    from shadow_wlo.lie import (inner, is_regular,
-                                lattice_points_in_scaled_box, sine_product,
-                                weight_multiplicities)
+    from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
+                                sine_product, weight_multiplicities)
     from shadow_wlo.statesum import (WloTerm, _Accumulator, _phase,
-                                     face_chi, face_weights, fusion_faces)
+                                     face_chi, fusion_faces)
 
     k = int(k)
     chi = face_chi(link)
@@ -754,11 +773,9 @@ def rational_rref_dense(rows, ncols, rhs=None):
 
 def _b0_rows(cx, sigma0, index):
     """Tetragon affinity rows plus constancy on the closed star of sigma0."""
-    from shadow_wlo.complex import affine_constraint_rows
-
     rows = affine_constraint_rows(cx, index)
     patch = set()
-    for qid in cx.quarters_at(sigma0):
+    for qid in quarters_at(cx, sigma0):
         patch.update(cx.quarter_corners[qid])
     patch.discard(sigma0)
     for qv in sorted(patch):
@@ -818,3 +835,105 @@ def eigen_quadrature_numpy(lam, shift, forms, eps, radius, count):
             term *= moments[i, axes.count(i)]
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# surface, operator and face-table helpers that only tests read
+
+
+def project_to_K(cx, x):
+    """Orthogonal projection of a qK 1-cochain onto the two K-edge spaces.
+
+    Returns (primal, dual): the value on a K1 edge is the mean of its two
+    halves, the value on the dual edge likewise; both are indexed by the
+    primal edge id (the dual edge of e shares its id).
+    """
+    half = Fraction(1, 2)
+    primal = {}
+    dual = {}
+    for e in cx.edges:
+        primal[e] = (x.get(("h1", e), 0) + x.get(("h2", e), 0)) * half
+        dual[e] = (x.get(("d1", e), 0) + x.get(("d2", e), 0)) * half
+    return primal, dual
+
+
+def psi_embed(cx, primal, dual=None):
+    """Half-edge embedding: each K-edge value is copied to both halves."""
+    out = {}
+    for e, val in primal.items():
+        out[("h1", e)] = val
+        out[("h2", e)] = val
+    if dual is not None:
+        for e, val in dual.items():
+            out[("d1", e)] = val
+            out[("d2", e)] = val
+    return out
+
+
+def affine_constraint_rows(cx, index):
+    """Tetragon affinity rows B(v) + B(c) - B(m_in) - B(m_out) = 0."""
+    rows = []
+    for qid in sorted(cx.quarter_corners):
+        v, m_in, m_out, c = cx.quarter_corners[qid]
+        row = {index[v]: 1, index[c]: 1}
+        for mvert in (m_in, m_out):
+            row[index[mvert]] = row.get(index[mvert], 0) - 1
+        rows.append(row)
+    return rows
+
+
+def quarters_at(cx, qk_vertex):
+    """All quarters of cx whose closure contains the given qK vertex."""
+    return tuple(qid for qid, cs in cx.quarter_corners.items()
+                 if qk_vertex in cs)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class TwistedOperator:
+    """One time-twisted difference operator realized as a dense matrix.
+
+    The matrix is a list of rows acting on maps Z_n -> algebra laid out
+    time-major, one algebra block per time step.
+    """
+
+    variant: str
+    n: int
+    b: tuple
+    matrix: list
+
+
+def build_twisted(lie, variant, n, b):
+    """Dense time-twisted difference operator on maps Z_n -> algebra.
+
+    hat is n*(shift exp(ad(b)/n) - 1), check is n*(1 - backshift
+    exp(-ad(b)/n)), bar is their mean and needs even n.  The forward
+    exponential is built in closed form: the identity on the Cartan
+    coordinates and, at rows r+2p and r+2p+1 for the p-th positive root
+    alpha, the rotation [[cos phi, -sin phi], [sin phi, cos phi]] with
+    phi = 2*pi*<alpha, b>/n, the exponential of ad(b)/n.  The backward
+    exponential is its transpose (ad(b) is antisymmetric), which keeps the
+    mean identity exact at matrix level.  Applied to samples of a smooth
+    field, each variant reproduces the continuum operator d/dt + ad(b) to
+    first order in 1/n.  The rows are discrete._twisted_rows, densified.
+    """
+    from shadow_wlo.discrete import _twisted_rows
+    from shadow_wlo.lie import root_pairings
+
+    rows = _twisted_rows(lie, variant, n, root_pairings(lie, b))
+    mat = [[0.0] * len(rows) for _ in rows]
+    for dense, row in zip(mat, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return TwistedOperator(variant, n, tuple(b), mat)
+
+
+def face_weights(link):
+    """Face potential table u_i(Y_j): rows are ribbons, columns faces.
+
+    The i-th potential takes the ribbon's orientation value on every face
+    enclosed by ribbon i and vanishes outside, which normalizes it to zero
+    on the base face.
+    """
+    from shadow_wlo.statesum import _face_weights, _forest
+
+    return _face_weights(link, _forest(link).parent)

@@ -14,11 +14,12 @@ import pytest
 
 import oracles
 from numpy_models import covariance_vanishing_check, delta_limit, grid_oracle
+from oracles import inner
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import build_standard_surface, kernel_check_B0
 from shadow_wlo.discrete import det_block, det_twisted_restricted
-from shadow_wlo.lie import (fusion_coefficient, inner, is_regular,
-                            level_labels, lie_data, quantum_dim)
+from shadow_wlo.lie import (fusion_coefficient, is_regular, level_labels,
+                            lie_data, quantum_dim)
 from shadow_wlo.oscillatory import (OscGaussMeasure, epsilon_oracle,
                                     first_second_moments, integrate_constant)
 from shadow_wlo.statesum import RibbonLink

