@@ -469,10 +469,9 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "run":
-        argv = argv[1:]
+@lru_cache(maxsize=None)
+def _parser():
+    """The command line parser, built on first use and kept per process."""
     parser = argparse.ArgumentParser(
         prog="shadow-wlo",
         description="State sums for colored ribbon links: holonomy side, "
@@ -491,6 +490,14 @@ def main(argv=None):
     parser.add_argument("--tolerance", type=_tolerance, default=1e-9,
                         help="relative tolerance for the comparison "
                              "(default 1e-9)")
+    return parser
+
+
+def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] == "run":
+        argv = argv[1:]
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if os.environ.get("SHADOW_WLO_SEED") is not None:

@@ -22,13 +22,15 @@ both state sums then read the nesting forest only.
 What the sums read of a link is one forest record (_forest), validated
 once per evaluation; what they read of a level is one cached table per
 (group, level): the coset table, and the labels with their quantum
-dimensions and phase exponents (_label_table).  Both tables, and the
-nonzero fusion rows of each color (lie._fusion_table), are built directly
-in integer arithmetic.
+dimensions and phase exponents (_label_table).  The holonomy sum also
+reads one cached shift table per (group, level, step) (_shift_table).
+These tables, and the nonzero fusion rows of each color
+(lie._fusion_table), are built directly in integer arithmetic.
 """
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -657,35 +659,30 @@ def validate_link(link):
 # the holonomy side
 
 
-def _neumaier(s, c, x):
-    """One Neumaier step: add x to the running sum s with compensation c."""
-    t = s + x
-    if abs(s) >= abs(x):
-        return t, c + ((s - t) + x)
-    return t, c + ((x - t) + s)
-
-
-class _Accumulator:
-    """Compensated complex accumulator."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z):
-        self.re, self.cre = _neumaier(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
-
-    def value(self):
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
 def _compensated_sum(values):
-    acc = _Accumulator()
-    for v in values:
-        acc.add(v)
-    return acc.value()
+    """Sum complex (or real) values in order, Neumaier-compensated.
+
+    The real and the imaginary parts each carry a running sum and a
+    compensation; every step adds x to the sum s and the rounding error of
+    s + x, taken from the larger of |s| and |x|, to the compensation.
+    """
+    re = im = cre = cim = 0.0
+    for z in values:
+        x = z.real
+        t = re + x
+        if abs(re) >= abs(x):
+            cre += (re - t) + x
+        else:
+            cre += (x - t) + re
+        re = t
+        x = z.imag
+        t = im + x
+        if abs(im) >= abs(x):
+            cim += (im - t) + x
+        else:
+            cim += (x - t) + im
+        im = t
+    return complex(re + cre, im + cim)
 
 
 def _phase(q):
@@ -711,13 +708,15 @@ class _CosetTable(NamedTuple):
     order.  A weight x has coroot coordinates scaled_gram.x / (r+1); its
     coset key is scaled_gram.x reduced mod (r+1)k, and index maps keys to
     positions in reps, in that order.  regular and sines hold the
-    regularity of rep/k and sine_product(rep/k) (0.0 where singular), and
+    regularity of rep/k and sine_product(rep/k) (0.0 where singular), live
+    the positions of the regular representatives in increasing order, and
     phases is the phase table of modulus (r+1)k.
     """
 
     reps: tuple
     index: MappingProxyType
     regular: tuple
+    live: tuple
     sines: tuple
     phases: tuple
 
@@ -755,8 +754,39 @@ def _coset_table(lie, k):
                     sine[t] = 2.0 * math.sin(math.pi * (t / k))
                 s *= sine[t]
         sines.append(s)
-    return _CosetTable(reps, MappingProxyType(index), tuple(regular),
+    live = tuple(pos for pos, ok in enumerate(regular) if ok)
+    return _CosetTable(reps, MappingProxyType(index), tuple(regular), live,
                        tuple(sines), _phase_table((lie.rank + 1) * k))
+
+
+@lru_cache(maxsize=None)
+def _shift_table(lie, k, step):
+    """Where a face moves by step, over the live cosets of (lie, k).
+
+    step = o alpha is the weight by which a ribbon of orientation o moves
+    the face below it, for alpha in the ribbon's color support.  Returns
+    two integer arrays aligned with the coset table's live positions: the
+    position of the coset of rep + step, and the exponent
+    2 step.key + step.(scaled_gram.step) reduced mod 2(r+1)k, which is
+    (r+1)(2<step, rep> + <step, step>).  A ribbon of winding w gives the
+    summand at rep the phase index o w times that exponent, because
+    o^2 = 1.  The tables hold no scalars; dual colors met with opposite
+    orientations share them.
+    """
+    table = _coset_table(lie, k)
+    modulus = (lie.rank + 1) * k
+    g_step = tuple(_dot(row, step) for row in lie.scaled_gram)
+    keys = tuple(table.index)
+    # one list per key coordinate, over the live cosets
+    cols = list(zip(*[keys[pos] for pos in table.live]))
+    # key(x + step) = key(x) + scaled_gram.step, coordinatewise
+    moved = [[(a + g) % modulus for a in col] for col, g in zip(cols, g_step)]
+    # 4 bytes an entry: positions lie below |P/kQ|, exponents below 2(r+1)k
+    shifted = array("i", map(table.index.__getitem__, zip(*moved)))
+    expo = [_dot(g_step, step)] * len(table.live)
+    for col, s in zip(cols, step):
+        expo = [e + 2 * s * a for e, a in zip(expo, col)]
+    return shifted, array("i", [e % (2 * modulus) for e in expo])
 
 
 def _wlo_contract(lie, k, link, forest):
@@ -767,13 +797,16 @@ def _wlo_contract(lie, k, link, forest):
     a vector over the cosets: [regular] sine^chi_c times the kernels of
     its child ribbons.  The kernel of ribbon i at parent coset x sums, over
     its color support, mult(alpha) exp(i pi w_i <alpha, 2x + o_i alpha>/k)
-    times the child vector at x + o_i alpha.  The integer vectors count
-    regular paths the same way, weight one per support choice.
+    times the child vector at x + o_i alpha, reading the shift table of
+    step o_i alpha.  The integer vectors count regular paths the same way,
+    weight one per support choice.
     """
     table = _coset_table(lie, k)
     par = forest.parent
+    live = table.live
+    phases = table.phases
+    m2 = len(phases)
     size = total = len(table.reps)
-    modulus = (lie.rank + 1) * k
     vals = []
     counts = []
     for x in forest.chi:
@@ -782,24 +815,17 @@ def _wlo_contract(lie, k, link, forest):
         counts.append([int(ok) for ok in table.regular])
     for c in forest.order:
         rib = link.ribbons[c - 1]
-        o, w = rib.orientation, int(rib.winding)
+        o, ow = rib.orientation, rib.orientation * int(rib.winding)
         child, child_count = vals[c], counts[c]
         kern = [0j] * size
         kern_count = [0] * size
         support = sorted(weight_multiplicities(lie, rib.color).items())
         total *= len(support)
         for alpha, mult in support:
-            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
-            self_pair = o * _dot(g_alpha, alpha)
-            # key(x + o alpha) = key(x) + o g_alpha, and 2(r+1)<alpha, x>
-            # = 2 alpha.key(x) mod 2(r+1)k
-            for pos, key in enumerate(table.index):
-                if not table.regular[pos]:
-                    continue
-                y = table.index[tuple((a + o * g) % modulus
-                                      for a, g in zip(key, g_alpha))]
-                e = w * (2 * _dot(alpha, key) + self_pair) % (2 * modulus)
-                kern[pos] += mult * table.phases[e] * child[y]
+            shifted, expo = _shift_table(lie, k,
+                                         tuple(o * a for a in alpha))
+            for pos, y, e in zip(live, shifted, expo):
+                kern[pos] += mult * phases[ow * e % m2] * child[y]
                 kern_count[pos] += child_count[y]
         vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
         counts[par[c]] = [v * q for v, q in zip(counts[par[c]], kern_count)]
@@ -842,7 +868,7 @@ def _wlo_terms(lie, k, link, forest):
         keys = [_coset_key(lie, modulus, shift) for shift in shifts]
         choices.append((alphas, math.prod(n for _, n in choice), shifts,
                         keys, pull, e0))
-    acc = _Accumulator()
+    summands = []
     skipped = 0
     terms = []
     for alpha0 in table.reps:
@@ -859,13 +885,14 @@ def _wlo_terms(lie, k, link, forest):
             for p, x in zip(pos, forest.chi):
                 det *= table.sines[p] ** x
             e = (_dot(pull, alpha0) + e0) % (2 * modulus)
-            acc.add(mult * det * table.phases[e])
+            summands.append(mult * det * table.phases[e])
             faces = tuple(tuple(Fraction(a + s, k)
                                 for a, s in zip(alpha0, shift))
                           for shift in shifts)
             terms.append(WloTerm(alpha0, alphas, mult, faces,
                                  Fraction(e, modulus)))
-    return StateSumResult(acc.value(), len(table.reps) * len(choices),
+    return StateSumResult(_compensated_sum(summands),
+                          len(table.reps) * len(choices),
                           skipped, terms=tuple(terms))
 
 

@@ -582,7 +582,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     """
     from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                                 sine_product, weight_multiplicities)
-    from shadow_wlo.statesum import (WloTerm, _Accumulator, _phase,
+    from shadow_wlo.statesum import (WloTerm, _compensated_sum, _phase,
                                      face_chi, fusion_faces)
 
     k = int(k)
@@ -619,7 +619,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
         combos.append((alphas, mult, tuple(shifts), wsum, q0))
 
     reps = lattice_points_in_scaled_box(lie, k) if bases is None else bases
-    acc = _Accumulator()
+    summands = []
     skipped = 0
     terms = []
     for alpha0 in reps:
@@ -639,10 +639,61 @@ def wlo_terms_fraction(lie, k, link, bases=None):
             for b, x in zip(faces, chi):
                 det *= sine_product(lie, b) ** x
             q = (2 * Fraction(inner(lie, wsum, alpha0)) + q0) / k
-            acc.add(mult * det * _phase(q))
+            summands.append(mult * det * _phase(q))
             terms.append(WloTerm(tuple(alpha0), alphas, mult, tuple(faces),
                                  q % 2))
-    return acc.value(), len(reps) * len(combos), skipped, tuple(terms)
+    return (_compensated_sum(summands), len(reps) * len(combos), skipped,
+            tuple(terms))
+
+
+def wlo_contract_keyed(lie, k, link, forest):
+    """The holonomy contraction on coset keys, one dict lookup per term.
+
+    The package's former _wlo_contract, moved here verbatim when the
+    contraction began to read cached shift tables: for every (alpha,
+    coset) pair it builds the shifted coset key, looks it up in the coset
+    index and pairs alpha with the key.  The production contraction must
+    equal it bit for bit, census included.
+    """
+    from shadow_wlo.lie import weight_multiplicities
+    from shadow_wlo.statesum import (StateSumResult, _compensated_sum,
+                                     _coset_table, _dot)
+
+    table = _coset_table(lie, k)
+    par = forest.parent
+    size = total = len(table.reps)
+    modulus = (lie.rank + 1) * k
+    vals = []
+    counts = []
+    for x in forest.chi:
+        vals.append([s ** x if ok else 0.0
+                     for s, ok in zip(table.sines, table.regular)])
+        counts.append([int(ok) for ok in table.regular])
+    for c in forest.order:
+        rib = link.ribbons[c - 1]
+        o, w = rib.orientation, int(rib.winding)
+        child, child_count = vals[c], counts[c]
+        kern = [0j] * size
+        kern_count = [0] * size
+        support = sorted(weight_multiplicities(lie, rib.color).items())
+        total *= len(support)
+        for alpha, mult in support:
+            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
+            self_pair = o * _dot(g_alpha, alpha)
+            # key(x + o alpha) = key(x) + o g_alpha, and 2(r+1)<alpha, x>
+            # = 2 alpha.key(x) mod 2(r+1)k
+            for pos, key in enumerate(table.index):
+                if not table.regular[pos]:
+                    continue
+                y = table.index[tuple((a + o * g) % modulus
+                                      for a, g in zip(key, g_alpha))]
+                e = w * (2 * _dot(alpha, key) + self_pair) % (2 * modulus)
+                kern[pos] += mult * table.phases[e] * child[y]
+                kern_count[pos] += child_count[y]
+        vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
+        counts[par[c]] = [v * q for v, q in zip(counts[par[c]], kern_count)]
+    return StateSumResult(_compensated_sum(vals[0]), total,
+                          total - sum(counts[0]))
 
 
 def step6_aggregate(lie, k, link):
@@ -652,16 +703,49 @@ def step6_aggregate(lie, k, link):
     the term values per coloring class.  Together with the per-class
     shadow summands this exhibits the state sum identity class by class.
     """
-    from shadow_wlo.statesum import (_Accumulator, step6_transform,
+    from shadow_wlo.statesum import (_compensated_sum, step6_transform,
                                      wlo_unnormalized)
 
     res = wlo_unnormalized(lie, k, link, record_terms=True)
     out = {}
     for term in res.terms:
         st = step6_transform(lie, k, link, term)
-        acc = out.setdefault(st.labels, _Accumulator())
-        acc.add(st.value)
-    return {key: acc.value() for key, acc in sorted(out.items())}
+        out.setdefault(st.labels, []).append(st.value)
+    return {key: _compensated_sum(values)
+            for key, values in sorted(out.items())}
+
+
+# ---------------------------------------------------------------------------
+# compensated summation
+
+
+def _neumaier(s, c, x):
+    """One Neumaier step: add x to the running sum s with compensation c."""
+    t = s + x
+    if abs(s) >= abs(x):
+        return t, c + ((s - t) + x)
+    return t, c + ((x - t) + s)
+
+
+class Accumulator:
+    """Compensated complex accumulator.
+
+    The package's former _Accumulator, frozen when its two Neumaier steps
+    moved inline into statesum._compensated_sum, which must return the
+    same complex as adding every value here in order.
+    """
+
+    __slots__ = ("re", "im", "cre", "cim")
+
+    def __init__(self):
+        self.re = self.im = self.cre = self.cim = 0.0
+
+    def add(self, z):
+        self.re, self.cre = _neumaier(self.re, self.cre, z.real)
+        self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
+
+    def value(self):
+        return complex(self.re + self.cre, self.im + self.cim)
 
 
 # ---------------------------------------------------------------------------

@@ -542,3 +542,64 @@ def test_complex_values_are_pairs(capsys):
         val = report["results"][key]["value"]
         assert isinstance(val, list) and len(val) == 2
         assert all(isinstance(x, float) for x in val)
+
+
+# Runs each argv of a JSON list through cli.main in this one process and
+# prints, per call, the exit code, stdout and stderr, the timing line masked.
+SEQUENCE = (
+    "import contextlib, io, json, re, sys\n"
+    "from shadow_wlo import cli\n"
+    "calls = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        with contextlib.redirect_stderr(err):\n"
+    "            try:\n"
+    "                code = cli.main(argv)\n"
+    "            except SystemExit as exc:\n"
+    "                code = exc.code\n"
+    "    calls.append([code, out.getvalue(),\n"
+    "                  re.sub(r'wall clock: \\S+', 'wall clock: T',\n"
+    "                         err.getvalue())])\n"
+    "sys.__stdout__.write(json.dumps(calls))\n"
+)
+
+
+def test_parser_reused_within_a_process(tmp_path):
+    """Three calls of main in one process, as each gives in a fresh one.
+
+    The parser is built once per process: a rejected --tolerance, a run
+    and --selfcheck after it keep their exit codes, their messages and
+    report bytes (tests/golden/).
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("COLUMNS", None)
+
+    def calls(argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", SEQUENCE, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def argvs(side):
+        return [["run", str(CONFIGS / "unknot_su2_k4.json"),
+                 "--tolerance", "nan"],
+                ["run", str(CONFIGS / "nested_pair_su3_k6.json"),
+                 "--out", str(tmp_path / side / "nested_pair_su3_k6.json")],
+                ["--selfcheck",
+                 "--out", str(tmp_path / side / "selfcheck_option.json")]]
+
+    (tmp_path / "one").mkdir()
+    (tmp_path / "fresh").mkdir()
+    together = calls(argvs("one"))
+    apart = [calls([argv])[0] for argv in argvs("fresh")]
+    assert together == apart
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert "--tolerance" in together[0][2]
+    for name in ("nested_pair_su3_k6.json", "selfcheck_option.json"):
+        golden = (GOLDEN / name).read_bytes()
+        assert (tmp_path / "one" / name).read_bytes() == golden
+        assert (tmp_path / "fresh" / name).read_bytes() == golden

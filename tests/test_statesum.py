@@ -775,6 +775,144 @@ def test_contraction_on_a_branching_forest():
     _assert_contraction_matches(A2, 5, link)
 
 
+# ---------------------------------------------------------------------------
+# the contraction on shift tables against the keyed contraction
+
+
+def _assert_keyed_contraction_equal(lie, k, link):
+    """The shift-table contraction equals the keyed one bit for bit."""
+    forest = ss._forest(link)
+    got = ss._wlo_contract(lie, k, link, forest)
+    want = oracles.wlo_contract_keyed(lie, k, link, forest)
+    assert got.value == want.value
+    assert got.terms_total == want.terms_total
+    assert got.terms_skipped_singular == want.terms_skipped_singular
+
+
+def test_shift_table_contraction_equals_keyed_on_corpus(corpus):
+    for ent in corpus:
+        _assert_keyed_contraction_equal(_lie(ent), ent.level, ent.link)
+
+
+def test_shift_table_contraction_equals_keyed_on_benchmark_shapes():
+    # the forest benchmark's A2 k=5 branching forest and A1 k=10 chain, and
+    # the fusion benchmark's A2 k=7 genus-1 chain, over windings and signs
+    _assert_keyed_contraction_equal(A2, 5, _branching_forest())
+    for (w1, s1), (w2, s2) in product(product((-2, 1), (1, -1)), repeat=2):
+        _assert_keyed_contraction_equal(A1, 10, ss._chain(0, (
+            ((1,), w1, s1), ((2,), w2, s2), ((1,), w2, s1), ((2,), w1, s2))))
+        _assert_keyed_contraction_equal(A2, 7, ss._chain(1, (
+            ((1, 0), w1, s1), ((0, 1), w2, s2))))
+
+
+@st.composite
+def _keyed_links(draw):
+    """A1 or A2 at k 2..8, genus 0..2, up to three nested ribbons."""
+    lie = draw(st.sampled_from((A1, A2)))
+    k = draw(st.integers(2, 8))
+    colors = ([(0,), (1,), (2,), (3,)] if lie.rank == 1 else
+              [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+    m = draw(st.integers(0, 3))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    ribbons = [None] * m
+    for face in range(1, m + 1):
+        ribbons[label[face] - 1] = ss.ColoredRibbon(
+            draw(st.sampled_from(colors)), draw(st.integers(-3, 3)),
+            draw(st.sampled_from((1, -1))),
+            label[draw(st.integers(0, face - 1))])
+    return lie, k, ss.RibbonLink(draw(st.integers(0, 2)), tuple(ribbons))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_keyed_links())
+def test_shift_table_contraction_equals_keyed_on_random_links(case):
+    _assert_keyed_contraction_equal(*case)
+
+
+def test_shift_tables_are_exact():
+    """Each shift table entry against the coset key and the Gram pairing.
+
+    For every live representative x and every step +-alpha, alpha in the
+    support of a color of level at most 2: the shifted position is the
+    index of x + step's coset key, and the exponent is congruent to
+    (r+1)(2<step, x> + <step, step>) mod 2(r+1)k.
+    """
+    for lie, colors in ((A1, [(0,), (1,), (2,)]),
+                        (A2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                              (0, 2)])):
+        steps = {tuple(o * a for a in alpha)
+                 for color in colors
+                 for alpha in weight_multiplicities(lie, color)
+                 for o in (1, -1)}
+        n = lie.rank + 1
+        for k in range(1, 7):
+            table = ss._coset_table(lie, k)
+            modulus = n * k
+            for step in sorted(steps):
+                shifted, expo = ss._shift_table(lie, k, step)
+                assert len(shifted) == len(expo) == len(table.live)
+                for pos, y, e in zip(table.live, shifted, expo):
+                    x = table.reps[pos]
+                    moved = tuple(a + b for a, b in zip(x, step))
+                    assert y == table.index[ss._coset_key(lie, modulus,
+                                                          moved)]
+                    want = n * (2 * oracles.inner(lie, step, x)
+                                + oracles.inner(lie, step, step))
+                    assert 0 <= e < 2 * modulus
+                    assert (Fraction(e) - want) % (2 * modulus) == 0
+
+
+def test_shift_tables_shared_by_dual_steps_and_cached():
+    # (1,0) at o=+1 steps by its weights; (0,1) at o=-1 by the negatives
+    # of its own, the same three weights
+    link = ss._chain(0, (((1, 0), 1, 1), ((0, 1), 2, -1)))
+    ss._shift_table.cache_clear()
+    ss.wlo_unnormalized(A2, 5, link)
+    info = ss._shift_table.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    ss.wlo_unnormalized(A2, 5, link)
+    assert ss._shift_table.cache_info().misses == 3
+
+
+# ---------------------------------------------------------------------------
+# compensated summation against the frozen accumulator
+
+
+_parts = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda mant, exp, sign: sign * mant * 10.0 ** exp,
+              st.floats(1.0, 9.99), st.integers(-300, 299),
+              st.sampled_from((1.0, -1.0))))
+
+
+@st.composite
+def _summands(draw):
+    """Complex and real values from 1e-300 to 1e300 and signed zeros,
+    sometimes each met by its negation so that the exact sum is zero."""
+    values = draw(st.lists(st.one_of(_parts, st.builds(complex, _parts,
+                                                       _parts)),
+                           max_size=12))
+    if draw(st.booleans()):
+        values = draw(st.permutations(values + [-v for v in values]))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summands())
+def test_compensated_sum_equals_frozen_accumulator(values):
+    acc = oracles.Accumulator()
+    for v in values:
+        acc.add(v)
+    assert repr(ss._compensated_sum(values)) == repr(acc.value())
+
+
+def test_compensated_sum_cancels_exactly():
+    # the running sums start at +0.0, so zeros of either sign give +0
+    assert repr(ss._compensated_sum([-0.0, complex(-0.0, -0.0)])) == "0j"
+    assert ss._compensated_sum([1e300, 1.0, -1e300]) == 1.0
+    assert ss._compensated_sum([1e-300j, 1e300j, -1e300j]) == 1e-300j
+
+
 def test_certificate_beyond_explicit_enumeration():
     """A 12-ribbon chain that no enumeration could evaluate.
 
