@@ -14,9 +14,9 @@ is defined here beside the subdivision it indexes.
 
 The B0 kernel check first merges the vertices its equality conditions
 tie together (the star of the base vertex, the ends of each primal and
-dual edge) into classes, then solves the tetragon affinity on the class
-values with rational_rref: fraction-free Gauss-Jordan elimination in
-integers, with one normalization by the pivots at the end.
+dual edge) into classes, then takes the rank of the tetragon affinity on
+the class values with rational_rref: forward fraction-free elimination
+in integers, which returns the rank alone.
 
 Orientation conventions, fixed once here and asserted by tests:
   - face cycles are counterclockwise w.r.t. the surface orientation;
@@ -29,9 +29,8 @@ Orientation conventions, fixed once here and asserted by tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "SurfaceComplex",
@@ -496,40 +495,28 @@ def default_sigma0(cx, excluded=()):
     raise ValueError("no admissible base vertex")
 
 
-def rational_rref(rows, ncols, rhs=None):
-    """Exact row reduction of a sparse rational system.
+def rational_rref(rows):
+    """Rank of a sparse integer system, by fraction-free elimination.
 
-    rows: list of {col: int or Fraction}.  rhs: optional list of ints or
-    Fractions.  Each row is scaled to integers by the lcm of its
-    denominators and stays sparse, with the rhs in column ncols.
-    Fraction-free Gauss-Jordan elimination: each row pivots on its first
-    nonzero column and is eliminated from every other row as
-    other = pv*other - f*row, which is then divided by the gcd of its
-    entries.  Scaling a row never moves a pivot, so dividing each pivot
-    row by its pivot once, at the end, yields the unique reduced row
-    echelon form.  Returns (rank, pivots, solution, nullspace) where
-    solution is one solution of rows*x = rhs as Fractions (None if
-    inconsistent or rhs omitted) and nullspace is a list of basis vectors
-    (dense tuples of Fractions) of the kernel.
+    rows: list of {col: int}.  Forward elimination: each row pivots on its
+    first nonzero column and is eliminated only from the rows after it,
+    as other = pv*other - f*row, which is then divided by the gcd of its
+    entries.  The rows that keep a pivot are independent, so their count
+    is the rank.  The name is that of the former full reduction, kept
+    because the benchmark's tracer wraps complex.rational_rref.
     """
-    work = []
-    for i, row in enumerate(rows):
-        vec = {c: v for c, v in row.items() if v}
-        if rhs is not None and rhs[i]:
-            vec[ncols] = rhs[i]
-        den = lcm(*(v.denominator for v in vec.values()))
-        work.append({c: v.numerator * (den // v.denominator)
-                     for c, v in vec.items()})
-    reduced = {}
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    rank = 0
     for i, vec in enumerate(work):
-        col = min((c for c in vec if c < ncols), default=None)
-        if col is None:
+        if not vec:
             continue
-        reduced[col] = i
+        rank += 1
+        col = min(vec)
         pv = vec[col]
-        for j, other in enumerate(work):
+        for j in range(i + 1, len(work)):
+            other = work[j]
             f = other.get(col)
-            if f is None or j == i:
+            if f is None:
                 continue
             new = {c: pv * v for c, v in other.items()}
             for c, v in vec.items():
@@ -539,24 +526,7 @@ def rational_rref(rows, ncols, rhs=None):
                     del new[c]
             g = gcd(*new.values())
             work[j] = {c: v // g for c, v in new.items()} if g > 1 else new
-    pivots = sorted(reduced)
-    solution = None
-    # a row reduced to its rhs alone reads 0 = b with b nonzero
-    if rhs is not None and not any(list(vec) == [ncols] for vec in work):
-        solution = [Fraction(0)] * ncols
-        for col in pivots:
-            row = work[reduced[col]]
-            solution[col] = Fraction(row.get(ncols, 0), row[col])
-    free = [c for c in range(ncols) if c not in reduced]
-    nullspace = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for col, i in reduced.items():
-            row = work[i]
-            vec[col] = Fraction(-row.get(fc, 0), row[col])
-        nullspace.append(tuple(vec))
-    return len(pivots), pivots, solution, nullspace
+    return rank
 
 
 def kernel_check_B0(cx, sigma0=None):
@@ -573,9 +543,11 @@ def kernel_check_B0(cx, sigma0=None):
     dimension #classes - rank of the quotient rows, found by exact
     elimination.
     """
+    parent = {qv: qv for qv in cx.qk_vertices}
     if sigma0 is None:
         sigma0 = default_sigma0(cx)
-    parent = {qv: qv for qv in cx.qk_vertices}
+    elif sigma0 not in parent:
+        raise ValueError(f"base vertex {sigma0!r} is not a qK vertex")
 
     def union(a, b):
         parent[_find(parent, a)] = _find(parent, b)
@@ -605,8 +577,7 @@ def kernel_check_B0(cx, sigma0=None):
             row[col] = row.get(col, 0) + coef
         if any(row.values()):
             rows.append(row)
-    rank = rational_rref(rows, len(cls))[0]
-    return len(cls) - rank == 1
+    return len(cls) - rational_rref(rows) == 1
 
 
 def face_euler_characteristics(cx, regions):

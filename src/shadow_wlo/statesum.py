@@ -834,63 +834,64 @@ def _wlo_contract(lie, k, link, forest):
 
 
 def _wlo_terms(lie, k, link, forest):
-    """Every holonomy term explicitly, on the coset table.
+    """Every holonomy term explicitly, walking the shift tables.
 
-    Per support choice, face c = i+1 lifts to beta_c = beta_parent +
-    o_i alpha_i above the base representative alpha0 = beta_0, and the
-    phase exponent is the contraction's sum_i w_i (2 g_alpha_i.beta_parent
-    + o_i g_alpha_i.alpha_i) mod 2(r+1)k.  Both are split into an integer
-    part fixed by the choice and a part linear in alpha0, and every face
-    is looked up by its coset for regularity and sine.  Terms come in the
-    order of the representatives, then of the choices.
+    Per support choice, face c = i+1 sits at the coset of beta_c =
+    beta_parent + o_i alpha_i above the base representative alpha0 =
+    beta_0.  The shift table of step o_i alpha_i, read at the parent's
+    live position, gives the child's position and the exponent that
+    o_i w_i times adds to the phase index, as in the contraction; a term
+    stops at its first singular face.  The recorded holonomies are the
+    unreduced lifts beta_c/k.  Terms come in the order of the
+    representatives, then of the choices.
     """
     table = _coset_table(lie, k)
     par = forest.parent
-    r = lie.rank
-    modulus = (r + 1) * k
-    top_down = forest.order[::-1]
+    modulus = (lie.rank + 1) * k
+    slot = {pos: i for i, pos in enumerate(table.live)}
     supports = [sorted(weight_multiplicities(lie, rib.color).items())
                 for rib in link.ribbons]
     choices = []
     for choice in product(*supports):
         alphas = tuple(alpha for alpha, _ in choice)
-        shifts = [(0,) * r] * len(par)
-        pull = [0] * r
-        e0 = 0
-        for c in top_down:
+        shifts = [(0,) * lie.rank] * len(par)
+        walk = []
+        for c in forest.order[::-1]:
             rib = link.ribbons[c - 1]
-            o, w, alpha = rib.orientation, int(rib.winding), alphas[c - 1]
-            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
-            up = shifts[par[c]]
-            shifts[c] = tuple(s + o * a for s, a in zip(up, alpha))
-            e0 += w * (2 * _dot(g_alpha, up) + o * _dot(g_alpha, alpha))
-            pull = [p + 2 * w * g for p, g in zip(pull, g_alpha)]
-        keys = [_coset_key(lie, modulus, shift) for shift in shifts]
+            step = tuple(rib.orientation * a for a in alphas[c - 1])
+            shifts[c] = tuple(s + t for s, t in zip(shifts[par[c]], step))
+            walk.append((c, par[c], rib.orientation * int(rib.winding))
+                        + _shift_table(lie, k, step))
         choices.append((alphas, math.prod(n for _, n in choice), shifts,
-                        keys, pull, e0))
+                        walk))
     summands = []
     skipped = 0
     terms = []
-    for alpha0 in table.reps:
-        # keys are linear mod (r+1)k: key(alpha0 + s) = key(alpha0) + key(s)
-        base = _coset_key(lie, modulus, alpha0)
-        for alphas, mult, shifts, keys, pull, e0 in choices:
-            pos = [table.index[tuple((a + b) % modulus
-                                     for a, b in zip(base, key))]
-                   for key in keys]
-            if not all(table.regular[p] for p in pos):
-                skipped += 1
-                continue
-            det = 1.0
-            for p, x in zip(pos, forest.chi):
-                det *= table.sines[p] ** x
-            e = (_dot(pull, alpha0) + e0) % (2 * modulus)
-            summands.append(mult * det * table.phases[e])
-            faces = tuple(tuple(Fraction(a + s, k)
-                                for a, s in zip(alpha0, shift))
-                          for shift in shifts)
-            terms.append(WloTerm(alpha0, alphas, mult, faces,
-                                 Fraction(e, modulus)))
+    for base, alpha0 in enumerate(table.reps):
+        if not table.regular[base]:
+            skipped += len(choices)
+            continue
+        for alphas, mult, shifts, walk in choices:
+            pos = [base] * len(par)
+            e = 0
+            for c, p, ow, shifted, expo in walk:
+                i = slot[pos[p]]
+                pos[c] = shifted[i]
+                e += ow * expo[i]
+                if not table.regular[pos[c]]:
+                    skipped += 1
+                    break
+            else:
+                det = 1.0
+                for p, x in zip(pos, forest.chi):
+                    det *= table.sines[p] ** x
+                e %= 2 * modulus
+                summands.append(mult * det * table.phases[e])
+                faces = tuple(tuple(Fraction(a + s, k)
+                                    for a, s in zip(alpha0, shift))
+                              for shift in shifts)
+                terms.append(WloTerm(alpha0, alphas, mult, faces,
+                                     Fraction(e, modulus)))
     return StateSumResult(_compensated_sum(summands),
                           len(table.reps) * len(choices),
                           skipped, terms=tuple(terms))
@@ -907,9 +908,9 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     nesting forest from the leaves up, at a cost linear in the number of
     ribbons; terms_total still counts |P/kQ| times the product of the
     support sizes, and terms_skipped_singular the singular ones among
-    them.  record_terms=True enumerates every term explicitly instead, on
-    the same integer coset table, and returns the surviving ones as
-    WloTerm entries.  The sum reads only the nesting forest: a link
+    them.  record_terms=True enumerates every term explicitly instead,
+    walking the same integer shift tables, and returns the surviving ones
+    as WloTerm entries.  The sum reads only the nesting forest: a link
     carrying a complex must come from embed_link or have passed
     validate_link, which check that the cells realize that forest.  Only
     ratios of values returned by this function are meaningful.

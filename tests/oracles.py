@@ -696,6 +696,75 @@ def wlo_contract_keyed(lie, k, link, forest):
                           total - sum(counts[0]))
 
 
+def wlo_terms_keyed(lie, k, link, forest):
+    """Every holonomy term on coset keys, one dict lookup per face.
+
+    The package's former _wlo_terms, moved here verbatim when the recorded
+    terms began to walk the shift tables: per support choice it splits
+    each face's coset key and the phase exponent into a part fixed by the
+    choice and a part linear in the base representative, and looks every
+    face up by its key.  The production walk must equal it bit for bit,
+    terms and census included.
+    """
+    from itertools import product
+
+    from shadow_wlo.lie import weight_multiplicities
+    from shadow_wlo.statesum import (StateSumResult, WloTerm,
+                                     _compensated_sum, _coset_key,
+                                     _coset_table, _dot)
+
+    table = _coset_table(lie, k)
+    par = forest.parent
+    r = lie.rank
+    modulus = (r + 1) * k
+    top_down = forest.order[::-1]
+    supports = [sorted(weight_multiplicities(lie, rib.color).items())
+                for rib in link.ribbons]
+    choices = []
+    for choice in product(*supports):
+        alphas = tuple(alpha for alpha, _ in choice)
+        shifts = [(0,) * r] * len(par)
+        pull = [0] * r
+        e0 = 0
+        for c in top_down:
+            rib = link.ribbons[c - 1]
+            o, w, alpha = rib.orientation, int(rib.winding), alphas[c - 1]
+            g_alpha = tuple(_dot(row, alpha) for row in lie.scaled_gram)
+            up = shifts[par[c]]
+            shifts[c] = tuple(s + o * a for s, a in zip(up, alpha))
+            e0 += w * (2 * _dot(g_alpha, up) + o * _dot(g_alpha, alpha))
+            pull = [p + 2 * w * g for p, g in zip(pull, g_alpha)]
+        keys = [_coset_key(lie, modulus, shift) for shift in shifts]
+        choices.append((alphas, math.prod(n for _, n in choice), shifts,
+                        keys, pull, e0))
+    summands = []
+    skipped = 0
+    terms = []
+    for alpha0 in table.reps:
+        # keys are linear mod (r+1)k: key(alpha0 + s) = key(alpha0) + key(s)
+        base = _coset_key(lie, modulus, alpha0)
+        for alphas, mult, shifts, keys, pull, e0 in choices:
+            pos = [table.index[tuple((a + b) % modulus
+                                     for a, b in zip(base, key))]
+                   for key in keys]
+            if not all(table.regular[p] for p in pos):
+                skipped += 1
+                continue
+            det = 1.0
+            for p, x in zip(pos, forest.chi):
+                det *= table.sines[p] ** x
+            e = (_dot(pull, alpha0) + e0) % (2 * modulus)
+            summands.append(mult * det * table.phases[e])
+            faces = tuple(tuple(Fraction(a + s, k)
+                                for a, s in zip(alpha0, shift))
+                          for shift in shifts)
+            terms.append(WloTerm(alpha0, alphas, mult, faces,
+                                 Fraction(e, modulus)))
+    return StateSumResult(_compensated_sum(summands),
+                          len(table.reps) * len(choices),
+                          skipped, terms=tuple(terms))
+
+
 def step6_aggregate(lie, k, link):
     """Holonomy terms grouped by their reduced face coloring.
 
@@ -885,8 +954,7 @@ def kernel_check_B0_rows(cx, sigma0=None):
             rows.append({index[("v", t)]: 1, index[("v", h)]: -1})
         left, right = cx.edge_left[e], cx.edge_right[e]
         rows.append({index[("c", left)]: 1, index[("c", right)]: -1})
-    _, _, _, nullspace = rational_rref(rows, len(cx.qk_vertices))
-    return len(nullspace) == 1
+    return len(cx.qk_vertices) - rational_rref(rows) == 1
 
 
 # ---------------------------------------------------------------------------

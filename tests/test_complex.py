@@ -126,6 +126,16 @@ def test_kernel_of_projected_coboundary_is_constants(g, r):
     assert kernel_check_B0(build_standard_surface(g, r))
 
 
+def test_kernel_check_refuses_a_base_vertex_off_the_subdivision():
+    cx = build_standard_surface(0, 1)
+    with pytest.raises(ValueError,
+                       match=r"^base vertex \('v', 'nope'\) is not a qK"):
+        kernel_check_B0(cx, ("v", "nope"))
+    # a primal vertex's bare name is not its qK vertex either
+    with pytest.raises(ValueError, match="is not a qK vertex"):
+        kernel_check_B0(cx, cx.vertices[0])
+
+
 def _bigon_pillow(tag):
     """Sphere of two bigon faces glued along two edges from a to b."""
     a, b = (tag, "a"), (tag, "b")
@@ -266,43 +276,29 @@ def test_cells_reject_an_unpaired_edge():
         SurfaceComplex(0, DIGON_EDGES, [p])
 
 
-def test_rational_rref_solves_and_finds_kernel():
-    # x + y = 3, x - y = 1 has the unique solution (2, 1)
-    rows = [{0: Fraction(1), 1: Fraction(1)},
-            {0: Fraction(1), 1: Fraction(-1)}]
-    rank, pivots, sol, null = rational_rref(rows, 2, rhs=[3, 1])
-    assert rank == 2 and sol == [2, 1] and null == []
-    # one equation in three unknowns leaves a two-dimensional kernel
-    rank, _, sol, null = rational_rref([{0: Fraction(1), 2: Fraction(2)}],
-                                       3, rhs=[4])
-    assert rank == 1 and len(null) == 2
-    assert sol[0] + 2 * sol[2] == 4
-    for vec in null:
-        assert vec[0] + 2 * vec[2] == 0
-
-
 @st.composite
 def _sparse_systems(draw):
     nrows = draw(st.integers(0, 10))
     ncols = draw(st.integers(1, 8))
-    entry = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-    rows = [draw(st.dictionaries(st.integers(0, ncols - 1), entry))
+    rows = [draw(st.dictionaries(st.integers(0, ncols - 1),
+                                 st.integers(-12, 12)))
             for _ in range(nrows)]
-    rhs = draw(st.none() | st.lists(entry, min_size=nrows, max_size=nrows))
-    return rows, ncols, rhs
+    return rows, ncols
 
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_systems())
-@example(([{0: Fraction(1)}, {0: Fraction(2)}], 2, [Fraction(1)] * 2))
-# mixed denominators, plain ints among them, and a pivot of 2/3
-@example(([{0: Fraction(2, 3), 1: Fraction(1, 2)},
-           {0: Fraction(3, 4), 1: 5, 2: Fraction(-5, 6)}], 3,
-          [Fraction(1, 4), 2]))
+@example(([], 3))
+# zero rows, given empty or with explicit zero entries
+@example(([{}, {0: 0, 2: 0}, {1: 4}], 3))
+@example(([{0: 2, 1: -3}, {0: 2, 1: -3}, {1: 1}], 2))
+# row 0 fills column 3 into row 1, which then cancels row 2; the second
+# system's eliminated row is divided by its gcd 10
+@example(([{0: 1, 3: 2}, {0: 3, 1: 1}, {1: 1, 3: -6}], 4))
+@example(([{0: 2, 1: 4}, {0: 3, 1: 1}, {1: 5, 2: 1}], 3))
 def test_sparse_rref_matches_dense_oracle(system):
-    rows, ncols, rhs = system
-    assert rational_rref(rows, ncols, rhs) == \
-        oracles.rational_rref_dense(rows, ncols, rhs)
+    rows, ncols = system
+    assert rational_rref(rows) == oracles.rational_rref_dense(rows, ncols)[0]
 
 
 @pytest.mark.parametrize("g,r,sites", [(0, 1, ()), (1, 2, ()), (1, 3, ()),
@@ -311,12 +307,13 @@ def test_sparse_rref_matches_dense_oracle_on_kernel_rows(
         monkeypatch, g, r, sites):
     systems = []
 
-    def spy(rows, ncols, rhs=None):
-        systems.append((rows, ncols))
-        return rational_rref(rows, ncols, rhs)
+    def spy(rows):
+        systems.append(rows)
+        return rational_rref(rows)
 
     monkeypatch.setattr(complex_module, "rational_rref", spy)
-    assert oracles.kernel_check_B0_rows(build_standard_surface(g, r, sites))
-    [(rows, ncols)] = systems
-    assert rational_rref(rows, ncols) == \
-        oracles.rational_rref_dense(rows, ncols)
+    cx = build_standard_surface(g, r, sites)
+    assert oracles.kernel_check_B0_rows(cx)
+    [rows] = systems
+    assert rational_rref(rows) == \
+        oracles.rational_rref_dense(rows, len(cx.qk_vertices))[0]

@@ -17,7 +17,7 @@ from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import (RibbonStep, build_standard_surface,
                                 coboundary, hodge_star_signs,
-                                kernel_check_B0, rational_rref)
+                                kernel_check_B0)
 from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
@@ -299,7 +299,8 @@ def test_potential_unique_up_to_constant(corpus):
     b0 = oracles._b0_rows(cx, faces.sigma0, index)
     rows += b0
     rhs += [Fraction(0)] * len(b0)
-    rank, _, sol, null = rational_rref(rows, len(cx.qk_vertices), rhs)
+    _, _, sol, null = oracles.rational_rref_dense(rows, len(cx.qk_vertices),
+                                                  rhs)
     assert sol is not None
     assert len(null) == 1
     assert len(set(null[0])) == 1
@@ -361,7 +362,8 @@ def test_validation_builds_no_fraction(corpus, monkeypatch):
         raise AssertionError("Fraction built during validation")
 
     monkeypatch.setattr(ss, "Fraction", refuse)
-    monkeypatch.setattr(complex_module, "Fraction", refuse)
+    # the complex module, which the validation also runs, binds none
+    assert not hasattr(complex_module, "Fraction")
     for ent in corpus:
         ss.validate_link(ent.embedded)
 
@@ -776,17 +778,26 @@ def test_contraction_on_a_branching_forest():
 
 
 # ---------------------------------------------------------------------------
-# the contraction on shift tables against the keyed contraction
+# the contraction and the recorded terms on shift tables against the keyed
+# contraction and enumerator
 
 
 def _assert_keyed_contraction_equal(lie, k, link):
-    """The shift-table contraction equals the keyed one bit for bit."""
+    """Both shift-table walks equal their keyed oracles bit for bit: the
+    contraction's value and census, and the recorded terms' value repr,
+    census and every WloTerm."""
     forest = ss._forest(link)
     got = ss._wlo_contract(lie, k, link, forest)
     want = oracles.wlo_contract_keyed(lie, k, link, forest)
     assert got.value == want.value
     assert got.terms_total == want.terms_total
     assert got.terms_skipped_singular == want.terms_skipped_singular
+    got = ss._wlo_terms(lie, k, link, forest)
+    want = oracles.wlo_terms_keyed(lie, k, link, forest)
+    assert repr(got.value) == repr(want.value)
+    assert (got.terms_total, got.terms_skipped_singular) == \
+        (want.terms_total, want.terms_skipped_singular)
+    assert got.terms == want.terms
 
 
 def test_shift_table_contraction_equals_keyed_on_corpus(corpus):
