@@ -28,7 +28,7 @@ from .oscillatory import (OscGaussMeasure, epsilon_oracle,
                           first_second_moments, integrate_constant)
 from .statesum import (ColoredRibbon, RibbonLink, _forest, compare_theorem,
                        embed_link, face_chi, shadow_invariant,
-                       step6_transform, wlo_unnormalized)
+                       step6_identities, wlo_unnormalized)
 
 _GROUPS = {"a1": "A1", "su2": "A1", "su(2)": "A1",
            "a2": "A2", "su3": "A2", "su(3)": "A2"}
@@ -399,9 +399,7 @@ def _suite_hodge_symmetry(surface):
 def _suite_step6_identities():
     lie = lie_data("A1")
     link = RibbonLink(0, (ColoredRibbon((2,), 1, 1),))
-    res = wlo_unnormalized(lie, 4, link, record_terms=True)
-    for term in res.terms:
-        step6_transform(lie, 4, link, term)
+    step6_identities(lie, 4, link)
     return True, "every holonomy term matches its label determinant and " \
         "gleam phase"
 

@@ -24,6 +24,7 @@ once per evaluation; what they read of a level is one cached table per
 (group, level): the coset table, and the labels with their quantum
 dimensions and phase exponents (_label_table).  The holonomy sum also
 reads one cached shift table per (group, level, step) (_shift_table).
+Step 6 is checked on these tables, once per coset (step6_identities).
 These tables, and the nonzero fusion rows of each color
 (lie._fusion_table), are built directly in integer arithmetic.
 """
@@ -34,7 +35,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -92,23 +92,6 @@ class StateSumResult:
     terms_total: int
     terms_skipped_singular: int
     flag: str = None
-    terms: tuple = None
-
-
-@dataclass(frozen=True, order=True)
-class WloTerm:
-    """One surviving holonomy-side term, in exact rational form.
-
-    holonomies lists the face values of B as coordinate tuples, in face
-    order; phase is the total winding phase exponent as a multiple of pi,
-    reduced mod 2.  Terms compare exactly, not approximately.
-    """
-
-    alpha0: tuple
-    alphas: tuple
-    multiplicity: int
-    holonomies: tuple
-    phase: Fraction
 
 
 @dataclass(frozen=True)
@@ -123,22 +106,6 @@ class TheoremReport:
     shadow_ratio: complex
     abs_difference: float
     rel_difference: float
-
-
-@dataclass(frozen=True)
-class Step6Term:
-    """Alcove reduction of one holonomy term to shadow data.
-
-    labels are the level-k face colors, which are also the coloring the
-    term aggregates into, signs the Weyl determinants of the reducing maps,
-    and det_residual the largest relative defect of the determinant
-    identity checked during the transform.
-    """
-
-    labels: tuple
-    signs: tuple
-    value: complex
-    det_residual: float
 
 
 class _Forest(NamedTuple):
@@ -229,29 +196,6 @@ def _face_weights(link, par):
             table[x - 1][j] = link.ribbons[x - 1].orientation
             x = par[x]
     return tuple(tuple(row) for row in table)
-
-
-def gleam(link, face):
-    """Winding-weighted boundary orientation count of one face.
-
-    Each ribbon adds winding*orientation to its inner face and subtracts
-    the same from its parent face, so the gleams of any link sum to zero.
-    """
-    gl = _forest(link).gleam
-    if not 0 <= face < len(gl):
-        raise ValueError(f"no face {face} in a link with {len(gl) - 1}"
-                         " ribbons")
-    return gl[face]
-
-
-def fusion_faces(link, i):
-    """(Y+, Y-) face indices of ribbon i.
-
-    Y+ is the adjacent face whose induced boundary orientation agrees with
-    the ribbon's first loop; with the orientation convention used here that
-    is the side on which the face potential jumps up.
-    """
-    return _forest(link).marked[i]
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +428,10 @@ class _EmbeddedFaces:
     Carries the per-ribbon potentials, the strip complement regions
     matched one-to-one against the abstract faces, the census Euler
     characteristics, and the two marked faces (Y+, Y-) of every ribbon,
-    ordered like fusion_faces: the side where the ribbon's own potential is
-    higher comes first.  All checks that compare the derived data with the
-    abstract link data raise on the first disagreement.
+    ordered like the nesting forest's marked faces: the side where the
+    ribbon's own potential is higher comes first.  All checks that compare
+    the derived data with the abstract link data raise on the first
+    disagreement.
     """
 
     def __init__(self, link):
@@ -721,11 +666,6 @@ class _CosetTable(NamedTuple):
     phases: tuple
 
 
-def _coset_key(lie, modulus, x):
-    """(r+1) times the coroot coordinates of x, reduced mod (r+1)k."""
-    return tuple(_dot(row, x) % modulus for row in lie.scaled_gram)
-
-
 @lru_cache(maxsize=None)
 def _coset_table(lie, k):
     """The coset table of (lie, k), shared by every holonomy sum at k.
@@ -833,71 +773,7 @@ def _wlo_contract(lie, k, link, forest):
                           total - sum(counts[0]))
 
 
-def _wlo_terms(lie, k, link, forest):
-    """Every holonomy term explicitly, walking the shift tables.
-
-    Per support choice, face c = i+1 sits at the coset of beta_c =
-    beta_parent + o_i alpha_i above the base representative alpha0 =
-    beta_0.  The shift table of step o_i alpha_i, read at the parent's
-    live position, gives the child's position and the exponent that
-    o_i w_i times adds to the phase index, as in the contraction; a term
-    stops at its first singular face.  The recorded holonomies are the
-    unreduced lifts beta_c/k.  Terms come in the order of the
-    representatives, then of the choices.
-    """
-    table = _coset_table(lie, k)
-    par = forest.parent
-    modulus = (lie.rank + 1) * k
-    slot = {pos: i for i, pos in enumerate(table.live)}
-    supports = [sorted(weight_multiplicities(lie, rib.color).items())
-                for rib in link.ribbons]
-    choices = []
-    for choice in product(*supports):
-        alphas = tuple(alpha for alpha, _ in choice)
-        shifts = [(0,) * lie.rank] * len(par)
-        walk = []
-        for c in forest.order[::-1]:
-            rib = link.ribbons[c - 1]
-            step = tuple(rib.orientation * a for a in alphas[c - 1])
-            shifts[c] = tuple(s + t for s, t in zip(shifts[par[c]], step))
-            walk.append((c, par[c], rib.orientation * int(rib.winding))
-                        + _shift_table(lie, k, step))
-        choices.append((alphas, math.prod(n for _, n in choice), shifts,
-                        walk))
-    summands = []
-    skipped = 0
-    terms = []
-    for base, alpha0 in enumerate(table.reps):
-        if not table.regular[base]:
-            skipped += len(choices)
-            continue
-        for alphas, mult, shifts, walk in choices:
-            pos = [base] * len(par)
-            e = 0
-            for c, p, ow, shifted, expo in walk:
-                i = slot[pos[p]]
-                pos[c] = shifted[i]
-                e += ow * expo[i]
-                if not table.regular[pos[c]]:
-                    skipped += 1
-                    break
-            else:
-                det = 1.0
-                for p, x in zip(pos, forest.chi):
-                    det *= table.sines[p] ** x
-                e %= 2 * modulus
-                summands.append(mult * det * table.phases[e])
-                faces = tuple(tuple(Fraction(a + s, k)
-                                    for a, s in zip(alpha0, shift))
-                              for shift in shifts)
-                terms.append(WloTerm(alpha0, alphas, mult, faces,
-                                     Fraction(e, modulus)))
-    return StateSumResult(_compensated_sum(summands),
-                          len(table.reps) * len(choices),
-                          skipped, terms=tuple(terms))
-
-
-def wlo_unnormalized(lie, k, link, record_terms=False):
+def wlo_unnormalized(lie, k, link):
     """Unnormalized holonomy-side state sum of a colored ribbon link.
 
     Sums over one representative per coset of the k-scaled coroot lattice
@@ -908,9 +784,7 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     nesting forest from the leaves up, at a cost linear in the number of
     ribbons; terms_total still counts |P/kQ| times the product of the
     support sizes, and terms_skipped_singular the singular ones among
-    them.  record_terms=True enumerates every term explicitly instead,
-    walking the same integer shift tables, and returns the surviving ones
-    as WloTerm entries.  The sum reads only the nesting forest: a link
+    them.  The sum reads only the nesting forest: a link
     carrying a complex must come from embed_link or have passed
     validate_link, which check that the cells realize that forest.  Only
     ratios of values returned by this function are meaningful.
@@ -921,9 +795,6 @@ def wlo_unnormalized(lie, k, link, record_terms=False):
     forest = _forest(link)
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
-
-    if record_terms:
-        return _wlo_terms(lie, k, link, forest)
     return _wlo_contract(lie, k, link, forest)
 
 
@@ -962,11 +833,11 @@ def _shadow_contract(lie, k, link, forest, table):
     Face c carries a vector over the labels, dim^chi_c times the gleam
     phase, times the kernels of its child ribbons; the kernel of ribbon i
     applies the fusion matrix of its color to the child vector, reading
-    only the nonzero entries of its rows.  As in fusion_faces, the first
-    label slot is the face the potential jumps up to: orientation +1
-    scatters each child label's row into the kernel, -1 gathers each
-    kernel label's row.  Either way every kernel entry adds its terms in
-    label order.
+    only the nonzero entries of its rows.  As in the forest's marked
+    faces, the first label slot is the face the potential jumps up to:
+    orientation +1 scatters each child label's row into the kernel, -1
+    gathers each kernel label's row.  Either way every kernel entry adds
+    its terms in label order.
     """
     labels = table.labels
     pos = {lam: i for i, lam in enumerate(labels)}
@@ -1054,7 +925,7 @@ def compare_theorem(lie, k, link):
 
 
 # ---------------------------------------------------------------------------
-# the transform from holonomy terms to shadow data
+# Step 6: from holonomy data to shadow data
 
 
 @lru_cache(maxsize=None)
@@ -1070,61 +941,69 @@ def _rho_sine_constant(lie, k):
 _STEP6_TOL = 1e-10
 
 
-def step6_transform(lie, k, link, term):
-    """Alcove reduction of one surviving holonomy term.
+@lru_cache(maxsize=None)
+def _reduction_table(lie, k):
+    """(label, sign) of each coset in the coset table's order, by reducing
+    its representative into the alcove (_alcove_reduce lands on label +
+    rho); a wall gives (None, 0).  kQ translations have sign +1."""
+    out = []
+    for x in _coset_table(lie, k).reps:
+        v, sign = _alcove_reduce(lie, k, list(x))
+        out.append((tuple(c - p for c, p in zip(v, lie.rho)) if sign
+                    else None, sign))
+    return tuple(out)
 
-    Reflects k times each face holonomy, an integer weight, into the
-    level-k alcove, reads off the label and the sign of the reducing
-    element, and verifies the two identities that drive the passage to the
-    shadow sum: the sine determinant of each face equals the squared
-    quantum dimension of its label times a face-independent constant (to
-    the relative tolerance _STEP6_TOL), and the total winding phase
-    equals the gleam phase of the labels exactly, as rationals mod 2.
-    Each face's sine is read from the coset table, the factor the
-    holonomy sum multiplies, and its label's quantum dimension from one
-    table per level.  Any violation raises with the offending term in the
-    message.
+
+def step6_identities(lie, k, link):
+    """Step 6 of the evaluation, checked once per coset of P/kQ.
+
+    Raises ValueError naming the first coset x where a check fails:
+    - regularity: x is regular iff its reduction sign is nonzero;
+    - sines: a regular x has sine^2 = dim(label)^2 _rho_sine_constant,
+      to the relative tolerance _STEP6_TOL;
+    - phases: for each step o alpha of the link's color supports, the
+      shift-table exponent from a regular x to a regular x + o alpha is
+      E(x + o alpha) - E(x) mod 2(r+1)k, with E the label exponents.
+    That covers every holonomy term: its faces are regular cosets, and
+    ribbon i adds o_i w_i times the entry from its parent face to its
+    inner face to the phase index e.  _forest gives the inner face gleam
+    +o_i w_i and the parent face -o_i w_i, so the entries telescope to
+    sum_c gleam_c E(x_c) = e mod 2(r+1)k, the gleam phase of the labels.
+    Returns (the largest sine residual, the phase entries checked).
     """
     k = _index(k, "level")
-    forest = _forest(link)
+    _forest(link)
     table = _coset_table(lie, k)
-    modulus = (lie.rank + 1) * k
+    reduction = _reduction_table(lie, k)
+    labels = _label_table(lie, k)
     const = _rho_sine_constant(lie, k)
-    label_table = _label_table(lie, k)
-    labels = []
-    signs = []
-    sines = []
-    det_residual = 0.0
-    for j, b in enumerate(term.holonomies):
-        x = tuple(int(c * k) for c in b)
-        if x != tuple(c * k for c in b):
-            raise ValueError(f"term {term.alpha0}: face {j} holonomy is not"
-                             f" in P/{k}")
-        v, sign = _alcove_reduce(lie, k, list(x))
-        lam = tuple(c - p for c, p in zip(v, lie.rho))
-        if sign == 0:
-            raise ValueError(f"term {term.alpha0}: face {j} holonomy lies"
-                             " on an affine wall")
-        labels.append(lam)
-        signs.append(sign)
-        sines.append(table.sines[table.index[_coset_key(lie, modulus, x)]])
-        det = sines[-1] ** 2
-        dimsq = label_table.dims[lam] ** 2 * const
-        res = abs(det / dimsq - 1.0)
-        det_residual = max(det_residual, res)
-        if res > _STEP6_TOL:
-            raise ValueError(f"term {term.alpha0}: face {j} determinant"
-                             f" misses the squared dimension by {res:.3e}")
-    q = Fraction(sum(g * label_table.exps[lam]
-                     for g, lam in zip(forest.gleam, labels)), modulus)
-    if (q - term.phase) % 2:
-        raise ValueError(f"term {term.alpha0}: winding phase {term.phase}"
-                         f" is not the gleam phase {q % 2} mod 2")
-    det = 1.0
-    for sine, x in zip(sines, forest.chi):
-        det *= sine ** x
-    value = term.multiplicity * det * _phase(term.phase)
-    return Step6Term(tuple(labels), tuple(signs), value, det_residual)
+    worst = 0.0
+    for pos, (lam, sign) in enumerate(reduction):
+        if table.regular[pos] != (sign != 0):
+            raise ValueError(f"coset {table.reps[pos]}: regularity disagrees"
+                             f" with the reduction sign {sign}")
+        if sign:
+            res = abs(table.sines[pos] ** 2 / (labels.dims[lam] ** 2 * const)
+                      - 1.0)
+            worst = max(worst, res)
+            if res > _STEP6_TOL:
+                raise ValueError(f"coset {table.reps[pos]}: sine misses"
+                                 f" the squared dimension by {res:.3e}")
+    exps = [labels.exps[lam] if sign else 0 for lam, sign in reduction]
+    m2 = len(table.phases)
+    checked = 0
+    for step in sorted({tuple(rib.orientation * a for a in alpha)
+                        for rib in link.ribbons
+                        for alpha in weight_multiplicities(lie, rib.color)}):
+        shifted, expo = _shift_table(lie, k, step)
+        for pos, y, e in zip(table.live, shifted, expo):
+            if table.regular[y]:
+                checked += 1
+                if (e - exps[y] + exps[pos]) % m2:
+                    raise ValueError(f"coset {table.reps[pos]}: step {step}"
+                                     f" exponent {e} is not the label"
+                                     f" exponent difference mod {m2}")
+    return worst, checked
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,31 @@ def lattice_box_fraction(cartan, k):
 # the holonomy sum by explicit Fraction enumeration
 
 
+@dataclasses.dataclass(frozen=True, order=True)
+class WloTerm:
+    """One surviving holonomy-side term, in exact rational form.
+
+    holonomies lists the face values of B as coordinate tuples, in face
+    order; phase is the total winding phase exponent as a multiple of pi,
+    reduced mod 2.  Terms compare exactly, not approximately.
+
+    The package's former record_terms entry, moved here with the per-term
+    enumeration.
+    """
+
+    alpha0: tuple
+    alphas: tuple
+    multiplicity: int
+    holonomies: tuple
+    phase: Fraction
+
+
+def coset_key(lie, modulus, x):
+    """(r+1) times the coroot coordinates of x, reduced mod (r+1)k."""
+    return tuple(sum(a * b for a, b in zip(row, x)) % modulus
+                 for row in lie.scaled_gram)
+
+
 def wlo_terms_fraction(lie, k, link, bases=None):
     """Every holonomy term of a link, enumerated in rational arithmetic.
 
@@ -582,11 +607,11 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     """
     from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                                 sine_product, weight_multiplicities)
-    from shadow_wlo.statesum import (WloTerm, _compensated_sum, _phase,
-                                     face_chi, fusion_faces)
+    from shadow_wlo.statesum import _compensated_sum, _forest, _phase
 
     k = int(k)
-    chi = face_chi(link)
+    forest = _forest(link)
+    chi = forest.chi
     m = len(link.ribbons)
     r = lie.rank
     table = face_weights(link)
@@ -595,7 +620,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     supports = []
     for rib in link.ribbons:
         supports.append(sorted(weight_multiplicities(lie, rib.color).items()))
-    marked = [fusion_faces(link, i) for i in range(m)]
+    marked = forest.marked
     combos = []
     for choice in itertools.product(*supports):
         alphas = tuple(w for w, _ in choice)
@@ -699,19 +724,19 @@ def wlo_contract_keyed(lie, k, link, forest):
 def wlo_terms_keyed(lie, k, link, forest):
     """Every holonomy term on coset keys, one dict lookup per face.
 
-    The package's former _wlo_terms, moved here verbatim when the recorded
-    terms began to walk the shift tables: per support choice it splits
-    each face's coset key and the phase exponent into a part fixed by the
-    choice and a part linear in the base representative, and looks every
-    face up by its key.  The production walk must equal it bit for bit,
-    terms and census included.
+    The package's former record_terms walk on coset keys, frozen: per
+    support choice it splits each face's coset key and the phase exponent
+    into a part fixed by the choice and a part linear in the base
+    representative, and looks every face up by its key.  Returns (value,
+    terms_total, terms_skipped_singular, terms) like wlo_terms_fraction,
+    with the terms in base-point, then support-choice order.  The package
+    no longer enumerates terms; its contraction must reproduce the value
+    and census, and step6_transform reads the terms.
     """
     from itertools import product
 
     from shadow_wlo.lie import weight_multiplicities
-    from shadow_wlo.statesum import (StateSumResult, WloTerm,
-                                     _compensated_sum, _coset_key,
-                                     _coset_table, _dot)
+    from shadow_wlo.statesum import _compensated_sum, _coset_table, _dot
 
     table = _coset_table(lie, k)
     par = forest.parent
@@ -734,7 +759,7 @@ def wlo_terms_keyed(lie, k, link, forest):
             shifts[c] = tuple(s + o * a for s, a in zip(up, alpha))
             e0 += w * (2 * _dot(g_alpha, up) + o * _dot(g_alpha, alpha))
             pull = [p + 2 * w * g for p, g in zip(pull, g_alpha)]
-        keys = [_coset_key(lie, modulus, shift) for shift in shifts]
+        keys = [coset_key(lie, modulus, shift) for shift in shifts]
         choices.append((alphas, math.prod(n for _, n in choice), shifts,
                         keys, pull, e0))
     summands = []
@@ -742,7 +767,7 @@ def wlo_terms_keyed(lie, k, link, forest):
     terms = []
     for alpha0 in table.reps:
         # keys are linear mod (r+1)k: key(alpha0 + s) = key(alpha0) + key(s)
-        base = _coset_key(lie, modulus, alpha0)
+        base = coset_key(lie, modulus, alpha0)
         for alphas, mult, shifts, keys, pull, e0 in choices:
             pos = [table.index[tuple((a + b) % modulus
                                      for a, b in zip(base, key))]
@@ -760,24 +785,101 @@ def wlo_terms_keyed(lie, k, link, forest):
                           for shift in shifts)
             terms.append(WloTerm(alpha0, alphas, mult, faces,
                                  Fraction(e, modulus)))
-    return StateSumResult(_compensated_sum(summands),
-                          len(table.reps) * len(choices),
-                          skipped, terms=tuple(terms))
+    return (_compensated_sum(summands), len(table.reps) * len(choices),
+            skipped, tuple(terms))
+
+
+@dataclasses.dataclass(frozen=True)
+class Step6Term:
+    """Alcove reduction of one holonomy term to shadow data.
+
+    labels are the level-k face colors, which are also the coloring the
+    term aggregates into, signs the Weyl determinants of the reducing maps,
+    and det_residual the largest relative defect of the determinant
+    identity checked during the transform.
+    """
+
+    labels: tuple
+    signs: tuple
+    value: complex
+    det_residual: float
+
+
+def step6_transform(lie, k, link, term):
+    """Alcove reduction of one surviving holonomy term.
+
+    The package's former per-term Step 6 check, frozen when the package
+    began to check Step 6 once per coset (statesum.step6_identities).
+    Reflects k times each face holonomy, an integer weight, into the
+    level-k alcove, reads off the label and the sign of the reducing
+    element, and verifies the two identities that drive the passage to the
+    shadow sum: the sine determinant of each face equals the squared
+    quantum dimension of its label times a face-independent constant (to
+    the relative tolerance _STEP6_TOL), and the total winding phase
+    equals the gleam phase of the labels exactly, as rationals mod 2.
+    Each face's sine is read from the coset table, the factor the
+    holonomy sum multiplies, and its label's quantum dimension from one
+    table per level.  Any violation raises with the offending term in the
+    message.
+    """
+    from shadow_wlo.lie import _alcove_reduce, _index
+    from shadow_wlo.statesum import (_STEP6_TOL, _coset_table, _forest,
+                                     _label_table, _phase,
+                                     _rho_sine_constant)
+
+    k = _index(k, "level")
+    forest = _forest(link)
+    table = _coset_table(lie, k)
+    modulus = (lie.rank + 1) * k
+    const = _rho_sine_constant(lie, k)
+    label_table = _label_table(lie, k)
+    labels = []
+    signs = []
+    sines = []
+    det_residual = 0.0
+    for j, b in enumerate(term.holonomies):
+        x = tuple(int(c * k) for c in b)
+        if x != tuple(c * k for c in b):
+            raise ValueError(f"term {term.alpha0}: face {j} holonomy is not"
+                             f" in P/{k}")
+        v, sign = _alcove_reduce(lie, k, list(x))
+        lam = tuple(c - p for c, p in zip(v, lie.rho))
+        if sign == 0:
+            raise ValueError(f"term {term.alpha0}: face {j} holonomy lies"
+                             " on an affine wall")
+        labels.append(lam)
+        signs.append(sign)
+        sines.append(table.sines[table.index[coset_key(lie, modulus, x)]])
+        det = sines[-1] ** 2
+        dimsq = label_table.dims[lam] ** 2 * const
+        res = abs(det / dimsq - 1.0)
+        det_residual = max(det_residual, res)
+        if res > _STEP6_TOL:
+            raise ValueError(f"term {term.alpha0}: face {j} determinant"
+                             f" misses the squared dimension by {res:.3e}")
+    q = Fraction(sum(g * label_table.exps[lam]
+                     for g, lam in zip(forest.gleam, labels)), modulus)
+    if (q - term.phase) % 2:
+        raise ValueError(f"term {term.alpha0}: winding phase {term.phase}"
+                         f" is not the gleam phase {q % 2} mod 2")
+    det = 1.0
+    for sine, x in zip(sines, forest.chi):
+        det *= sine ** x
+    value = term.multiplicity * det * _phase(term.phase)
+    return Step6Term(tuple(labels), tuple(signs), value, det_residual)
 
 
 def step6_aggregate(lie, k, link):
     """Holonomy terms grouped by their reduced face coloring.
 
-    Runs step6_transform over every surviving term of the link and sums
-    the term values per coloring class.  Together with the per-class
+    Runs step6_transform over every surviving term of wlo_terms_keyed and
+    sums the term values per coloring class.  Together with the per-class
     shadow summands this exhibits the state sum identity class by class.
     """
-    from shadow_wlo.statesum import (_compensated_sum, step6_transform,
-                                     wlo_unnormalized)
+    from shadow_wlo.statesum import _compensated_sum, _forest
 
-    res = wlo_unnormalized(lie, k, link, record_terms=True)
     out = {}
-    for term in res.terms:
+    for term in wlo_terms_keyed(lie, k, link, _forest(link))[3]:
         st = step6_transform(lie, k, link, term)
         out.setdefault(st.labels, []).append(st.value)
     return {key: _compensated_sum(values)

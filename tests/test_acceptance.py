@@ -213,18 +213,21 @@ def test_criterion_5_structural_suites(corpus):
         assert report.max_abs < 1e-10, ent.name
         worst_cov = max(worst_cov, report.max_abs)
 
-    # per-term determinant and phase identities of the label transform
+    # Step 6's determinant and phase identities, once per coset and, on
+    # the frozen per-term transform, once per term
     worst_res = 0.0
     for name in ("a1_g0_one_k4", "a1_g0_three_k6", "a2_g0_one_k4",
                  "a1_g1_two_k5", "a2_g1_one_k5"):
         ent = next(e for e in corpus if e.name == name)
         lie = lie_data(ent.series)
-        res = ss.wlo_unnormalized(lie, ent.level, ent.link,
-                                  record_terms=True)
-        for term in res.terms:
-            st = ss.step6_transform(lie, ent.level, ent.link, term)
-            assert st.det_residual <= 1e-10
-            worst_res = max(worst_res, st.det_residual)
+        worst, _ = ss.step6_identities(lie, ent.level, ent.link)
+        assert worst <= 1e-10
+        terms = oracles.wlo_terms_keyed(lie, ent.level, ent.link,
+                                        ss._forest(ent.link))[3]
+        for term in terms:
+            st = oracles.step6_transform(lie, ent.level, ent.link, term)
+            assert st.det_residual <= worst
+        worst_res = max(worst_res, worst)
 
     # fusion tables against the truncated composition series oracle
     for k in range(1, 9):
@@ -248,7 +251,7 @@ def test_criterion_6_mode_agreement(corpus):
     must also reproduce the face Euler characteristics, the fusion faces
     and the orientations of the abstract link.  The embedding orders a
     ribbon's two adjacent faces as (Y+, Y-) by its own potential, which
-    must reproduce fusion_faces exactly.
+    must reproduce the forest's marked faces exactly.
     """
     for ent in corpus:
         abstract = [(r.color, r.winding, r.orientation, r.parent)
@@ -257,10 +260,8 @@ def test_criterion_6_mode_agreement(corpus):
                     for r in ent.embedded.ribbons]
         assert embedded == abstract, ent.name
         faces = ss._EmbeddedFaces(ent.embedded)
-        m = len(ent.link.ribbons)
         assert tuple(faces.chi) == ss.face_chi(ent.link), ent.name
-        assert list(faces.marked) == \
-            [ss.fusion_faces(ent.link, i) for i in range(m)], ent.name
+        assert tuple(faces.marked) == ss._forest(ent.link).marked, ent.name
         assert list(faces.jumps) == \
             [r.orientation for r in ent.link.ribbons], ent.name
     print(f"PASS criterion 6: embedded ribbons, face Euler characteristics,"

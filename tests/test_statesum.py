@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from numpy_models import covariance_vanishing_check
 from oracles import face_weights, project_to_K
+from shadow_wlo import cli
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import (RibbonStep, build_standard_surface,
@@ -104,20 +106,18 @@ def test_face_weight_vectors_distinct(corpus):
 
 
 def test_gleam_empty_link_is_zero():
-    assert ss.gleam(ss.RibbonLink(0), 0) == 0
-    assert ss.gleam(ss.RibbonLink(1), 0) == 0
+    assert ss._forest(ss.RibbonLink(0)).gleam == (0,)
+    assert ss._forest(ss.RibbonLink(1)).gleam == (0,)
 
 
 def test_gleam_single_ribbon_sphere():
     link = ss._chain(0, (((1,), 1, 1),))
-    assert ss.gleam(link, 1) == 1
-    assert ss.gleam(link, 0) == -1
+    assert ss._forest(link).gleam == (-1, 1)
 
 
 def test_gleam_flips_with_orientation_and_winding():
     link = ss._chain(0, (((1,), -2, -1),))
-    assert ss.gleam(link, 1) == 2
-    assert ss.gleam(link, 0) == -2
+    assert ss._forest(link).gleam == (-2, 2)
 
 
 def test_gleam_two_nested_middle_face():
@@ -125,20 +125,14 @@ def test_gleam_two_nested_middle_face():
     for s1 in (1, -1):
         for s2 in (1, -1):
             link = ss._chain(0, (((1,), 1, s1), ((1,), 1, s2)))
-            assert ss.gleam(link, 1) == s1 - s2
-    assert ss.gleam(ss._chain(0, (((1,), 1, 1), ((1,), 1, 1))), 2) == 1
+            assert ss._forest(link).gleam[1] == s1 - s2
+    link = ss._chain(0, (((1,), 1, 1), ((1,), 1, 1)))
+    assert ss._forest(link).gleam[2] == 1
 
 
 def test_gleams_sum_to_zero(corpus):
     for ent in corpus:
-        total = sum(ss.gleam(ent.link, j)
-                    for j in range(len(ent.link.ribbons) + 1))
-        assert total == 0
-
-
-def test_gleam_face_out_of_range():
-    with pytest.raises(ValueError, match="face"):
-        ss.gleam(ss.RibbonLink(0), 1)
+        assert sum(ss._forest(ent.link).gleam) == 0
 
 
 def test_gleam_matches_tracing_oracle(corpus):
@@ -152,16 +146,16 @@ def test_gleam_matches_tracing_oracle(corpus):
                   list(faces.arcs[i]["lp_chain"]))
                  for i, rib in enumerate(emb.ribbons)]
         oracle = dict(oracles.traced_gleams(emb.complex, loops))
+        gleam = ss._forest(emb).gleam
         for j, comp in enumerate(faces.regions):
-            assert oracle[frozenset(comp)] == ss.gleam(emb, j), \
-                (ent.name, j)
+            assert oracle[frozenset(comp)] == gleam[j], (ent.name, j)
 
 
 def test_fusion_faces_follow_orientation():
     up = ss._chain(0, (((1,), 1, 1),))
     down = ss._chain(0, (((1,), 1, -1),))
-    assert ss.fusion_faces(up, 0) == (1, 0)
-    assert ss.fusion_faces(down, 0) == (0, 1)
+    assert ss._forest(up).marked[0] == (1, 0)
+    assert ss._forest(down).marked[0] == (0, 1)
 
 
 @st.composite
@@ -200,9 +194,6 @@ def test_forest_record_matches_per_face_recomputation(link):
         assert forest.marked[i] == (inner_up if r.orientation == 1
                                     else inner_up[::-1])
     assert ss.face_chi(link) == forest.chi
-    assert [ss.gleam(link, j) for j in range(m + 1)] == list(forest.gleam)
-    assert [ss.fusion_faces(link, i) for i in range(m)] == \
-        list(forest.marked)
 
 
 @pytest.mark.parametrize("ribbons, message", [
@@ -223,8 +214,7 @@ def test_forest_errors(ribbons, message):
     link = ss.RibbonLink(0, tuple(ss.ColoredRibbon((1,), w, o, p)
                                   for w, o, p in ribbons))
     for derive in (ss._forest, ss.face_chi, face_weights,
-                   ss.validate_link, lambda lk: ss.gleam(lk, 0),
-                   lambda lk: ss.fusion_faces(lk, 0)):
+                   ss.validate_link):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             derive(link)
 
@@ -548,7 +538,7 @@ def test_coset_table_matches_fraction_regularity_and_sines():
             table = ss._coset_table(lie, k)
             assert table.reps == tuple(lattice_points_in_scaled_box(lie, k))
             modulus = (rank + 1) * k
-            assert list(table.index) == [ss._coset_key(lie, modulus, x)
+            assert list(table.index) == [oracles.coset_key(lie, modulus, x)
                                          for x in table.reps]
             assert list(table.index.values()) == list(range(len(table.reps)))
             for x, ok, sine in zip(table.reps, table.regular, table.sines):
@@ -568,14 +558,17 @@ def test_wlo_below_coxeter_flagged():
 
 def test_wlo_term_census(corpus):
     ent = _by_name(corpus, "a1_g0_two_k5")
-    res = ss.wlo_unnormalized(A1, 5, ent.link, record_terms=True)
-    assert len(res.terms) == res.terms_total - res.terms_skipped_singular
+    res = ss.wlo_unnormalized(A1, 5, ent.link)
+    _, total, skipped, terms = oracles.wlo_terms_keyed(
+        A1, 5, ent.link, ss._forest(ent.link))
+    assert (res.terms_total, res.terms_skipped_singular) == (total, skipped)
+    assert len(terms) == res.terms_total - res.terms_skipped_singular
     supports = 1
     for rib in ent.link.ribbons:
         supports *= len(weight_multiplicities(A1, rib.color))
     assert res.terms_total == \
         len(lattice_points_in_scaled_box(A1, 5)) * supports
-    for term in res.terms:
+    for term in terms:
         assert 0 <= term.phase < 2
         for b in term.holonomies:
             assert is_regular(A1, b)
@@ -611,17 +604,19 @@ def _branching_forest():
 
 
 def test_recorded_terms_match_fraction_oracle(corpus):
-    """The coset-table walk reproduces the frozen Fraction enumerator.
+    """The coset-key walk reproduces the frozen Fraction enumerator.
 
-    Same terms in the same order, same census, and values to 1e-10.
+    Same terms in the same order; the contraction has the same census,
+    and its value agrees to 1e-10.
     """
     cases = [(_lie(ent), ent.level, ent.link) for ent in corpus]
     cases.append((A2, 5, _branching_forest()))
     for lie, k, link in cases:
-        got = ss.wlo_unnormalized(lie, k, link, record_terms=True)
+        got = ss.wlo_unnormalized(lie, k, link)
         value, total, skipped, terms = oracles.wlo_terms_fraction(lie, k,
                                                                   link)
-        assert got.terms == terms
+        assert oracles.wlo_terms_keyed(lie, k, link, ss._forest(link))[3] \
+            == terms
         assert got.terms_total == total
         assert got.terms_skipped_singular == skipped
         assert abs(got.value - value) <= 1e-10 * max(1.0, abs(value))
@@ -709,10 +704,12 @@ def _assert_same_sum(contracted, explicit):
 def _assert_contraction_matches(lie, k, link, embedded=None):
     """Both contracted sums against their explicit enumerations.
 
-    record_terms=True and shadow_terms enumerate every holonomy term and
-    every face coloring; the plain calls contract over the forest.
+    The oracles wlo_terms_keyed and shadow_terms enumerate every
+    holonomy term and every face coloring; the plain calls contract over
+    the forest.
     """
-    explicit = ss.wlo_unnormalized(lie, k, link, record_terms=True)
+    explicit = ss.StateSumResult(
+        *oracles.wlo_terms_keyed(lie, k, link, ss._forest(link))[:3])
     _assert_same_sum(ss.wlo_unnormalized(lie, k, link), explicit)
     if embedded is not None:
         ss.validate_link(embedded)
@@ -778,26 +775,18 @@ def test_contraction_on_a_branching_forest():
 
 
 # ---------------------------------------------------------------------------
-# the contraction and the recorded terms on shift tables against the keyed
-# contraction and enumerator
+# the contraction on shift tables against the keyed contraction
 
 
 def _assert_keyed_contraction_equal(lie, k, link):
-    """Both shift-table walks equal their keyed oracles bit for bit: the
-    contraction's value and census, and the recorded terms' value repr,
-    census and every WloTerm."""
+    """The shift-table contraction equals its keyed oracle bit for bit,
+    value and census."""
     forest = ss._forest(link)
     got = ss._wlo_contract(lie, k, link, forest)
     want = oracles.wlo_contract_keyed(lie, k, link, forest)
     assert got.value == want.value
     assert got.terms_total == want.terms_total
     assert got.terms_skipped_singular == want.terms_skipped_singular
-    got = ss._wlo_terms(lie, k, link, forest)
-    want = oracles.wlo_terms_keyed(lie, k, link, forest)
-    assert repr(got.value) == repr(want.value)
-    assert (got.terms_total, got.terms_skipped_singular) == \
-        (want.terms_total, want.terms_skipped_singular)
-    assert got.terms == want.terms
 
 
 def test_shift_table_contraction_equals_keyed_on_corpus(corpus):
@@ -865,8 +854,8 @@ def test_shift_tables_are_exact():
                 for pos, y, e in zip(table.live, shifted, expo):
                     x = table.reps[pos]
                     moved = tuple(a + b for a, b in zip(x, step))
-                    assert y == table.index[ss._coset_key(lie, modulus,
-                                                          moved)]
+                    assert y == table.index[oracles.coset_key(lie, modulus,
+                                                              moved)]
                     want = n * (2 * oracles.inner(lie, step, x)
                                 + oracles.inner(lie, step, step))
                     assert 0 <= e < 2 * modulus
@@ -1019,9 +1008,8 @@ def test_non_integer_level_and_color_are_refused():
             evaluate(A1, 4.9, link)
         with pytest.raises(ValueError, match="must be an integer, not 1.7"):
             evaluate(A1, 4, bad_color)
-    term = ss.wlo_unnormalized(A1, 4, link, record_terms=True).terms[0]
     with pytest.raises(ValueError, match="level must be an integer"):
-        ss.step6_transform(A1, 4.0, link, term)
+        ss.step6_identities(A1, 4.0, link)
 
 
 def test_color_of_the_wrong_length_is_refused():
@@ -1032,18 +1020,110 @@ def test_color_of_the_wrong_length_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# the holonomy-to-shadow transform
+# Step 6: the table check, and the per-term transform oracle
+
+
+def _keyed_terms(lie, k, link):
+    return oracles.wlo_terms_keyed(lie, k, link, ss._forest(link))[3]
+
+
+def test_step6_table_check_agrees_with_per_term_oracle(corpus):
+    """The per-coset check passes wherever the per-term transform does.
+
+    Every face of a surviving term is a live coset, so no term's
+    determinant residual exceeds the table check's worst one.
+    """
+    cases = [(_lie(ent), ent.level, ent.link) for ent in corpus]
+    cases.append((A2, 5, _branching_forest()))
+    for lie, k, link in cases:
+        worst, _ = ss.step6_identities(lie, k, link)
+        assert worst <= ss._STEP6_TOL
+        per_term = [oracles.step6_transform(lie, k, link, term).det_residual
+                    for term in _keyed_terms(lie, k, link)]
+        assert max(per_term, default=0.0) <= worst
+
+
+def test_step6_identities_at_a_large_level():
+    # 144,666 surviving holonomy terms, too many for the per-term transform
+    # in a unit test
+    link = ss._chain(1, (((4, 4), 1, 1), ((1, 0), -2, -1)))
+    worst, checked = ss.step6_identities(A2, 20, link)
+    assert worst <= ss._STEP6_TOL
+    assert checked > 0
+
+
+def test_reduction_table_labels_every_regular_coset():
+    for lie, k in ((A1, 6), (A2, 5)):
+        table = ss._coset_table(lie, k)
+        labels = set(level_labels(lie, k))
+        reduction = ss._reduction_table(lie, k)
+        assert len(reduction) == len(table.reps)
+        for ok, (lam, sign) in zip(table.regular, reduction):
+            assert (lam in labels and sign in (1, -1)) if ok else \
+                (lam, sign) == (None, 0)
+
+
+_SELFCHECK_LINK = ss.RibbonLink(0, (ss.ColoredRibbon((2,), 1, 1),))
+
+
+def _off_label_exponent(orig):
+    def table(lie, k):
+        t = orig(lie, k)
+        if not t.labels:
+            return t
+        exps = dict(t.exps)
+        exps[t.labels[0]] += 1
+        return t._replace(exps=MappingProxyType(exps))
+    return table
+
+
+def _off_shift_exponent(orig):
+    def shift(lie, k, step):
+        shifted, expo = orig(lie, k, step)
+        regular = ss._coset_table(lie, k).regular
+        expo = list(expo)
+        expo[next(i for i, y in enumerate(shifted) if regular[y])] += 1
+        return shifted, expo
+    return shift
+
+
+def _zeroed_reduction_sign(orig):
+    def reduction(lie, k):
+        out = list(orig(lie, k))
+        pos = ss._coset_table(lie, k).live[0]
+        out[pos] = (out[pos][0], 0)
+        return tuple(out)
+    return reduction
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("_label_table", _off_label_exponent),
+    ("_rho_sine_constant", lambda orig: lambda lie, k: 1.01 * orig(lie, k)),
+    ("_shift_table", _off_shift_exponent),
+    ("_reduction_table", _zeroed_reduction_sign)])
+def test_step6_identities_catch_a_corrupted_table(monkeypatch, name,
+                                                  corrupt):
+    ss.step6_identities(A1, 4, _SELFCHECK_LINK)
+    monkeypatch.setattr(ss, name, corrupt(getattr(ss, name)))
+    with pytest.raises(ValueError, match=r"^coset \("):
+        ss.step6_identities(A1, 4, _SELFCHECK_LINK)
+
+
+def test_selfcheck_reports_a_corrupted_label_exponent(monkeypatch):
+    monkeypatch.setattr(ss, "_label_table",
+                        _off_label_exponent(ss._label_table))
+    row = cli.selfcheck()["step6_identities"]
+    assert row["pass"] is False
+    assert row["detail"].startswith("raised ValueError: coset (")
 
 
 def test_step6_identities_on_all_terms(corpus):
     for name in ("a1_g0_one_top_k6", "a2_g0_one_k4"):
         ent = _by_name(corpus, name)
         lie = _lie(ent)
-        res = ss.wlo_unnormalized(lie, ent.level, ent.link,
-                                  record_terms=True)
         labels = set(level_labels(lie, ent.level))
-        for term in res.terms:
-            st = ss.step6_transform(lie, ent.level, ent.link, term)
+        for term in _keyed_terms(lie, ent.level, ent.link):
+            st = oracles.step6_transform(lie, ent.level, ent.link, term)
             assert st.det_residual <= 1e-10
             assert set(st.labels) <= labels
             assert all(s in (1, -1) for s in st.signs)
@@ -1052,7 +1132,7 @@ def test_step6_identities_on_all_terms(corpus):
 def test_step6_aggregation_reproduces_shadow_terms(corpus):
     """Grouping holonomy terms by coloring matches the shadow summands.
 
-    The grouped sums add up to the recorded holonomy sum and equal one
+    The grouped sums add up to the enumerated holonomy sum and equal one
     global constant times the shadow summand of the same coloring,
     including the vanishing ones.
     """
@@ -1060,8 +1140,8 @@ def test_step6_aggregation_reproduces_shadow_terms(corpus):
         ent = _by_name(corpus, name)
         lie = _lie(ent)
         agg = oracles.step6_aggregate(lie, ent.level, ent.link)
-        total = ss.wlo_unnormalized(lie, ent.level, ent.link,
-                                    record_terms=True).value
+        total = oracles.wlo_terms_keyed(lie, ent.level, ent.link,
+                                        ss._forest(ent.link))[0]
         assert abs(sum(agg.values()) - total) <= 1e-12 * max(1.0, abs(total))
         sterms = oracles.shadow_terms(lie, ent.level, ent.link)
         ratios = []
@@ -1084,27 +1164,26 @@ def test_step6_phase_compared_exactly(corpus):
     """
     ent = _by_name(corpus, "a1_g1_two_k5")
     lie = _lie(ent)
-    res = ss.wlo_unnormalized(lie, ent.level, ent.link, record_terms=True)
-    term = next(t for t in res.terms if t.phase)
-    ss.step6_transform(lie, ent.level, ent.link,
-                       replace(term, phase=term.phase + 2))
+    term = next(t for t in _keyed_terms(lie, ent.level, ent.link) if t.phase)
+    oracles.step6_transform(lie, ent.level, ent.link,
+                            replace(term, phase=term.phase + 2))
     with pytest.raises(ValueError, match="gleam phase"):
-        ss.step6_transform(lie, ent.level, ent.link,
-                           replace(term, phase=term.phase
-                                   + Fraction(1, 10 ** 12)))
+        oracles.step6_transform(lie, ent.level, ent.link,
+                                replace(term, phase=term.phase
+                                        + Fraction(1, 10 ** 12)))
 
 
 def test_step6_wall_term_rejected():
-    term = ss.WloTerm((0,), (), 1, ((Fraction(0),),), Fraction(0))
+    term = oracles.WloTerm((0,), (), 1, ((Fraction(0),),), Fraction(0))
     with pytest.raises(ValueError, match="wall"):
-        ss.step6_transform(A1, 4, ss.RibbonLink(0), term)
+        oracles.step6_transform(A1, 4, ss.RibbonLink(0), term)
 
 
 def test_step6_holonomy_off_the_lattice_rejected():
     # k times a face holonomy must be an integer weight
-    term = ss.WloTerm((0,), (), 1, ((Fraction(1, 8),),), Fraction(0))
+    term = oracles.WloTerm((0,), (), 1, ((Fraction(1, 8),),), Fraction(0))
     with pytest.raises(ValueError, match="not in P/4"):
-        ss.step6_transform(A1, 4, ss.RibbonLink(0), term)
+        oracles.step6_transform(A1, 4, ss.RibbonLink(0), term)
 
 
 # ---------------------------------------------------------------------------
