@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import __version__
 from .complex import build_standard_surface, hodge_star, kernel_check_B0
 from .discrete import algebra_dim, det_block, det_twisted_restricted
-from .lie import ad_det_k, fusion_coefficient, level_labels, lie_data
+from .lie import _dual, ad_det_k, fusion_coefficient, level_labels, lie_data
 from .oscillatory import (OscGaussMeasure, epsilon_oracle,
                           first_second_moments, integrate_constant)
 from .statesum import (ColoredRibbon, RibbonLink, _forest, compare_theorem,
@@ -315,13 +315,12 @@ def _suite_block_determinant():
 
 def _suite_fusion_ring():
     # the first slot of the stored table enters through its weight system,
-    # i.e. conjugated; the ring product is recovered by conjugating it,
-    # which reverses the coordinates (the diagram automorphism of A_r)
+    # i.e. conjugated; the ring product is recovered by conjugating it
     for series, k in (("A1", 5), ("A2", 4)):
         lie = lie_data(series)
         labels = level_labels(lie, k)
         zero = tuple(0 for _ in range(lie.rank))
-        prod = {(a, b, c): fusion_coefficient(lie, k, a[::-1], b, c)
+        prod = {(a, b, c): fusion_coefficient(lie, k, _dual(a), b, c)
                 for a in labels for b in labels for c in labels}
         for a in labels:
             for b in labels:

@@ -197,11 +197,6 @@ class SurfaceComplex:
             if len(qs) != 2:
                 raise ValueError(f"qK edge {qeid} borders {len(qs)} quarters")
 
-        for qeid, (t, h) in qe.items():
-            ends = {t[0], h[0]}
-            assert "m" in ends and len(ends) == 2, \
-                "every qK edge joins a midpoint to a vertex or center"
-
     # -- helpers -----------------------------------------------------------
 
     def dart_tail(self, dart):

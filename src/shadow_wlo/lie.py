@@ -168,9 +168,22 @@ def _index(value, what):
             from None
 
 
+def _level(k):
+    """A level as an int (see _index); a level below 1 raises ValueError."""
+    k = _index(k, "level")
+    if k < 1:
+        raise ValueError("level must be a positive integer")
+    return k
+
+
 def _weight(values, what):
     """A weight's coordinates as a tuple of ints (see _index)."""
     return tuple(_index(c, what) for c in values)
+
+
+def _dual(weight):
+    """The dual weight -w0(weight): for A_r, the coordinates reversed."""
+    return tuple(reversed(weight))
 
 
 def level_labels(lie, k):
@@ -179,9 +192,7 @@ def level_labels(lie, k):
     The set is empty below the dual Coxeter number; at k equal to it only the
     zero label survives.
     """
-    k = _index(k, "level")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _level(k)
     budget = k - lie.dual_coxeter
     if budget < 0:
         return []
@@ -197,9 +208,7 @@ def quantum_dim(lie, k, lam):
     sin(pi <alpha, rho>/k).  k and lam are taken by operator.index (see
     _index); a level below 1 raises ValueError.
     """
-    k = _index(k, "level")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _level(k)
     shifted = tuple(l + p for l, p in zip(_weight(lam, "label"), lie.rho))
     num = 1.0
     den = 1.0
@@ -386,9 +395,7 @@ def lattice_points_in_scaled_box(lie, k):
     the (r+1)k^r integer weight-coordinate tuples, sorted.  A level below 1
     raises ValueError.
     """
-    k = _index(k, "level")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _level(k)
     n = lie.rank + 1
     col = [row[0] for row in lie.scaled_gram]
     out = []

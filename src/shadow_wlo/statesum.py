@@ -27,6 +27,9 @@ reads one cached shift table per (group, level, step) (_shift_table).
 Step 6 is checked on these tables, once per coset (step6_identities).
 These tables, and the nonzero fusion rows of each color
 (lie._fusion_table), are built directly in integer arithmetic.
+
+A ribbon (color, w, -1) sums like (dual color, -w, +1): the holonomy sum
+steps by the dual color's weights, the shadow sum reads its fusion rows.
 """
 
 import math
@@ -43,10 +46,10 @@ from .complex import (RibbonStep, _find, build_standard_surface, coboundary,
                       hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
-from .lie import (_alcove_reduce, _fusion_table, _index, _weight,
-                  fusion_coefficient, is_regular, lattice_points_in_scaled_box,
-                  level_labels, quantum_dim, root_pairings, sine_product,
-                  weight_multiplicities)
+from .lie import (_alcove_reduce, _dual, _fusion_table, _index, _level,
+                  _weight, fusion_coefficient, is_regular,
+                  lattice_points_in_scaled_box, level_labels, quantum_dim,
+                  root_pairings, sine_product, weight_multiplicities)
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,6 @@ class StateSumResult:
 class TheoremReport:
     """Both normalized ratios and their difference."""
 
-    wlo_link: complex
-    wlo_empty: complex
-    shadow_link: complex
-    shadow_empty: complex
     wlo_ratio: complex
     shadow_ratio: complex
     abs_difference: float
@@ -113,15 +112,14 @@ class _Forest(NamedTuple):
 
     parent[j] is the face enclosing face j (-1 for the base face 0), order
     lists the ribbon faces deepest first (a stable sort, so every face
-    precedes its parent), chi and gleam hold each face's Euler
-    characteristic and gleam, and marked each ribbon's (Y+, Y-) faces.
+    precedes its parent), and chi and gleam hold each face's Euler
+    characteristic and gleam.
     """
 
     parent: tuple
     order: tuple
     chi: tuple
     gleam: tuple
-    marked: tuple
 
 
 def _integer(value):
@@ -142,7 +140,6 @@ def _forest(link):
     par = [-1] * (m + 1)
     chi = [2 - 2 * link.genus] + [1] * m
     gl = [0] * (m + 1)
-    marked = []
     for pos, rib in enumerate(link.ribbons, start=1):
         p = rib.parent
         if not isinstance(p, int) or not 0 <= p <= m:
@@ -157,8 +154,6 @@ def _forest(link):
         chi[p] -= 1
         gl[pos] += rib.winding * rib.orientation
         gl[p] -= rib.winding * rib.orientation
-        # Y+ is the side on which the face potential jumps up
-        marked.append((pos, p) if rib.orientation == 1 else (p, pos))
     depth = [0] * (m + 1)
     for start in range(1, m + 1):
         seen = set()
@@ -171,8 +166,7 @@ def _forest(link):
             j = par[j]
         depth[start] = len(seen)
     order = sorted(range(1, m + 1), key=depth.__getitem__, reverse=True)
-    return _Forest(tuple(par), tuple(order), tuple(chi), tuple(gl),
-                   tuple(marked))
+    return _Forest(tuple(par), tuple(order), tuple(chi), tuple(gl))
 
 
 def face_chi(link):
@@ -225,30 +219,10 @@ def _chain_vertices(cx, chain):
     return verts[:-1]
 
 
-def _ribbon_chains(rib):
-    """The two boundary dart chains and the time profile of a ribbon."""
-    l_chain = []
-    lp_chain = []
-    dts = []
-    for st in rib.steps:
-        if st.dt:
-            if st.l_sigma or st.lp_sigma:
-                raise ValueError("a step may move in time or in the surface,"
-                                 " not both")
-            if st.dt not in (1, -1):
-                raise ValueError("time steps move one slice at a time")
-            if st.l_vertex is None or st.lp_vertex is None:
-                raise ValueError("time steps need both loop positions")
-            dts.append(st.dt)
-        else:
-            l_chain.extend(st.l_sigma)
-            lp_chain.extend(st.lp_sigma)
-    return l_chain, lp_chain, dts
-
-
 def _arc_data(cx, rib):
     """Vertex and edge sets of both arcs of one embedded ribbon."""
-    l_chain, lp_chain, dts = _ribbon_chains(rib)
+    l_chain = [dart for st in rib.steps for dart in st.l_sigma]
+    lp_chain = [dart for st in rib.steps for dart in st.lp_sigma]
     lv = _chain_vertices(cx, l_chain)
     lpv = _chain_vertices(cx, lp_chain)
     kinds_l = {qe[0] for qe, _ in l_chain}
@@ -267,8 +241,49 @@ def _arc_data(cx, rib):
         "lp_edges": frozenset(qe for qe, _ in lp_chain),
         "sigma": lv[0],
         "sigma_prime": lpv[0],
-        "dts": tuple(dts),
     }
+
+
+def _check_time_steps(link, pos, arcs):
+    """Walk the steps of ribbon pos in order, checking when and where each is.
+
+    A step moves one slice in time or moves in the surface, not both.  Its
+    t is the running slice in [0, n): the first step sets it, and each
+    time step moves it by dt mod n.  A loop starts at the tail of its
+    first dart, and a space step moves it to the head of its last dart; a
+    time step's l_vertex and lp_vertex must be where the two loops sit,
+    and a space step's, when given, where its chunks start.  The time
+    steps together wind winding * n slices.
+    """
+    rib = link.ribbons[pos]
+    at = [arcs["sigma"], arcs["sigma_prime"]]
+    now = rib.steps[0].t
+    total = 0
+    for i, st in enumerate(rib.steps):
+        where = f"ribbon {pos}, step {i}"
+        if st.dt not in (0, 1, -1) or st.dt and (st.l_sigma or st.lp_sigma):
+            raise ValueError(f"{where}: a step moves one slice in time or"
+                             " moves in the surface, not both")
+        if _integer(st.t) is None or not 0 <= st.t < link.n:
+            raise ValueError(f"{where}: time slice {st.t!r} is not in"
+                             f" Z_{link.n}")
+        if st.t != now:
+            raise ValueError(f"{where}: starts at slice {st.t}, but the"
+                             f" ribbon is at slice {now}")
+        for side, vert, chunk in ((0, st.l_vertex, st.l_sigma),
+                                  (1, st.lp_vertex, st.lp_sigma)):
+            if (st.dt or vert is not None) and vert != at[side]:
+                raise ValueError(f"{where}: loop position {vert!r}, but the"
+                                 f" loop is at {at[side]!r}")
+            if chunk:
+                qe, sgn = chunk[-1]
+                tail, head = link.complex.qk_edges[qe]
+                at[side] = head if sgn == 1 else tail
+        now = (now + st.dt) % link.n
+        total += st.dt
+    if total != rib.winding * link.n:
+        raise ValueError(f"ribbon {pos}: time profile winds {total}/{link.n},"
+                         f" declared winding is {rib.winding}")
 
 
 def _quarter_sides(cx):
@@ -407,14 +422,11 @@ def _ribbon_potential(cx, sides, arcs, strip):
         for qe in sides[qid]:
             if qe not in arcs["l_edges"] and qe not in arcs["lp_edges"]:
                 transverse.add(qe)
-    support = {qe for qe, val in df.items() if val}
-    # unit jumps exactly on the strip crossing edges
-    if support != transverse:
+    # f takes only the values 0 and jump, so its jumps are units; they
+    # must sit exactly on the strip crossing edges
+    if {qe for qe, val in df.items() if val} != transverse:
         raise ValueError("potential differential is not supported on the"
                          " strip crossing edges")
-    if any(abs(df[qe]) != 1 for qe in support):
-        raise ValueError("potential jump is not a unit on some strip"
-                         " crossing edge")
     for qid, corners in sorted(cx.quarter_corners.items()):
         v, m_in, m_out, c = corners
         if f[v] + f[c] != f[m_in] + f[m_out]:
@@ -425,13 +437,11 @@ def _ribbon_potential(cx, sides, arcs, strip):
 class _EmbeddedFaces:
     """Derived face structure of an embedded link.
 
-    Carries the per-ribbon potentials, the strip complement regions
-    matched one-to-one against the abstract faces, the census Euler
-    characteristics, and the two marked faces (Y+, Y-) of every ribbon,
-    ordered like the nesting forest's marked faces: the side where the
-    ribbon's own potential is higher comes first.  All checks that compare
-    the derived data with the abstract link data raise on the first
-    disagreement.
+    Carries the per-ribbon potentials and jump signs, the strip
+    complement regions matched one-to-one against the abstract faces, and
+    the census Euler characteristics; each ribbon's two loops must sit on
+    its inner and its parent face.  All checks that compare the derived
+    data with the abstract link data raise on the first disagreement.
     """
 
     def __init__(self, link):
@@ -453,10 +463,7 @@ class _EmbeddedFaces:
             if not rib.steps:
                 raise ValueError(f"ribbon {pos} has no embedding steps")
             arcs = _arc_data(cx, rib)
-            if sum(arcs["dts"]) != rib.winding * link.n:
-                raise ValueError(f"ribbon {pos}: time profile winds"
-                                 f" {sum(arcs['dts'])}/{link.n}, declared"
-                                 f" winding is {rib.winding}")
+            _check_time_steps(link, pos, arcs)
             self.arcs.append(arcs)
             self.strips.append(_strip_quarters(sides, arcs,
                                                rib.strip_quarters))
@@ -474,10 +481,8 @@ class _EmbeddedFaces:
         for pos, rib in enumerate(link.ribbons):
             f, jump = _ribbon_potential(cx, sides, self.arcs[pos],
                                         self.strips[pos])
+            # f is 0 on one strip side and jump on the other
             shift = f[self.sigma0]
-            if shift not in (0, jump):
-                raise ValueError(f"ribbon {pos}: basepoint value {shift}"
-                                 " is off both strip sides")
             self.potentials.append({v: val - shift for v, val in f.items()})
             # after normalizing at the basepoint the nonzero side is the
             # enclosed one, whichever loop the embedding put there
@@ -497,14 +502,11 @@ class _EmbeddedFaces:
             raise ValueError(f"strip complement has {len(regions)} regions"
                              f" for {m} ribbons, expected {m + 1}")
 
+        # on a valid forest the face vectors are distinct: entry j-1 is
+        # nonzero exactly on the faces inside ribbon j, and of two faces
+        # at least one is not inside the other's ribbon
         table = _face_weights(link, forest.parent)
-        want = {}
-        for j in range(m + 1):
-            vec = tuple(table[i][j] for i in range(m))
-            if vec in want:
-                raise ValueError("abstract face weight vectors are not"
-                                 " distinct")
-            want[vec] = j
+        want = {tuple(row[j] for row in table): j for j in range(m + 1)}
 
         ordered = [None] * (m + 1)
         for comp in regions:
@@ -526,14 +528,10 @@ class _EmbeddedFaces:
                              f" {forest.chi}")
 
         par = forest.parent
-        self.marked = []
-        for pos in range(m):
-            sig = self.arcs[pos]["sigma"]
-            sigp = self.arcs[pos]["sigma_prime"]
-            vec_l = tuple(f[sig] for f in self.potentials)
-            vec_lp = tuple(f[sigp] for f in self.potentials)
-            l_face = want.get(vec_l)
-            lp_face = want.get(vec_lp)
+        for pos, arcs in enumerate(self.arcs):
+            l_face = want.get(tuple(f[arcs["sigma"]] for f in self.potentials))
+            lp_face = want.get(tuple(f[arcs["sigma_prime"]]
+                                     for f in self.potentials))
             if l_face is None or lp_face is None:
                 raise ValueError(f"ribbon {pos}: loop basepoints do not"
                                  " evaluate to face potential vectors")
@@ -541,27 +539,16 @@ class _EmbeddedFaces:
                 raise ValueError(f"ribbon {pos}: adjacent faces"
                                  f" {{{l_face}, {lp_face}}} disagree with"
                                  " the nesting forest")
-            own = self.potentials[pos]
-            if own[sig] < own[sigp]:
-                l_face, lp_face = lp_face, l_face
-            self.marked.append((l_face, lp_face))
 
     def _check_disjointness(self):
-        closures = []
+        # loops sharing an edge share its ends, so vertices decide
+        seen = set()
         for arcs in self.arcs:
-            closures.append(("l", arcs["l_vertices"], arcs["l_edges"]))
-            closures.append(("lp", arcs["lp_vertices"], arcs["lp_edges"]))
-        for a in range(len(closures)):
-            for b in range(a + 1, len(closures)):
-                _, va, ea = closures[a]
-                _, vb, eb = closures[b]
-                if va & vb or ea & eb:
+            for verts in (arcs["l_vertices"], arcs["lp_vertices"]):
+                if seen & verts:
                     raise ValueError("ribbon boundary arcs intersect: the"
                                      " link is not non-crossing")
-        for a in range(len(self.strips)):
-            for b in range(a + 1, len(self.strips)):
-                if self.strips[a] & self.strips[b]:
-                    raise ValueError("ribbon strips overlap")
+                seen |= verts
 
     def _check_strip_tetragons(self):
         sides = self.sides
@@ -587,12 +574,12 @@ def validate_link(link):
     """Structural validation of a link presentation.
 
     Abstract links get their nesting forest checked; embedded links
-    additionally get the full battery: loop closure in space and time,
-    sidedness of the two loops, arc and strip disjointness, strip tetragon
-    counts, absence of interior strip vertices, separation by each strip,
-    winding consistency, and exact agreement of the derived potentials,
-    regions, Euler characteristics and marked faces with the abstract
-    data.
+    additionally get the full battery: loop closure in space, the slice
+    and loop position of every time step, sidedness of the two loops, arc
+    disjointness, strip tetragon counts, absence of interior strip
+    vertices, separation by each strip, winding consistency, and exact
+    agreement of the derived potentials, regions, Euler characteristics
+    and adjacent faces with the abstract data.
     """
     if link.complex is None:
         _forest(link)
@@ -789,9 +776,7 @@ def wlo_unnormalized(lie, k, link):
     validate_link, which check that the cells realize that forest.  Only
     ratios of values returned by this function are meaningful.
     """
-    k = _index(k, "level")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _level(k)
     forest = _forest(link)
     if k < lie.dual_coxeter:
         return StateSumResult(0j, 0, 0, flag="empty label set")
@@ -832,12 +817,13 @@ def _shadow_contract(lie, k, link, forest, table):
 
     Face c carries a vector over the labels, dim^chi_c times the gleam
     phase, times the kernels of its child ribbons; the kernel of ribbon i
-    applies the fusion matrix of its color to the child vector, reading
-    only the nonzero entries of its rows.  As in the forest's marked
-    faces, the first label slot is the face the potential jumps up to:
-    orientation +1 scatters each child label's row into the kernel, -1
-    gathers each kernel label's row.  Either way every kernel entry adds
-    its terms in label order.
+    applies the fusion matrix of its color to the child vector: each child
+    label's row, nonzero entries only, is scattered into the kernel, so
+    every kernel entry adds its terms in label order.  The first label
+    slot is the face the ribbon's potential jumps up to, the inner face at
+    orientation +1 and the parent face at -1.  The fusion matrix of the
+    dual color is the transpose, so a -1 ribbon reads the rows of its
+    dual color.
     """
     labels = table.labels
     pos = {lam: i for i, lam in enumerate(labels)}
@@ -851,17 +837,13 @@ def _shadow_contract(lie, k, link, forest, table):
         vals.append(vec)
     for c in forest.order:
         rib = link.ribbons[c - 1]
-        child = vals[c]
-        rows = _fusion_table(lie, k, _weight(rib.color, "color"))
+        color = _weight(rib.color, "color")
+        rows = _fusion_table(lie, k, color if rib.orientation == 1
+                             else _dual(color))
         kern = [0j] * len(labels)
-        if rib.orientation == 1:
-            for mu, v in zip(labels, child):
-                for lam, n in rows[mu].items():
-                    kern[pos[lam]] += n * v
-        else:
-            for i, lam in enumerate(labels):
-                for mu, n in rows[lam].items():
-                    kern[i] += n * child[pos[mu]]
+        for mu, v in zip(labels, vals[c]):
+            for lam, n in rows[mu].items():
+                kern[pos[lam]] += n * v
         par = forest.parent[c]
         vals[par] = [v * q for v, q in zip(vals[par], kern)]
     return _compensated_sum(vals[0])
@@ -877,9 +859,7 @@ def shadow_invariant(lie, k, link):
     terms_total still counts every coloring.  The empty label set below
     the dual Coxeter number gives an empty sum, flagged as such.
     """
-    k = _index(k, "level")
-    if k < 1:
-        raise ValueError("level must be a positive integer")
+    k = _level(k)
     forest = _forest(link)
     table = _label_table(lie, k)
     if not table.labels:
@@ -920,8 +900,7 @@ def compare_theorem(lie, k, link):
     sr = shadow_link.value / shadow_empty.value
     diff = abs(wr - sr)
     rel = diff / abs(sr) if abs(sr) > 1e-12 else diff
-    return TheoremReport(wlo_link.value, wlo_empty.value, shadow_link.value,
-                         shadow_empty.value, wr, sr, diff, rel)
+    return TheoremReport(wr, sr, diff, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,19 @@ def lattice_box_fraction(cartan, k):
 # the holonomy sum by explicit Fraction enumeration
 
 
+def fusion_faces(link):
+    """Each ribbon's adjacent faces (Y+, Y-), read off its orientation.
+
+    Y+ is the side on which the ribbon's face potential jumps up: the
+    inner face i+1 of ribbon i at orientation +1, its parent face at -1.
+    The holonomy phase pairs each ribbon's support weight with both faces,
+    and the shadow fusion coefficient N_{color, phi(Y+)}^{phi(Y-)} reads
+    them in this order.
+    """
+    return tuple((i + 1, r.parent) if r.orientation == 1 else
+                 (r.parent, i + 1) for i, r in enumerate(link.ribbons))
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class WloTerm:
     """One surviving holonomy-side term, in exact rational form.
@@ -620,7 +633,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     supports = []
     for rib in link.ribbons:
         supports.append(sorted(weight_multiplicities(lie, rib.color).items()))
-    marked = forest.marked
+    marked = fusion_faces(link)
     combos = []
     for choice in itertools.product(*supports):
         alphas = tuple(w for w, _ in choice)
@@ -943,11 +956,12 @@ def shadow_terms(lie, k, link):
     forest = _forest(link)
     table = _label_table(lie, k)
     phases = _phase_table((lie.rank + 1) * k)
+    marked = fusion_faces(link)
     out = {}
     for phi in product(table.labels, repeat=m + 1):
         nfac = 1
         for i in range(m):
-            jp, jn = forest.marked[i]
+            jp, jn = marked[i]
             nfac *= fusion_coefficient(lie, k, link.ribbons[i].color,
                                        phi[jp], phi[jn])
             if nfac == 0:
@@ -962,6 +976,45 @@ def shadow_terms(lie, k, link):
             e += forest.gleam[j] * table.exps[phi[j]]
         out[phi] = val * phases[e % len(phases)]
     return out
+
+
+def shadow_contract_gather(lie, k, link, forest, table):
+    """The shadow contraction with a gather loop for orientation -1.
+
+    The package's former _shadow_contract, frozen: a -1 ribbon gathers,
+    for each kernel label, the row of its own color, instead of reading
+    the rows of the dual color.  The tests hold the production
+    contraction to it bit for bit.
+    """
+    from shadow_wlo.lie import _fusion_table, _weight
+    from shadow_wlo.statesum import _compensated_sum, _phase_table
+
+    labels = table.labels
+    pos = {lam: i for i, lam in enumerate(labels)}
+    phases = _phase_table((lie.rank + 1) * k)
+    vals = []
+    for x, g in zip(forest.chi, forest.gleam):
+        vec = [table.dims[lam] ** x for lam in labels]
+        if g:
+            vec = [v * phases[g * table.exps[lam] % len(phases)]
+                   for v, lam in zip(vec, labels)]
+        vals.append(vec)
+    for c in forest.order:
+        rib = link.ribbons[c - 1]
+        child = vals[c]
+        rows = _fusion_table(lie, k, _weight(rib.color, "color"))
+        kern = [0j] * len(labels)
+        if rib.orientation == 1:
+            for mu, v in zip(labels, child):
+                for lam, n in rows[mu].items():
+                    kern[pos[lam]] += n * v
+        else:
+            for i, lam in enumerate(labels):
+                for mu, n in rows[lam].items():
+                    kern[i] += n * child[pos[mu]]
+        par = forest.parent[c]
+        vals[par] = [v * q for v, q in zip(vals[par], kern)]
+    return _compensated_sum(vals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from shadow_wlo import statesum as ss
 from shadow_wlo.complex import (RibbonStep, build_standard_surface,
                                 coboundary, hodge_star_signs,
                                 kernel_check_B0)
-from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
+from shadow_wlo.lie import (_dual, is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
 
@@ -151,13 +151,6 @@ def test_gleam_matches_tracing_oracle(corpus):
             assert oracle[frozenset(comp)] == gleam[j], (ent.name, j)
 
 
-def test_fusion_faces_follow_orientation():
-    up = ss._chain(0, (((1,), 1, 1),))
-    down = ss._chain(0, (((1,), 1, -1),))
-    assert ss._forest(up).marked[0] == (1, 0)
-    assert ss._forest(down).marked[0] == (0, 1)
-
-
 @st.composite
 def _random_nesting(draw):
     """A random forest of up to 6 ribbons, faces relabelled at random."""
@@ -189,10 +182,6 @@ def test_forest_record_matches_per_face_recomputation(link):
         assert forest.gleam[j] == sum(
             r.winding * r.orientation * ((i + 1 == j) - (r.parent == j))
             for i, r in enumerate(ribbons))
-    for i, r in enumerate(ribbons):
-        inner_up = (i + 1, r.parent)
-        assert forest.marked[i] == (inner_up if r.orientation == 1
-                                    else inner_up[::-1])
     assert ss.face_chi(link) == forest.chi
 
 
@@ -468,6 +457,64 @@ def test_forest_disagreement_detected(corpus):
     bad = ss.RibbonLink(emb.genus, (r1, sib), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="nesting forest"):
         ss.validate_link(bad)
+
+
+def _with_steps(emb, steps):
+    """emb with its one ribbon's steps replaced."""
+    rib = emb.ribbons[0]
+    return replace(emb, ribbons=(replace(rib, steps=tuple(steps)),))
+
+
+def test_time_steps_off_the_time_circle_detected(corpus):
+    # time steps at slice 7 of Z_2 at a vertex the loops never reach
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    steps = [replace(st, t=7, l_vertex=("v", "nowhere"),
+                     lp_vertex=("v", "nowhere")) if st.dt else st
+             for st in emb.ribbons[0].steps]
+    with pytest.raises(ValueError, match=r"ribbon 0, step 1: time slice 7"
+                                         r" is not in Z_2"):
+        ss.validate_link(_with_steps(emb, steps))
+
+
+def test_time_steps_out_of_order_detected(corpus):
+    # the ring sits at slice 0 and the two time steps at slices 1, 0
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    ring, up, up2 = emb.ribbons[0].steps
+    steps = [ring, replace(up, t=1), replace(up2, t=0)]
+    with pytest.raises(ValueError, match="ribbon 0, step 1: starts at slice"
+                                         " 1, but the ribbon is at slice 0"):
+        ss.validate_link(_with_steps(emb, steps))
+
+
+@pytest.mark.parametrize("field", ["l_vertex", "lp_vertex"])
+def test_time_step_away_from_its_loop_detected(corpus, field):
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    ring, up, up2 = emb.ribbons[0].steps
+    other = next(v for v in emb.complex.qk_vertices
+                 if v not in (up.l_vertex, up.lp_vertex))
+    steps = [ring, up, replace(up2, **{field: other})]
+    with pytest.raises(ValueError, match="ribbon 0, step 2: loop position"):
+        ss.validate_link(_with_steps(emb, steps))
+    # a space step's positions, when given, are where its chunks start
+    steps = [replace(ring, **{field: other}), up, up2]
+    with pytest.raises(ValueError, match="ribbon 0, step 0: loop position"):
+        ss.validate_link(_with_steps(emb, steps))
+    steps = [replace(ring, l_vertex=up.l_vertex, lp_vertex=up.lp_vertex),
+             up, up2]
+    ss.validate_link(_with_steps(emb, steps))
+
+
+def test_time_steps_of_standard_embeddings_validate():
+    """embed_link's time steps sit where its loops are, at every slice."""
+    for genus in (0, 1):
+        for winding in range(-3, 4):
+            for n in range(2, 6):
+                link = ss._chain(genus, (((1,), winding, 1),
+                                         ((2,), -winding, -1)))
+                # embed_link validates the link it returns
+                emb = ss.embed_link(link, n=n)
+                assert [sum(1 for st in rib.steps if st.dt)
+                        for rib in emb.ribbons] == [abs(winding) * n] * 2
 
 
 def test_embedded_chi_census_matches_forest(corpus):
@@ -872,6 +919,114 @@ def test_shift_tables_shared_by_dual_steps_and_cached():
     assert (info.misses, info.currsize) == (3, 3)
     ss.wlo_unnormalized(A2, 5, link)
     assert ss._shift_table.cache_info().misses == 3
+
+
+# ---------------------------------------------------------------------------
+# the shadow contraction: orientation -1 reads the dual color
+
+
+def _dual_twin(link):
+    """link with each -1 ribbon replaced by (dual color, -w, +1)."""
+    return replace(link, ribbons=tuple(
+        r if r.orientation == 1 else
+        replace(r, color=tuple(reversed(r.color)), winding=-r.winding,
+                orientation=1)
+        for r in link.ribbons))
+
+
+def _assert_shadow_equals_gather(lie, k, link):
+    """The contraction equals the frozen gather-loop contraction in repr."""
+    forest = ss._forest(link)
+    table = ss._label_table(lie, k)
+    got = ss._shadow_contract(lie, k, link, forest, table)
+    want = oracles.shadow_contract_gather(lie, k, link, forest, table)
+    assert repr(got) == repr(want)
+
+
+def test_shadow_contraction_equals_gather_on_corpus(corpus):
+    for ent in corpus:
+        _assert_shadow_equals_gather(_lie(ent), ent.level, ent.link)
+
+
+def test_shadow_contraction_equals_gather_on_benchmark_shapes():
+    # the forest benchmark's A2 k=5 branching forest and A1 k=10 chain, and
+    # the fusion benchmark's A2 k=7 genus-1 chain: every sign pattern, and
+    # every winding of -2..2 on every ribbon
+    windings = (-2, -1, 0, 1, 2)
+    branching = _branching_forest()
+    for shift in range(5):
+        w = windings[shift:] + windings[:shift]
+        for signs in product((1, -1), repeat=4):
+            _assert_shadow_equals_gather(A2, 5, replace(
+                branching, ribbons=tuple(
+                    replace(r, winding=w[i], orientation=signs[i])
+                    for i, r in enumerate(branching.ribbons))))
+            _assert_shadow_equals_gather(A1, 10, ss._chain(0, tuple(
+                (color, w[i], signs[i])
+                for i, color in enumerate(((1,), (2,), (1,), (2,))))))
+    for (w1, s1), (w2, s2) in product(product(windings, (1, -1)), repeat=2):
+        _assert_shadow_equals_gather(A2, 7, ss._chain(1, (
+            ((1, 0), w1, s1), ((0, 1), w2, s2))))
+
+
+@st.composite
+def _shadow_links(draw):
+    """A1 or A2 at k 2..8, genus 0..2, up to four ribbons in a random
+    forest, with colors up to two levels outside the alcove."""
+    lie = draw(st.sampled_from((A1, A2)))
+    k = draw(st.integers(2, 8))
+    top = max(k - lie.dual_coxeter, 0) + 2
+    colors = [c for c in product(range(top + 1), repeat=lie.rank)
+              if sum(c) <= top]
+    m = draw(st.integers(0, 4))
+    label = [0] + draw(st.permutations(range(1, m + 1)))
+    ribbons = [None] * m
+    for face in range(1, m + 1):
+        ribbons[label[face] - 1] = ss.ColoredRibbon(
+            draw(st.sampled_from(colors)), draw(st.integers(-3, 3)),
+            draw(st.sampled_from((1, -1))),
+            label[draw(st.integers(0, face - 1))])
+    return lie, k, ss.RibbonLink(draw(st.integers(0, 2)), tuple(ribbons))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shadow_links())
+def test_shadow_contraction_equals_gather_on_random_links(case):
+    _assert_shadow_equals_gather(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shadow_links())
+def test_orientation_is_a_dual_color(case):
+    """A -1 ribbon sums like its dual-colored twin (-w, +1): the shadow
+    sum in repr, the holonomy sum in its census and to 1e-9 relative."""
+    lie, k, link = case
+    twin = _dual_twin(link)
+    assert repr(ss.shadow_invariant(lie, k, link)) == \
+        repr(ss.shadow_invariant(lie, k, twin))
+    got = ss.wlo_unnormalized(lie, k, link)
+    want = ss.wlo_unnormalized(lie, k, twin)
+    assert (got.terms_total, got.terms_skipped_singular, got.flag) == \
+        (want.terms_total, want.terms_skipped_singular, want.flag)
+    assert abs(got.value - want.value) <= 1e-9 * max(1.0, abs(want.value))
+
+
+def test_fusion_table_of_the_dual_color_is_the_transpose():
+    """N_{mu,nu}^lam = N_{mu*,lam}^nu, on the labels and one level beyond."""
+    for lie in (A1, A2, lie_data("A3")):
+        for k in range(lie.dual_coxeter, 9):
+            budget = k - lie.dual_coxeter
+            labels = level_labels(lie, k)
+            for mu in product(range(budget + 2), repeat=lie.rank):
+                if sum(mu) > budget + 1:
+                    continue
+                rows = ss._fusion_table(lie, k, mu)
+                dual = ss._fusion_table(lie, k, _dual(mu))
+                for nu in labels:
+                    for lam in labels:
+                        assert rows[nu].get(lam, 0) == \
+                            dual[lam].get(nu, 0), (lie.series, k, mu, nu,
+                                                   lam)
 
 
 # ---------------------------------------------------------------------------
