@@ -364,15 +364,15 @@ def _suite_euler_characteristics():
     return True, "face characteristics sum to 2 - 2g on every forest"
 
 
-def _suite_projected_kernel(surface):
+def _suite_projected_kernel():
     for g, refinement, sites in ((0, 1, ()), (0, 1, (2,)), (1, 2, (1,))):
-        if not kernel_check_B0(surface(g, refinement, sites)):
+        if not kernel_check_B0(build_standard_surface(g, refinement, sites)):
             return False, f"genus {g} refinement {refinement} sites {sites}"
     return True, "projected coboundary kernels are exactly the constants"
 
 
-def _suite_hodge_symmetry(surface):
-    cx = surface(0, 1, ())
+def _suite_hodge_symmetry():
+    cx = build_standard_surface(0, 1, ())
     edges = sorted(cx.edges)
     x = {e: float((i % 5) - 2) for i, e in enumerate(edges)}
     y = {e: float((i % 7) - 3) for i, e in enumerate(edges)}
@@ -419,16 +419,17 @@ def _suite_empty_label_paths():
 
 def selfcheck():
     """Run the invariant suites of every module; returns the pass table."""
-    # the genus-0 refinement-1 surface serves two suites; build it once
-    surface = lru_cache(maxsize=None)(build_standard_surface)
+    # build_standard_surface builds each surface once per process: the
+    # suites share the genus-0 refinement-1 surface with each other, and
+    # every surface with the embedded links and kernel checks of the process
     suites = [
         ("oscillatory_closed_forms", _suite_oscillatory),
         ("twisted_determinants", _suite_twisted_determinants),
         ("block_determinant", _suite_block_determinant),
         ("fusion_ring", _suite_fusion_ring),
         ("euler_characteristics", _suite_euler_characteristics),
-        ("projected_kernel", lambda: _suite_projected_kernel(surface)),
-        ("hodge_symmetry", lambda: _suite_hodge_symmetry(surface)),
+        ("projected_kernel", _suite_projected_kernel),
+        ("hodge_symmetry", _suite_hodge_symmetry),
         ("step6_identities", _suite_step6_identities),
         ("empty_label_paths", _suite_empty_label_paths),
     ]

@@ -12,6 +12,13 @@ vertex or a center, giving the half-edge structure the downstream operators
 rely on.  RibbonStep, one step of a ribbon's boundary walk over qK edges,
 is defined here beside the subdivision it indexes.
 
+Beside its named tables, a SurfaceComplex numbers its qK vertices, qK
+edges and quarters once, at construction, and keeps integer corner, side
+and edge-end tables over those ids.  The named tables stay the interface
+that RibbonStep, the oracles and the tests read; the kernel check, the
+region census and the embedded validation in statesum run over the ids.
+build_standard_surface builds each standard surface once per process.
+
 The B0 kernel check first merges the vertices its equality conditions
 tie together (the star of the base vertex, the ends of each primal and
 dual edge) into classes, then takes the rank of the tetragon affinity on
@@ -28,7 +35,9 @@ Orientation conventions, fixed once here and asserted by tests:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -50,7 +59,8 @@ hodge_star_signs = {"K1": 1, "K2": -1}
 
 
 def _find(parent, x):
-    """Root of x in a union-find forest {node: parent}, halving its path."""
+    """Root of x in a union-find forest (parent[x] is x's parent, in a list
+    or a dict), halving its path."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -68,12 +78,25 @@ class SurfaceComplex:
     """Immutable oriented cell decomposition with its quad subdivision.
 
     Construct through build_standard_surface, or directly from an
-    {edge: (tail, head)} map and a list of (face id, dart cycle) pairs.
-    All tables are plain dicts and tuples; nothing is mutated after
-    construction.
+    {edge: (tail, head)} map, a list of (face id, dart cycle) pairs and,
+    for a carved surface, its ring-site records.  The named tables are
+    plain dicts and tuples.  Beside them the subdivision is numbered once:
+    qK vertex ids follow qk_vertices (sorted), qK edge ids follow qk_edges
+    (4i + 0..3 are h1, h2, d1, d2 of the i-th edge of edges), and quarter
+    ids follow quarter_names (sorted).  The integer tables are
+      - qk_vertex_ids, qk_edge_ids, quarter_ids: name -> id;
+      - qk_edge_ends: (tail, head) per qK edge;
+      - edge_end_ids: (tail, head, left center, right center) per edge;
+      - quarter_corner_ids: (v, m_in, m_out, c) per quarter, as in
+        quarter_corners;
+      - quarter_side_ids: the four qK edges bounding each quarter;
+      - quarters_by_face: the quarter ids in the order of quarters, face
+        by face, which fixes the order in which regions are found.
+    Nothing is written after construction, so build_standard_surface
+    hands one instance to every caller.
     """
 
-    def __init__(self, genus, edges, faces):
+    def __init__(self, genus, edges, faces, ring_sites=()):
         self.genus = genus
         self.edges = dict(edges)
         self.faces = {}
@@ -81,9 +104,9 @@ class SurfaceComplex:
             if fid in self.faces:
                 raise ValueError(f"duplicate face id {fid}")
             self.faces[fid] = tuple(cycle)
+        self.ring_sites = tuple(ring_sites)
         self._validate_and_derive()
         self._build_quad_subdivision()
-        self.ring_sites = ()
 
     # -- construction ------------------------------------------------------
 
@@ -125,10 +148,12 @@ class SurfaceComplex:
             eid, sign = prv[dart]
             return (eid, -sign)
 
+        # each orbit starts at its smallest dart, in increasing order
         rotations = {}
-        unvisited = set(nxt)
-        while unvisited:
-            start = min(unvisited)
+        visited = set()
+        for start in sorted(nxt):
+            if start in visited:
+                continue
             orbit = [start]
             cur = sigma(start)
             while cur != start:
@@ -139,7 +164,7 @@ class SurfaceComplex:
                 if tail(d) != v:
                     raise ValueError("rotation orbit mixes vertices; "
                                      "not a closed oriented surface")
-                unvisited.discard(d)
+                visited.add(d)
             if v in rotations:
                 raise ValueError(f"vertex {v} is a non-manifold pinch point")
             rotations[v] = tuple(orbit)
@@ -159,14 +184,23 @@ class SurfaceComplex:
         for f in self.faces:
             qv.append(("c", f))
         self.qk_vertices = tuple(sorted(qv))
+        vid = {w: i for i, w in enumerate(self.qk_vertices)}
+        self.qk_vertex_ids = vid
 
         qe = {}
+        edge_ends = []
         for e, (t, h) in self.edges.items():
+            left, right = ("c", self.edge_left[e]), ("c", self.edge_right[e])
             qe[("h1", e)] = (("v", t), ("m", e))
             qe[("h2", e)] = (("m", e), ("v", h))
-            qe[("d1", e)] = (("c", self.edge_left[e]), ("m", e))
-            qe[("d2", e)] = (("m", e), ("c", self.edge_right[e]))
+            qe[("d1", e)] = (left, ("m", e))
+            qe[("d2", e)] = (("m", e), right)
+            edge_ends.append((vid[("v", t)], vid[("v", h)], vid[left],
+                              vid[right]))
         self.qk_edges = qe
+        self.qk_edge_ids = eid = {name: i for i, name in enumerate(qe)}
+        self.qk_edge_ends = tuple((vid[t], vid[h]) for t, h in qe.values())
+        self.edge_end_ids = tuple(edge_ends)
 
         quarters = {}
         corners = {}
@@ -188,14 +222,22 @@ class SurfaceComplex:
                                 ("c", fid))
         self.quarters = quarters
         self.quarter_corners = corners
+        self.quarter_names = names = tuple(sorted(quarters))
+        self.quarter_ids = qids = {qid: i for i, qid in enumerate(names)}
+        self.quarters_by_face = tuple(qids[qid] for qid in quarters)
+        self.quarter_corner_ids = tuple(
+            tuple(vid[w] for w in corners[qid]) for qid in names)
+        self.quarter_side_ids = sides = tuple(
+            tuple(eid[name] for name, _sign in quarters[qid])
+            for qid in names)
 
-        incidence = {}
-        for qid, boundary in quarters.items():
-            for qeid, _sign in boundary:
-                incidence.setdefault(qeid, []).append(qid)
-        for qeid, qs in incidence.items():
-            if len(qs) != 2:
-                raise ValueError(f"qK edge {qeid} borders {len(qs)} quarters")
+        borders = [0] * len(qe)
+        for ss in sides:
+            for e in ss:
+                borders[e] += 1
+        for name, count in zip(qe, borders):
+            if count != 2:
+                raise ValueError(f"qK edge {name} borders {count} quarters")
 
     # -- helpers -----------------------------------------------------------
 
@@ -406,8 +448,18 @@ def build_standard_surface(g, refinement, sites=()):
     sides cut into refinement segments (a triangle fan, abstract use only).
     sites is a sequence of ring-patch depths; site p gets depth sites[p]
     carved into a deterministic base cell, providing nested loop sites for
-    ribbon embeddings.
+    ribbon embeddings.  g, refinement and the depths must be integers.
+
+    Each surface is built once per process and shared: calls with the
+    same g, refinement and depths, however passed, return one instance.
     """
+    sites = tuple(operator.index(depth) for depth in sites)
+    return _standard_surface(operator.index(g), operator.index(refinement),
+                             sites)
+
+
+@lru_cache(maxsize=None)
+def _standard_surface(g, refinement, sites):
     if g < 0 or refinement < 1:
         raise ValueError("need g >= 0 and refinement >= 1")
     if g == 0:
@@ -431,9 +483,7 @@ def build_standard_surface(g, refinement, sites=()):
             edges, faces, info = _carve_ring_patch(edges, faces, cells[p],
                                                    depth, p)
             site_info.append(info)
-    cx = SurfaceComplex(g, edges, faces)
-    cx.ring_sites = tuple(site_info)
-    return cx
+    return SurfaceComplex(g, edges, faces, site_info)
 
 
 # ---------------------------------------------------------------------------
@@ -531,45 +581,47 @@ def kernel_check_B0(cx, sigma0=None):
     the closed star of sigma0.  The projected coboundary vanishes exactly
     when the two primal values along each non-loop edge agree and the two
     center values across each dual edge agree.  Apart from the affinity,
-    every condition is an equality x_a = x_b; merged by union-find into
-    classes, the equalities parametrize their solution space by one value
-    per class.  Summing each affinity row's coefficients per class gives
-    the restriction of the affinity to that space, so the kernel has
-    dimension #classes - rank of the quotient rows, found by exact
-    elimination.
+    every condition is an equality x_a = x_b; merged by union-find over
+    the qK vertex ids into classes, the equalities parametrize their
+    solution space by one value per class.  Summing each affinity row's
+    coefficients per class gives the restriction of the affinity to that
+    space, so the kernel has dimension #classes - rank of the quotient
+    rows, found by exact elimination.
     """
-    parent = {qv: qv for qv in cx.qk_vertices}
     if sigma0 is None:
         sigma0 = default_sigma0(cx)
-    elif sigma0 not in parent:
+    base = cx.qk_vertex_ids.get(sigma0)
+    if base is None:
         raise ValueError(f"base vertex {sigma0!r} is not a qK vertex")
+    parent = list(range(len(cx.qk_vertices)))
 
     def union(a, b):
         parent[_find(parent, a)] = _find(parent, b)
 
-    for corners in cx.quarter_corners.values():
-        if sigma0 in corners:
-            for qv in corners:
-                union(qv, sigma0)
-    # loop edges impose nothing
-    for e, (t, h) in cx.edges.items():
+    for corners in cx.quarter_corner_ids:
+        if base in corners:
+            for w in corners:
+                union(w, base)
+    for t, h, left, right in cx.edge_end_ids:
+        # loop edges impose nothing
         if t != h:
-            union(("v", t), ("v", h))
-        union(("c", cx.edge_left[e]), ("c", cx.edge_right[e]))
+            union(t, h)
+        union(left, right)
     # the class of sigma0 meets almost every row; as the last column it is
     # pivoted on last, which keeps the elimination sparse
-    star = _find(parent, sigma0)
+    roots = [_find(parent, w) for w in range(len(parent))]
+    star = roots[base]
     cls = {}
-    for qv in cx.qk_vertices:
-        if (root := _find(parent, qv)) != star:
+    for root in roots:
+        if root != star:
             cls.setdefault(root, len(cls))
     cls[star] = len(cls)
+    col = [cls[root] for root in roots]
     rows = []
-    for v, m_in, m_out, c in cx.quarter_corners.values():
+    for v, m_in, m_out, c in cx.quarter_corner_ids:
         row = {}
-        for qv, coef in ((v, 1), (c, 1), (m_in, -1), (m_out, -1)):
-            col = cls[_find(parent, qv)]
-            row[col] = row.get(col, 0) + coef
+        for w, coef in ((v, 1), (c, 1), (m_in, -1), (m_out, -1)):
+            row[col[w]] = row.get(col[w], 0) + coef
         if any(row.values()):
             rows.append(row)
     return len(cls) - rational_rref(rows) == 1
@@ -581,21 +633,26 @@ def face_euler_characteristics(cx, regions):
     regions maps a face label to the set of quarters forming the region.
     Counts primal vertices minus midpoints plus centers in the closure, and
     cross-checks against the cellwise chi of the closed subcomplex;
-    disagreement signals an invalid region structure.
+    disagreement signals an invalid region structure.  A quarter's corner
+    ids are (primal vertex, midpoint, midpoint, center), so each corner's
+    class is its position.
     """
+    ids = cx.quarter_ids
+    corner_ids, side_ids = cx.quarter_corner_ids, cx.quarter_side_ids
     out = {}
     for label, quarter_set in regions.items():
-        verts = set()
-        qedges = set()
+        primal, mid, center, qedges = set(), set(), set(), set()
         for qid in quarter_set:
-            verts.update(cx.quarter_corners[qid])
-            for qeid, _ in cx.quarters[qid]:
-                qedges.add(qeid)
-        n_primal = sum(1 for w in verts if w[0] == "v")
-        n_mid = sum(1 for w in verts if w[0] == "m")
-        n_center = sum(1 for w in verts if w[0] == "c")
-        census = n_primal - n_mid + n_center
-        cellwise = len(verts) - len(qedges) + len(quarter_set)
+            q = ids[qid]
+            v, m_in, m_out, c = corner_ids[q]
+            primal.add(v)
+            mid.add(m_in)
+            mid.add(m_out)
+            center.add(c)
+            qedges.update(side_ids[q])
+        census = len(primal) - len(mid) + len(center)
+        cellwise = (len(primal) + len(mid) + len(center) - len(qedges)
+                    + len(quarter_set))
         if census != cellwise:
             raise ValueError(
                 f"region {label}: vertex census {census} disagrees with "

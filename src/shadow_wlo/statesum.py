@@ -41,7 +41,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .complex import (RibbonStep, _find, build_standard_surface, coboundary,
+from .complex import (RibbonStep, _find, build_standard_surface,
                       default_sigma0, face_euler_characteristics,
                       hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
@@ -196,17 +196,21 @@ def _face_weights(link, par):
 # embedded links: arcs, strips, potentials, regions
 
 
-def _chain_vertices(cx, chain):
-    """Ordered vertices visited by a dart chain, with closure validation."""
+def _chain_ids(cx, chain):
+    """Vertex ids visited by a dart chain and its darts as (qK edge id,
+    sign), with closure validation."""
     if not chain:
         raise ValueError("empty boundary chain")
+    ids, ends = cx.qk_edge_ids, cx.qk_edge_ends
     verts = []
+    darts = []
     for qe, sgn in chain:
-        if qe not in cx.qk_edges:
+        e = ids.get(qe)
+        if e is None:
             raise ValueError(f"chain uses unknown edge {qe!r}")
         if sgn not in (1, -1):
             raise ValueError(f"chain sign must be +-1, got {sgn!r}")
-        t, h = cx.qk_edges[qe]
+        t, h = ends[e]
         if sgn == -1:
             t, h = h, t
         if verts and verts[-1] != t:
@@ -214,17 +218,19 @@ def _chain_vertices(cx, chain):
         if not verts:
             verts.append(t)
         verts.append(h)
+        darts.append((e, sgn))
     if verts[0] != verts[-1]:
         raise ValueError("boundary chain does not close")
-    return verts[:-1]
+    return verts[:-1], darts
 
 
 def _arc_data(cx, rib):
-    """Vertex and edge sets of both arcs of one embedded ribbon."""
+    """Both arcs of one embedded ribbon: the named chains, and the ids of
+    their darts, vertices, edges and start vertices."""
     l_chain = [dart for st in rib.steps for dart in st.l_sigma]
     lp_chain = [dart for st in rib.steps for dart in st.lp_sigma]
-    lv = _chain_vertices(cx, l_chain)
-    lpv = _chain_vertices(cx, lp_chain)
+    lv, l_darts = _chain_ids(cx, l_chain)
+    lpv, lp_darts = _chain_ids(cx, lp_chain)
     kinds_l = {qe[0] for qe, _ in l_chain}
     kinds_lp = {qe[0] for qe, _ in lp_chain}
     # the two loops live on opposite halves of the doubled complex
@@ -235,12 +241,13 @@ def _arc_data(cx, rib):
     return {
         "l_chain": tuple(l_chain),
         "lp_chain": tuple(lp_chain),
+        "l_darts": tuple(l_darts),
+        "lp_darts": tuple(lp_darts),
         "l_vertices": frozenset(lv),
         "lp_vertices": frozenset(lpv),
-        "l_edges": frozenset(qe for qe, _ in l_chain),
-        "lp_edges": frozenset(qe for qe, _ in lp_chain),
-        "sigma": lv[0],
-        "sigma_prime": lpv[0],
+        "l_edges": frozenset(e for e, _ in l_darts),
+        "lp_edges": frozenset(e for e, _ in lp_darts),
+        "start": (lv[0], lpv[0]),
     }
 
 
@@ -256,7 +263,7 @@ def _check_time_steps(link, pos, arcs):
     steps together wind winding * n slices.
     """
     rib = link.ribbons[pos]
-    at = [arcs["sigma"], arcs["sigma_prime"]]
+    at = [link.complex.qk_vertices[w] for w in arcs["start"]]
     now = rib.steps[0].t
     total = 0
     for i, st in enumerate(rib.steps):
@@ -286,82 +293,83 @@ def _check_time_steps(link, pos, arcs):
                          f" declared winding is {rib.winding}")
 
 
-def _quarter_sides(cx):
-    """The set of qK edges bounding each quarter, by quarter id."""
-    return {qid: frozenset(qe for qe, _ in darts)
-            for qid, darts in cx.quarters.items()}
-
-
-def _strip_quarters(sides, arcs, declared=None):
-    """Quarters with one side on each arc; checked against the declaration."""
-    found = frozenset(qid for qid, ss in sides.items()
-                      if ss & arcs["l_edges"] and ss & arcs["lp_edges"])
+def _strip_quarters(cx, arcs, declared=None):
+    """Quarter ids with one side on each arc; checked against the
+    declaration, which names quarters."""
+    l_edges, lp_edges = arcs["l_edges"], arcs["lp_edges"]
+    found = frozenset(q for q, ss in enumerate(cx.quarter_side_ids)
+                      if not l_edges.isdisjoint(ss)
+                      and not lp_edges.isdisjoint(ss))
     if declared:
-        if frozenset(declared) != found:
+        names = cx.quarter_names
+        if frozenset(declared) != frozenset(names[q] for q in found):
             raise ValueError("declared strip quarters disagree with the"
                              " quarters spanned by the ribbon arcs")
     return found
 
 
-def _components(sides, quarters):
-    """Connected components of a quarter set, glued along shared edges."""
-    parent = {qid: qid for qid in quarters}
-    by_edge = {}
-    for qid in quarters:
-        for qe in sides[qid]:
-            by_edge.setdefault(qe, []).append(qid)
-    for group in by_edge.values():
-        for other in group[1:]:
-            ra, rb = _find(parent, group[0]), _find(parent, other)
-            if ra != rb:
-                parent[ra] = rb
+def _components(cx, quarters):
+    """Connected components of a list of quarter ids, glued along shared
+    qK edges, as lists of ids in order of first appearance."""
+    sides = cx.quarter_side_ids
+    parent = list(range(len(sides)))
+    first = {}
+    for q in quarters:
+        for e in sides[q]:
+            other = first.setdefault(e, q)
+            if other != q:
+                ra, rb = _find(parent, other), _find(parent, q)
+                if ra != rb:
+                    parent[ra] = rb
     comps = {}
-    for qid in quarters:
-        comps.setdefault(_find(parent, qid), set()).add(qid)
-    return [frozenset(c) for c in comps.values()]
+    for q in quarters:
+        comps.setdefault(_find(parent, q), []).append(q)
+    return list(comps.values())
 
 
 def _star_projected_differential(cx, f):
     """Apply the marked-complex star to the projected coboundary of f.
 
-    Returns (primal, dual) coefficient dicts over the base edges, in
-    quarter units: 4 times star(project_to_K(coboundary(f))), where
-    project_to_K is the test oracle in tests/oracles.py.  The projection
-    of an edge is the mean of its two halves x_a, x_b, so the value is
-    2*s*(x_a + x_b), with s the star's sign; the halves telescope to the
-    difference of f at the edge's ends.  This is the holonomy-side
-    momentum map whose value on a valid ribbon potential is the half-sum
-    chain of the two boundary loops; an integer f gives integers.
+    f is a list of values by qK vertex id.  Returns (primal, dual)
+    coefficient lists by edge position in cx.edges, in quarter units: 4
+    times star(project_to_K(coboundary(f))), where project_to_K is the
+    test oracle in tests/oracles.py.  The projection of an edge is the
+    mean of its two halves x_a, x_b, so the value is 2*s*(x_a + x_b), with
+    s the star's sign; the halves telescope to the difference of f at the
+    edge's ends.  This is the holonomy-side momentum map whose value on a
+    valid ribbon potential is the half-sum chain of the two boundary
+    loops; an integer f gives integers.
     """
     s1 = hodge_star_signs["K1"]
     s2 = hodge_star_signs["K2"]
-    primal = {}
-    dual = {}
-    for e, (t, h) in cx.edges.items():
-        primal[e] = 2 * s2 * (f[("c", cx.edge_right[e])]
-                              - f[("c", cx.edge_left[e])])
-        dual[e] = 2 * s1 * (f[("v", h)] - f[("v", t)])
+    primal = []
+    dual = []
+    for t, h, left, right in cx.edge_end_ids:
+        primal.append(2 * s2 * (f[right] - f[left]))
+        dual.append(2 * s1 * (f[h] - f[t]))
     return primal, dual
 
 
 def _half_sum_chain(cx, arcs):
-    """Projected half-sum of the two boundary loops, by base edge and side.
+    """Projected half-sum of the two boundary loops, by edge and side.
 
-    In quarter units, like _star_projected_differential: each chain dart
-    adds its sign to the side of its base edge.
+    In quarter units and edge positions, like _star_projected_differential:
+    each chain dart adds its sign to the side of its edge (qK edge 4i + k
+    is a primal half for k = 0, 1 and a dual half for k = 2, 3).
     """
-    primal = dict.fromkeys(cx.edges, 0)
-    dual = dict.fromkeys(cx.edges, 0)
-    for chain in (arcs["l_chain"], arcs["lp_chain"]):
-        for (kind, e), sgn in chain:
-            if kind in ("h1", "h2"):
-                primal[e] += sgn
+    primal = [0] * len(cx.edges)
+    dual = [0] * len(cx.edges)
+    for darts in (arcs["l_darts"], arcs["lp_darts"]):
+        for e, sgn in darts:
+            i, k = divmod(e, 4)
+            if k < 2:
+                primal[i] += sgn
             else:
-                dual[e] += sgn
+                dual[i] += sgn
     return primal, dual
 
 
-def _ribbon_potential(cx, sides, arcs, strip):
+def _ribbon_potential(cx, arcs, strip):
     """Unit-jump potential of one ribbon, with its derived jump sign.
 
     The potential is constant on each side of the strip, affine across it,
@@ -371,77 +379,70 @@ def _ribbon_potential(cx, sides, arcs, strip):
     compared with plus and minus the chain; the sign that matches is the
     ribbon orientation the embedding realizes.  Both sides of the equation
     are multiples of 1/4, so they are compared exactly as integers in
-    quarter units.  sides is _quarter_sides(cx).
+    quarter units.  strip holds quarter ids; the potential is a list of
+    values by qK vertex id.
     """
-    rest = [qid for qid in cx.quarters if qid not in strip]
-    comps = _components(sides, rest)
+    sides, corners = cx.quarter_side_ids, cx.quarter_corner_ids
+    comps = _components(cx, [q for q in cx.quarters_by_face
+                             if q not in strip])
     if len(comps) != 2:
         raise ValueError(f"ribbon strip complement has {len(comps)}"
                          " components, expected 2: the ribbon is not an"
                          " embedded annulus with two sides")
 
-    def closure_vertices(comp):
-        out = set()
-        for qid in comp:
-            out.update(cx.quarter_corners[qid])
-        return out
-
     side_l = side_lp = None
     for comp in comps:
-        edges = set()
-        for qid in comp:
-            edges |= sides[qid]
-        if edges & arcs["l_edges"]:
+        edges = {e for q in comp for e in sides[q]}
+        if not arcs["l_edges"].isdisjoint(edges):
             side_l = comp
-        if edges & arcs["lp_edges"]:
+        if not arcs["lp_edges"].isdisjoint(edges):
             side_lp = comp
     if side_l is None or side_lp is None or side_l is side_lp:
         raise ValueError("ribbon arcs do not separate the two strip sides")
 
-    f = {}
-    for v in closure_vertices(side_lp):
-        f[v] = 0
-    for v in closure_vertices(side_l):
-        f[v] = 1
-    if set(f) != set(cx.qk_vertices):
+    f = [None] * len(cx.qk_vertices)
+    for value, comp in ((0, side_lp), (1, side_l)):
+        for q in comp:
+            for w in corners[q]:
+                f[w] = value
+    if None in f:
         raise ValueError("strip interior contains vertices off the"
                          " ribbon arcs")
     image = _star_projected_differential(cx, f)
     target = _half_sum_chain(cx, arcs)
     if image == target:
         jump = 1
-    elif image == tuple({e: -c for e, c in side.items()} for side in target):
+    elif image == tuple([-c for c in side] for side in target):
         jump = -1
-        f = {v: -val for v, val in f.items()}
+        f = [-val for val in f]
     else:
         raise ValueError("no unit-jump potential satisfies the defining"
                          " equation for this ribbon")
-    df = coboundary(cx, f)
-    transverse = set()
-    for qid in strip:
-        for qe in sides[qid]:
-            if qe not in arcs["l_edges"] and qe not in arcs["lp_edges"]:
-                transverse.add(qe)
+    arc_edges = arcs["l_edges"] | arcs["lp_edges"]
+    transverse = {e for q in strip for e in sides[q] if e not in arc_edges}
     # f takes only the values 0 and jump, so its jumps are units; they
     # must sit exactly on the strip crossing edges
-    if {qe for qe, val in df.items() if val} != transverse:
+    if {e for e, (t, h) in enumerate(cx.qk_edge_ends)
+            if f[t] != f[h]} != transverse:
         raise ValueError("potential differential is not supported on the"
                          " strip crossing edges")
-    for qid, corners in sorted(cx.quarter_corners.items()):
-        v, m_in, m_out, c = corners
+    for q, (v, m_in, m_out, c) in enumerate(corners):
         if f[v] + f[c] != f[m_in] + f[m_out]:
-            raise ValueError(f"potential is not affine on quarter {qid!r}")
+            raise ValueError("potential is not affine on quarter"
+                             f" {cx.quarter_names[q]!r}")
     return f, jump
 
 
 class _EmbeddedFaces:
     """Derived face structure of an embedded link.
 
-    Carries the per-ribbon potentials and jump signs, the strip
-    complement regions matched one-to-one against the abstract faces, and
-    the census Euler characteristics; each ribbon's two loops must sit on
-    its inner and its parent face.  All checks that compare the derived
-    data with the abstract link data raise on the first disagreement.
+    Carries the per-ribbon potentials ({qK vertex: value}) and jump signs,
+    the strip complement regions (sets of quarters) matched one-to-one
+    against the abstract faces, and the census Euler characteristics; each
+    ribbon's two loops must sit on its inner and its parent face.  All
+    checks that compare the derived data with the abstract link data raise
+    on the first disagreement.  The derivation runs over the complex's
+    integer ids; only the results above are named.
     """
 
     def __init__(self, link):
@@ -449,6 +450,9 @@ class _EmbeddedFaces:
         cx = link.complex
         if cx is None:
             raise ValueError("link carries no surface complex")
+        if _integer(link.n) is None:
+            raise ValueError(f"time slice count n must be an integer, not"
+                             f" {link.n!r}")
         if link.n < 2:
             raise ValueError("embedded links need at least two time slices")
         if cx.genus != link.genus:
@@ -456,7 +460,6 @@ class _EmbeddedFaces:
                              f" complex genus {cx.genus}")
         m = len(link.ribbons)
         self.cx = cx
-        self.sides = sides = _quarter_sides(cx)
         self.arcs = []
         self.strips = []
         for pos, rib in enumerate(link.ribbons):
@@ -465,8 +468,7 @@ class _EmbeddedFaces:
             arcs = _arc_data(cx, rib)
             _check_time_steps(link, pos, arcs)
             self.arcs.append(arcs)
-            self.strips.append(_strip_quarters(sides, arcs,
-                                               rib.strip_quarters))
+            self.strips.append(_strip_quarters(cx, arcs, rib.strip_quarters))
 
         self._check_disjointness()
         self._check_strip_tetragons()
@@ -474,16 +476,17 @@ class _EmbeddedFaces:
         occupied = set()
         for arcs in self.arcs:
             occupied |= arcs["l_vertices"] | arcs["lp_vertices"]
-        self.sigma0 = default_sigma0(cx, excluded=occupied)
+        self.sigma0 = default_sigma0(
+            cx, excluded=[cx.qk_vertices[w] for w in occupied])
+        base = cx.qk_vertex_ids[self.sigma0]
 
-        self.potentials = []
+        potentials = []
         self.jumps = []
         for pos, rib in enumerate(link.ribbons):
-            f, jump = _ribbon_potential(cx, sides, self.arcs[pos],
-                                        self.strips[pos])
+            f, jump = _ribbon_potential(cx, self.arcs[pos], self.strips[pos])
             # f is 0 on one strip side and jump on the other
-            shift = f[self.sigma0]
-            self.potentials.append({v: val - shift for v, val in f.items()})
+            shift = f[base]
+            potentials.append([val - shift for val in f])
             # after normalizing at the basepoint the nonzero side is the
             # enclosed one, whichever loop the embedding put there
             inside = jump if shift == 0 else -jump
@@ -492,12 +495,11 @@ class _EmbeddedFaces:
                 raise ValueError(f"ribbon {pos}: embedded jump sign"
                                  f" {inside} disagrees with declared"
                                  f" orientation {rib.orientation}")
+        self.potentials = [dict(zip(cx.qk_vertices, f)) for f in potentials]
 
-        all_strips = set()
-        for strip in self.strips:
-            all_strips |= strip
-        regions = _components(sides, [qid for qid in cx.quarters
-                                      if qid not in all_strips])
+        all_strips = set().union(*self.strips)
+        regions = _components(cx, [q for q in cx.quarters_by_face
+                                   if q not in all_strips])
         if len(regions) != m + 1:
             raise ValueError(f"strip complement has {len(regions)} regions"
                              f" for {m} ribbons, expected {m + 1}")
@@ -508,19 +510,21 @@ class _EmbeddedFaces:
         table = _face_weights(link, forest.parent)
         want = {tuple(row[j] for row in table): j for j in range(m + 1)}
 
+        corners = cx.quarter_corner_ids
         ordered = [None] * (m + 1)
         for comp in regions:
-            rep = min(v for qid in comp for v in cx.quarter_corners[qid])
-            vec = tuple(f[rep] for f in self.potentials)
+            rep = min(w for q in comp for w in corners[q])
+            vec = tuple(f[rep] for f in potentials)
             j = want.get(vec)
             if j is None or ordered[j] is not None:
                 raise ValueError(f"region weight vector {vec} does not"
                                  " match the abstract nesting forest")
             ordered[j] = comp
-        self.regions = tuple(ordered)
+        names = cx.quarter_names
+        self.regions = tuple(frozenset(names[q] for q in comp)
+                             for comp in ordered)
 
-        census = face_euler_characteristics(
-            cx, {j: set(comp) for j, comp in enumerate(self.regions)})
+        census = face_euler_characteristics(cx, dict(enumerate(self.regions)))
         self.chi = tuple(census[j] for j in range(m + 1))
         if self.chi != forest.chi:
             raise ValueError(f"face Euler characteristics {self.chi}"
@@ -529,9 +533,8 @@ class _EmbeddedFaces:
 
         par = forest.parent
         for pos, arcs in enumerate(self.arcs):
-            l_face = want.get(tuple(f[arcs["sigma"]] for f in self.potentials))
-            lp_face = want.get(tuple(f[arcs["sigma_prime"]]
-                                     for f in self.potentials))
+            l_face, lp_face = (want.get(tuple(f[w] for f in potentials))
+                               for w in arcs["start"])
             if l_face is None or lp_face is None:
                 raise ValueError(f"ribbon {pos}: loop basepoints do not"
                                  " evaluate to face potential vectors")
@@ -551,23 +554,24 @@ class _EmbeddedFaces:
                 seen |= verts
 
     def _check_strip_tetragons(self):
-        sides = self.sides
+        cx = self.cx
+        sides, corners = cx.quarter_side_ids, cx.quarter_corner_ids
         for pos, strip in enumerate(self.strips):
             arcs = self.arcs[pos]
             arc_verts = arcs["l_vertices"] | arcs["lp_vertices"]
-            for qid in strip:
-                on_l = len(sides[qid] & arcs["l_edges"])
-                on_lp = len(sides[qid] & arcs["lp_edges"])
+            for q in strip:
+                on_l = len(arcs["l_edges"].intersection(sides[q]))
+                on_lp = len(arcs["lp_edges"].intersection(sides[q]))
                 if on_l != 1 or on_lp != 1:
                     raise ValueError(
-                        f"strip quarter {qid!r} of ribbon {pos} has"
-                        f" {on_l} sides on the first loop and {on_lp} on"
-                        " the second, expected exactly one each")
-                for v in self.cx.quarter_corners[qid]:
-                    if v not in arc_verts:
+                        f"strip quarter {cx.quarter_names[q]!r} of ribbon"
+                        f" {pos} has {on_l} sides on the first loop and"
+                        f" {on_lp} on the second, expected exactly one each")
+                for w in corners[q]:
+                    if w not in arc_verts:
                         raise ValueError(
                             f"strip of ribbon {pos} contains the interior"
-                            f" vertex {v!r}")
+                            f" vertex {cx.qk_vertices[w]!r}")
 
 
 def validate_link(link):
@@ -1040,8 +1044,8 @@ def embed_link(link, refinement=None, n=2):
         # keeps both loops' start vertices, jump -1; the validation of the
         # finished link below confirms every jump
         ring = _ring_step(0, pos, reverse=rib.orientation == -1)
-        sigma = _chain_vertices(cx, ring.l_sigma)[0]
-        sigma_prime = _chain_vertices(cx, ring.lp_sigma)[0]
+        sigma = cx.qk_vertices[_chain_ids(cx, ring.l_sigma)[0][0]]
+        sigma_prime = cx.qk_vertices[_chain_ids(cx, ring.lp_sigma)[0][0]]
         steps = [ring]
         direction = 1 if rib.winding >= 0 else -1
         for j in range(n * abs(rib.winding)):

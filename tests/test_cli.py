@@ -7,14 +7,17 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from shadow_wlo import cli, oscillatory, statesum
+from shadow_wlo import complex as complex_module
 from shadow_wlo.lie import level_labels, lie_data
-from shadow_wlo.complex import build_standard_surface, hodge_star_signs
+from shadow_wlo.complex import (build_standard_surface, hodge_star_signs,
+                                kernel_check_B0)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -506,19 +509,55 @@ def test_console_script_runs_without_numpy(tmp_path, args, golden):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_selfcheck_builds_each_surface_once(monkeypatch):
+# (group, level, genus, ribbons as (color, parent)): the embedded
+# certificates of a structure-shaped pass
+_STRUCTURE_CERTS = (
+    ("su2", 5, 0, (((1,), 0), ((2,), 1))),
+    ("su3", 5, 1, (((0, 1), 0),)),
+    ("su2", 4, 1, (((1,), 0), ((1,), 1))),
+)
+
+
+def _structure_pass(directory):
+    """Three embedded certificates, three kernel checks, the selfcheck."""
+    for i, (group, level, genus, ribbons) in enumerate(_STRUCTURE_CERTS):
+        config = {"group": group, "level": level, "genus": genus,
+                  "mode": "embedded", "outputs": ["compare"],
+                  "ribbons": [{"color": list(color), "winding": 1,
+                               "sign": 1, "parent": parent}
+                              for color, parent in ribbons]}
+        path = directory / f"cert{i}.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", str(path), "--out",
+                         str(directory / "report.json")]) == 0
+    for g, refinement, sites in ((1, 3, ()), (0, 1, (2,)), (1, 4, ())):
+        assert kernel_check_B0(build_standard_surface(g, refinement, sites))
+    return cli.selfcheck()
+
+
+def test_structure_pass_builds_each_surface_once(tmp_path, monkeypatch):
     built = []
 
-    def spy(g, refinement, sites=()):
-        built.append((g, refinement, tuple(sites)))
-        return build_standard_surface(g, refinement, sites)
+    class Counted(complex_module.SurfaceComplex):
+        def __init__(self, genus, *args):
+            built.append(genus)
+            super().__init__(genus, *args)
 
-    monkeypatch.setattr(cli, "build_standard_surface", spy)
-    table = cli.selfcheck()
-    # the genus-0 refinement-1 surface serves two suites
-    assert sorted(built) == [(0, 1, ()), (0, 1, (2,)), (1, 2, (1,))]
+    monkeypatch.setattr(complex_module, "SurfaceComplex", Counted)
+    # an empty cache of the test's own, so that earlier tests' surfaces
+    # do not count
+    monkeypatch.setattr(complex_module, "_standard_surface", lru_cache(
+        maxsize=None)(complex_module._standard_surface.__wrapped__))
     with open(GOLDEN / "selfcheck_option.json", encoding="ascii") as fh:
-        assert table == json.load(fh)["results"]["selfcheck"]
+        golden = json.load(fh)["results"]["selfcheck"]
+    # nine surfaces on six argument sets: (0, 1, (2,)) serves a
+    # certificate, a kernel check and the selfcheck, (1, 2, (1,)) a
+    # certificate and the selfcheck
+    assert _structure_pass(tmp_path) == golden
+    assert len(built) == 6
+    built.clear()
+    assert _structure_pass(tmp_path) == golden
+    assert built == []
 
 
 def test_report_file_is_written_without_a_codec_import(tmp_path):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from oracles import affine_constraint_rows, project_to_K, psi_embed
@@ -42,6 +42,21 @@ def test_quad_vertex_census_matches_cell_counts():
                                    + len(cx.faces))
 
 
+def test_standard_surfaces_are_built_once_per_argument_set():
+    cx = build_standard_surface(0, 1, (2,))
+    assert build_standard_surface(0, 1, [2]) is cx
+    assert build_standard_surface(g=0, refinement=1, sites=(2,)) is cx
+    assert build_standard_surface(0, 1, sites=iter([2])) is cx
+    assert build_standard_surface(1, 2) is build_standard_surface(1, 2, ())
+    assert build_standard_surface(0, 1) is not cx
+
+
+@pytest.mark.parametrize("args", [(1.0, 2), (1, 2.0), (0, 1, (2.0,))])
+def test_standard_surface_arguments_must_be_integers(args):
+    with pytest.raises(TypeError):
+        build_standard_surface(*args)
+
+
 def test_torus_refinement_one_rejected():
     with pytest.raises(ValueError):
         build_standard_surface(1, 1)
@@ -55,9 +70,13 @@ def test_generators_produce_valid_maps(g, r):
     # every quarter is a tetragon and every qK edge borders two quarters
     for boundary in cx.quarters.values():
         assert len(boundary) == 4
-    # rotation orbits exhaust the darts
+    # rotation orbits exhaust the darts; each starts at its smallest dart,
+    # and they are listed in increasing order of that dart
     n_darts = sum(len(rot) for rot in cx.rotations.values())
     assert n_darts == 2 * len(cx.edges)
+    starts = [rot[0] for rot in cx.rotations.values()]
+    assert starts == sorted(starts)
+    assert all(rot[0] == min(rot) for rot in cx.rotations.values())
     # total face degree counts each edge twice
     assert sum(len(c) for c in cx.faces.values()) == 2 * len(cx.edges)
 
@@ -190,6 +209,51 @@ def test_kernel_check_matches_full_row_oracle(g, r, sites):
     for sigma0 in qvs:
         assert oracles.kernel_check_B0_rows(cx, sigma0) is True
         assert kernel_check_B0(cx, sigma0) is True
+
+
+@st.composite
+def _standard_surfaces(draw):
+    """A small standard surface of genus 0 or 1 with up to two ring sites."""
+    g = draw(st.sampled_from((0, 1)))
+    refinement = draw(st.just(1) if g == 0 else st.integers(2, 3))
+    sites = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
+    try:
+        return build_standard_surface(g, refinement, sites)
+    except ValueError as exc:
+        assume("not enough disjoint base cells" not in str(exc))
+        raise
+
+
+@settings(max_examples=20, deadline=None)
+@given(_standard_surfaces())
+def test_integer_tables_name_the_subdivision(cx):
+    """Every integer table maps back to the named one it stands beside,
+    and the kernel check on them agrees with the full row oracle at every
+    base vertex."""
+    qv_names, qe_names = cx.qk_vertices, list(cx.qk_edges)
+    assert list(cx.quarter_names) == sorted(cx.quarters)
+    assert cx.qk_vertex_ids == {w: i for i, w in enumerate(qv_names)}
+    assert cx.qk_edge_ids == {e: i for i, e in enumerate(qe_names)}
+    assert cx.quarter_ids == {q: i for i, q in enumerate(cx.quarter_names)}
+    assert [cx.quarter_names[q] for q in cx.quarters_by_face] == \
+        list(cx.quarters)
+    for q, qid in enumerate(cx.quarter_names):
+        assert tuple(qv_names[w] for w in cx.quarter_corner_ids[q]) == \
+            cx.quarter_corners[qid]
+        assert tuple(qe_names[e] for e in cx.quarter_side_ids[q]) == \
+            tuple(qe for qe, _ in cx.quarters[qid])
+    for e, name in enumerate(qe_names):
+        t, h = cx.qk_edge_ends[e]
+        assert (qv_names[t], qv_names[h]) == cx.qk_edges[name]
+    for i, (e, (t, h)) in enumerate(cx.edges.items()):
+        assert qe_names[4 * i:4 * i + 4] == [(k, e) for k in
+                                             ("h1", "h2", "d1", "d2")]
+        assert tuple(qv_names[w] for w in cx.edge_end_ids[i]) == (
+            ("v", t), ("v", h), ("c", cx.edge_left[e]),
+            ("c", cx.edge_right[e]))
+    for sigma0 in qv_names:
+        assert kernel_check_B0(cx, sigma0) is \
+            oracles.kernel_check_B0_rows(cx, sigma0)
 
 
 def test_affinity_rows_annihilate_constants():

@@ -1,5 +1,6 @@
 """Tests for the ribbon link state sums and their embedded realizations."""
 
+import copy
 import math
 import random
 import re
@@ -257,22 +258,20 @@ def test_potential_unique_up_to_constant(corpus):
     cx = emb.complex
     faces = ss._EmbeddedFaces(emb)
     index = {qv: i for i, qv in enumerate(cx.qk_vertices)}
-    edge_order = sorted(cx.edges)
-    erow = {e: i for i, e in enumerate(edge_order)}
-    nedges = len(edge_order)
-    # both sides in quarter units: four times the defining system
+    nedges = len(cx.edges)
+    # both sides in quarter units: four times the defining system, one
+    # row per edge position and side
     rows = [dict() for _ in range(2 * nedges)]
-    for qv, col in index.items():
-        ind = {w: int(w == qv) for w in cx.qk_vertices}
+    for col in index.values():
+        ind = [int(w == col) for w in range(len(cx.qk_vertices))]
         primal, dual = ss._star_projected_differential(cx, ind)
-        for e in edge_order:
-            if primal[e]:
-                rows[erow[e]][col] = primal[e]
-            if dual[e]:
-                rows[nedges + erow[e]][col] = dual[e]
+        for i in range(nedges):
+            if primal[i]:
+                rows[i][col] = primal[i]
+            if dual[i]:
+                rows[nedges + i][col] = dual[i]
     target_primal, target_dual = ss._half_sum_chain(cx, faces.arcs[0])
-    rhs = [target_primal[e] for e in edge_order]
-    rhs += [target_dual[e] for e in edge_order]
+    rhs = target_primal + target_dual
     # membership in B0: tetragon affinity and constancy on the closed star
     # of the basepoint
     b0 = oracles._b0_rows(cx, faces.sigma0, index)
@@ -312,10 +311,11 @@ def test_integer_image_is_four_times_projected_image(g, r, sites):
     for _ in range(20):
         f = {qv: rng.randint(-9, 9) for qv in cx.qk_vertices}
         x, y = project_to_K(cx, coboundary(cx, f))
-        primal, dual = ss._star_projected_differential(cx, f)
-        assert primal == {e: 4 * s2 * y[e] for e in cx.edges}
-        assert dual == {e: 4 * s1 * x[e] for e in cx.edges}
-        assert {type(v) for v in (*primal.values(), *dual.values())} == {int}
+        primal, dual = ss._star_projected_differential(
+            cx, [f[qv] for qv in cx.qk_vertices])
+        assert primal == [4 * s2 * y[e] for e in cx.edges]
+        assert dual == [4 * s1 * x[e] for e in cx.edges]
+        assert {type(v) for v in (*primal, *dual)} == {int}
 
 
 def test_flipped_target_dart_rejected(monkeypatch):
@@ -326,7 +326,7 @@ def test_flipped_target_dart_rejected(monkeypatch):
         primal, dual = half_sum(cx, arcs)
         (kind, e), sgn = arcs["l_chain"][0]
         side = primal if kind in ("h1", "h2") else dual
-        side[e] -= 2 * sgn
+        side[list(cx.edges).index(e)] -= 2 * sgn
         return primal, dual
 
     monkeypatch.setattr(ss, "_half_sum_chain", flipped)
@@ -347,20 +347,6 @@ def test_validation_builds_no_fraction(corpus, monkeypatch):
         ss.validate_link(ent.embedded)
 
 
-def test_validation_builds_quarter_sides_once(corpus, monkeypatch):
-    # strips, strip complements, potentials and regions share one table
-    calls = {"sides": 0}
-    sides = ss._quarter_sides
-
-    def counted_sides(cx):
-        calls["sides"] += 1
-        return sides(cx)
-
-    monkeypatch.setattr(ss, "_quarter_sides", counted_sides)
-    ss.validate_link(_by_name(corpus, "a1_g0_three_k4").embedded)
-    assert calls == {"sides": 1}
-
-
 def test_declared_strip_checked(corpus):
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     rib = emb.ribbons[0]
@@ -377,6 +363,36 @@ def test_declared_strip_checked(corpus):
 def test_corpus_embeddings_validate(corpus):
     for ent in corpus:
         ss.validate_link(ent.embedded)
+
+
+@pytest.mark.parametrize("n", [2.5, Fraction(5, 2), 2.0])
+def test_non_integer_time_slice_count_refused(corpus, n):
+    # a winding-0 ribbon has no time steps, so no other check reads n
+    emb = _by_name(corpus, "a1_g0_one_flat_k4").embedded
+    message = f"time slice count n must be an integer, not {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ss.validate_link(replace(emb, n=n))
+
+
+def test_shared_surfaces_are_never_written(corpus):
+    """No table of a cached surface changes while every consumer runs."""
+    surfaces = {id(ent.embedded.complex): ent.embedded.complex
+                for ent in corpus}
+    for args in ((1, 3, ()), (0, 1, (2,)), (1, 4, ()), (0, 1, ()),
+                 (1, 2, (1,))):
+        cx = build_standard_surface(*args)
+        surfaces[id(cx)] = cx
+    before = {key: copy.deepcopy(vars(cx)) for key, cx in surfaces.items()}
+    for ent in corpus:
+        ss.validate_link(ent.embedded)
+        assert ss.embed_link(ent.link).complex is ent.embedded.complex
+    for cx in surfaces.values():
+        assert kernel_check_B0(cx)
+        assert kernel_check_B0(cx, cx.qk_vertices[-1])
+        coboundary(cx, {qv: i for i, qv in enumerate(cx.qk_vertices)})
+    assert all(row["pass"] for row in cli.selfcheck().values())
+    for key, cx in surfaces.items():
+        assert copy.deepcopy(vars(cx)) == before[key]
 
 
 def test_kernel_check_on_corpus_complexes(corpus):
