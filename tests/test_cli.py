@@ -535,6 +535,25 @@ def _structure_pass(directory):
     return cli.selfcheck()
 
 
+def test_selfcheck_builds_each_surface_once(monkeypatch):
+    built = []
+    construct = complex_module._standard_surface.__wrapped__
+
+    def spy(g, refinement, sites):
+        built.append((g, refinement, sites))
+        return construct(g, refinement, sites)
+
+    # an empty cache of the test's own, so that earlier tests' surfaces
+    # do not count
+    monkeypatch.setattr(complex_module, "_standard_surface",
+                        lru_cache(maxsize=None)(spy))
+    table = cli.selfcheck()
+    # the genus-0 refinement-1 surface serves two suites
+    assert sorted(built) == [(0, 1, ()), (0, 1, (2,)), (1, 2, (1,))]
+    with open(GOLDEN / "selfcheck_option.json", encoding="ascii") as fh:
+        assert table == json.load(fh)["results"]["selfcheck"]
+
+
 def test_structure_pass_builds_each_surface_once(tmp_path, monkeypatch):
     built = []
 

@@ -6,6 +6,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
@@ -345,6 +346,26 @@ def test_validation_builds_no_fraction(corpus, monkeypatch):
     assert not hasattr(complex_module, "Fraction")
     for ent in corpus:
         ss.validate_link(ent.embedded)
+
+
+def test_validation_builds_quarter_sides_once(corpus, monkeypatch):
+    # strips, strip complements, potentials and regions share one table:
+    # the quarter_side_ids the surface builds at construction
+    emb = _by_name(corpus, "a1_g0_three_k4").embedded
+    sides = emb.complex.quarter_side_ids
+    built = []
+
+    class Counted(complex_module.SurfaceComplex):
+        def __init__(self, genus, *args):
+            built.append(genus)
+            super().__init__(genus, *args)
+
+    monkeypatch.setattr(complex_module, "SurfaceComplex", Counted)
+    monkeypatch.setattr(complex_module, "_standard_surface", lru_cache(
+        maxsize=None)(complex_module._standard_surface.__wrapped__))
+    ss.validate_link(emb)
+    assert built == []
+    assert emb.complex.quarter_side_ids is sides
 
 
 def test_declared_strip_checked(corpus):
