@@ -12,12 +12,13 @@ vertex or a center, giving the half-edge structure the downstream operators
 rely on.  RibbonStep, one step of a ribbon's boundary walk over qK edges,
 is defined here beside the subdivision it indexes.
 
-Beside its named tables, a SurfaceComplex numbers its qK vertices, qK
-edges and quarters once, at construction, and keeps integer corner, side
-and edge-end tables over those ids.  The named tables stay the interface
-that RibbonStep, the oracles and the tests read; the kernel check, the
-region census and the embedded validation in statesum run over the ids.
-build_standard_surface builds each standard surface once per process.
+A SurfaceComplex numbers its qK vertices, qK edges and quarters once, at
+construction, and keeps the subdivision only as integer corner, side and
+edge-end tables over those ids; the kernel check, the region census and
+the embedded validation in statesum run over them.  Names appear only
+where a link names cells: a RibbonStep names its qK edges and vertices,
+and an error message names the cell it refuses.  build_standard_surface
+builds each standard surface once per process.
 
 The B0 kernel check first merges the vertices its equality conditions
 tie together (the star of the base vertex, the ends of each primal and
@@ -44,14 +45,12 @@ from math import gcd
 __all__ = [
     "SurfaceComplex",
     "build_standard_surface",
-    "coboundary",
     "RibbonStep",
     "kernel_check_B0",
     "face_euler_characteristics",
     "hodge_star",
     "hodge_star_signs",
     "rational_rref",
-    "default_sigma0",
 ]
 
 # sign convention of the Hodge pair in the canonical dual-edge indexing
@@ -79,19 +78,32 @@ class SurfaceComplex:
 
     Construct through build_standard_surface, or directly from an
     {edge: (tail, head)} map, a list of (face id, dart cycle) pairs and,
-    for a carved surface, its ring-site records.  The named tables are
-    plain dicts and tuples.  Beside them the subdivision is numbered once:
-    qK vertex ids follow qk_vertices (sorted), qK edge ids follow qk_edges
-    (4i + 0..3 are h1, h2, d1, d2 of the i-th edge of edges), and quarter
-    ids follow quarter_names (sorted).  The integer tables are
-      - qk_vertex_ids, qk_edge_ids, quarter_ids: name -> id;
+    for a carved surface, its ring-site records.  The cell data are
+      - genus, edges, faces ({face: dart cycle}) and ring_sites;
+      - edge_left, edge_right: the face on each side of an edge;
+      - rotations: the counterclockwise dart orbit at each vertex;
+      - vertices: the vertices, sorted.
+    The quad subdivision qK has one vertex per vertex ("v", v), edge
+    midpoint ("m", e) and face center ("c", f), four half-edges per edge,
+    ("h1", e) from its tail to its midpoint, ("h2", e) on to its head,
+    ("d1", e) from its left center to its midpoint and ("d2", e) on to its
+    right center, and one quarter (f, i) at corner i of each face f.  It
+    is kept by integer ids:
+      - qk_vertices, quarter_names: the vertex and quarter names, sorted,
+        in id order;
+      - qk_vertex_ids, qk_edge_ids: name -> id, for the names a link
+        gives; qK edge 4i + k is half k of the i-th edge of edges, in the
+        order h1, h2, d1, d2;
       - qk_edge_ends: (tail, head) per qK edge;
       - edge_end_ids: (tail, head, left center, right center) per edge;
-      - quarter_corner_ids: (v, m_in, m_out, c) per quarter, as in
-        quarter_corners;
-      - quarter_side_ids: the four qK edges bounding each quarter;
-      - quarters_by_face: the quarter ids in the order of quarters, face
-        by face, which fixes the order in which regions are found.
+      - quarter_corner_ids: (v, m_in, m_out, c) per quarter: its primal
+        vertex, the midpoints of the edges into and out of it along the
+        face cycle, and the face center;
+      - quarter_side_ids: the four qK edges bounding each quarter, the
+        primal halves at v into and out of it, then the dual halves from
+        c out of and into it;
+      - quarters_by_face: the quarter ids face by face, in the order of
+        faces, which fixes the order in which regions are found.
     Nothing is written after construction, so build_standard_surface
     hands one instance to every caller.
     """
@@ -187,57 +199,46 @@ class SurfaceComplex:
         vid = {w: i for i, w in enumerate(self.qk_vertices)}
         self.qk_vertex_ids = vid
 
-        qe = {}
+        # qK edge 4i + k is half k of the i-th edge: h1, h2, then d1, d2
+        eid = {}
+        ends = []
         edge_ends = []
-        for e, (t, h) in self.edges.items():
-            left, right = ("c", self.edge_left[e]), ("c", self.edge_right[e])
-            qe[("h1", e)] = (("v", t), ("m", e))
-            qe[("h2", e)] = (("m", e), ("v", h))
-            qe[("d1", e)] = (left, ("m", e))
-            qe[("d2", e)] = (("m", e), right)
-            edge_ends.append((vid[("v", t)], vid[("v", h)], vid[left],
-                              vid[right]))
-        self.qk_edges = qe
-        self.qk_edge_ids = eid = {name: i for i, name in enumerate(qe)}
-        self.qk_edge_ends = tuple((vid[t], vid[h]) for t, h in qe.values())
+        for i, (e, (t, h)) in enumerate(self.edges.items()):
+            for k, kind in enumerate(("h1", "h2", "d1", "d2")):
+                eid[(kind, e)] = 4 * i + k
+            v_t, v_h, m = vid[("v", t)], vid[("v", h)], vid[("m", e)]
+            left = vid[("c", self.edge_left[e])]
+            right = vid[("c", self.edge_right[e])]
+            ends += [(v_t, m), (m, v_h), (left, m), (m, right)]
+            edge_ends.append((v_t, v_h, left, right))
+        self.qk_edge_ids = eid
+        self.qk_edge_ends = tuple(ends)
         self.edge_end_ids = tuple(edge_ends)
 
-        quarters = {}
-        corners = {}
+        # the quarter at corner i of a face sits between the dart into its
+        # primal vertex and the dart out of it; its sides are the primal
+        # halves at that vertex and the dual halves from the face center
+        found = []
         for fid, cycle in self.faces.items():
-            s = len(cycle)
-            for i in range(s):
-                e_in, s_in = cycle[i]
-                e_out, s_out = cycle[(i + 1) % s]
-                v = self.dart_head(cycle[i])
-                boundary = (
-                    (("h2", e_in), 1) if s_in == 1 else (("h1", e_in), -1),
-                    (("h1", e_out), 1) if s_out == 1 else (("h2", e_out), -1),
-                    (("d1", e_out), -1) if s_out == 1 else (("d2", e_out), 1),
-                    (("d1", e_in), 1) if s_in == 1 else (("d2", e_in), -1),
-                )
-                qid = (fid, i)
-                quarters[qid] = boundary
-                corners[qid] = (("v", v), ("m", e_in), ("m", e_out),
-                                ("c", fid))
-        self.quarters = quarters
-        self.quarter_corners = corners
-        self.quarter_names = names = tuple(sorted(quarters))
-        self.quarter_ids = qids = {qid: i for i, qid in enumerate(names)}
-        self.quarters_by_face = tuple(qids[qid] for qid in quarters)
-        self.quarter_corner_ids = tuple(
-            tuple(vid[w] for w in corners[qid]) for qid in names)
-        self.quarter_side_ids = sides = tuple(
-            tuple(eid[name] for name, _sign in quarters[qid])
-            for qid in names)
-
-        borders = [0] * len(qe)
-        for ss in sides:
-            for e in ss:
-                borders[e] += 1
-        for name, count in zip(qe, borders):
-            if count != 2:
-                raise ValueError(f"qK edge {name} borders {count} quarters")
+            c = vid[("c", fid)]
+            for i, (e_in, s_in) in enumerate(cycle):
+                e_out, s_out = cycle[(i + 1) % len(cycle)]
+                a, b = eid[("h1", e_in)], eid[("h1", e_out)]
+                v = vid[("v", self.dart_head(cycle[i]))]
+                found.append((
+                    (fid, i),
+                    (v, vid[("m", e_in)], vid[("m", e_out)], c),
+                    (a + 1 if s_in == 1 else a, b if s_out == 1 else b + 1,
+                     b + 2 if s_out == 1 else b + 3,
+                     a + 2 if s_in == 1 else a + 3)))
+        order = sorted(range(len(found)), key=lambda j: found[j][0])
+        self.quarter_names = tuple(found[j][0] for j in order)
+        self.quarter_corner_ids = tuple(found[j][1] for j in order)
+        self.quarter_side_ids = tuple(found[j][2] for j in order)
+        by_face = [0] * len(found)
+        for q, j in enumerate(order):
+            by_face[j] = q
+        self.quarters_by_face = tuple(by_face)
 
     # -- helpers -----------------------------------------------------------
 
@@ -490,14 +491,6 @@ def _standard_surface(g, refinement, sites):
 # cochain operations
 
 
-def coboundary(cx, c):
-    """Coboundary of a 0-cochain on qK: (dc)(e) = c(head) - c(tail)."""
-    out = {}
-    for qeid, (t, h) in cx.qk_edges.items():
-        out[qeid] = c[h] - c[t]
-    return out
-
-
 @dataclass(frozen=True)
 class RibbonStep:
     """One step of a paired-boundary ribbon.
@@ -529,15 +522,6 @@ def hodge_star(x, y):
     """
     s1, s2 = hodge_star_signs["K1"], hodge_star_signs["K2"]
     return {e: s2 * v for e, v in y.items()}, {e: s1 * v for e, v in x.items()}
-
-
-def default_sigma0(cx, excluded=()):
-    """First qK vertex in deterministic order avoiding the excluded set."""
-    excluded = set(excluded)
-    for qv in cx.qk_vertices:
-        if qv not in excluded:
-            return qv
-    raise ValueError("no admissible base vertex")
 
 
 def rational_rref(rows):
@@ -586,11 +570,10 @@ def kernel_check_B0(cx, sigma0=None):
     solution space by one value per class.  Summing each affinity row's
     coefficients per class gives the restriction of the affinity to that
     space, so the kernel has dimension #classes - rank of the quotient
-    rows, found by exact elimination.
+    rows, found by exact elimination.  sigma0 names a qK vertex; the
+    default is the first in qk_vertices, id 0.
     """
-    if sigma0 is None:
-        sigma0 = default_sigma0(cx)
-    base = cx.qk_vertex_ids.get(sigma0)
+    base = 0 if sigma0 is None else cx.qk_vertex_ids.get(sigma0)
     if base is None:
         raise ValueError(f"base vertex {sigma0!r} is not a qK vertex")
     parent = list(range(len(cx.qk_vertices)))
@@ -630,20 +613,18 @@ def kernel_check_B0(cx, sigma0=None):
 def face_euler_characteristics(cx, regions):
     """Euler characteristic of each closed face region by vertex census.
 
-    regions maps a face label to the set of quarters forming the region.
-    Counts primal vertices minus midpoints plus centers in the closure, and
-    cross-checks against the cellwise chi of the closed subcomplex;
-    disagreement signals an invalid region structure.  A quarter's corner
-    ids are (primal vertex, midpoint, midpoint, center), so each corner's
-    class is its position.
+    regions maps a face label to the set of quarter ids forming the
+    region.  Counts primal vertices minus midpoints plus centers in the
+    closure, and cross-checks against the cellwise chi of the closed
+    subcomplex; disagreement signals an invalid region structure.  A
+    quarter's corner ids are (primal vertex, midpoint, midpoint, center),
+    so each corner's class is its position.
     """
-    ids = cx.quarter_ids
     corner_ids, side_ids = cx.quarter_corner_ids, cx.quarter_side_ids
     out = {}
     for label, quarter_set in regions.items():
         primal, mid, center, qedges = set(), set(), set(), set()
-        for qid in quarter_set:
-            q = ids[qid]
+        for q in quarter_set:
             v, m_in, m_out, c = corner_ids[q]
             primal.add(v)
             mid.add(m_in)

@@ -42,8 +42,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .complex import (RibbonStep, _find, build_standard_surface,
-                      default_sigma0, face_euler_characteristics,
-                      hodge_star_signs)
+                      face_euler_characteristics, hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
 from .lie import (_alcove_reduce, _dual, _fusion_table, _index, _level,
@@ -60,8 +59,9 @@ class ColoredRibbon:
     side: +1 when the potential steps up going inward, -1 when it steps
     down.  parent is the index of the enclosing face (0 is the base face,
     j >= 1 the inner face of ribbon j).  Embedded ribbons additionally
-    carry their boundary walk as RibbonStep entries and the quarter cells
-    covered by the strip.
+    carry their boundary walk as RibbonStep entries, which name the qK
+    edges and vertices they pass; the quarters the strip covers are
+    derived from the walk.
     """
 
     color: tuple
@@ -69,7 +69,6 @@ class ColoredRibbon:
     orientation: int = 1
     parent: int = 0
     steps: tuple = ()
-    strip_quarters: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -133,17 +132,19 @@ def _integer(value):
 def _forest(link):
     """The validated nesting forest of a link.
 
-    Windings and orientations must be integers, not merely integral: the
-    sums use them as exponents into integer phase tables.
+    Parents, windings and orientations must be integers, not merely
+    integral: the sums index faces by the parents and use the others as
+    exponents into integer phase tables.
     """
     m = len(link.ribbons)
     par = [-1] * (m + 1)
     chi = [2 - 2 * link.genus] + [1] * m
     gl = [0] * (m + 1)
     for pos, rib in enumerate(link.ribbons, start=1):
-        p = rib.parent
-        if not isinstance(p, int) or not 0 <= p <= m:
-            raise ValueError(f"ribbon {pos - 1}: invalid parent face {p!r}")
+        p = _integer(rib.parent)
+        if p is None or not 0 <= p <= m:
+            raise ValueError(f"ribbon {pos - 1}: invalid parent face"
+                             f" {rib.parent!r}")
         if _integer(rib.orientation) not in (1, -1):
             raise ValueError(f"ribbon {pos - 1}: orientation must be +-1")
         if _integer(rib.winding) is None:
@@ -196,16 +197,24 @@ def _face_weights(link, par):
 # embedded links: arcs, strips, potentials, regions
 
 
+def _name_id(ids, name):
+    """ids[name], or None when name names no cell (unhashable included)."""
+    try:
+        return ids.get(name)
+    except TypeError:
+        return None
+
+
 def _chain_ids(cx, chain):
     """Vertex ids visited by a dart chain and its darts as (qK edge id,
     sign), with closure validation."""
     if not chain:
         raise ValueError("empty boundary chain")
-    ids, ends = cx.qk_edge_ids, cx.qk_edge_ends
+    ends = cx.qk_edge_ends
     verts = []
     darts = []
     for qe, sgn in chain:
-        e = ids.get(qe)
+        e = _name_id(cx.qk_edge_ids, qe)
         if e is None:
             raise ValueError(f"chain uses unknown edge {qe!r}")
         if sgn not in (1, -1):
@@ -224,31 +233,41 @@ def _chain_ids(cx, chain):
     return verts[:-1], darts
 
 
+class _Arcs(NamedTuple):
+    """The two boundary loops of one embedded ribbon, by id.
+
+    l_darts and lp_darts are the darts (qK edge id, sign) of each loop in
+    walk order, l_edges, lp_edges, l_vertices and lp_vertices the qK
+    edges and vertices each loop passes, and start the two vertices where
+    the walks start.
+    """
+
+    l_darts: tuple
+    lp_darts: tuple
+    l_edges: frozenset
+    lp_edges: frozenset
+    l_vertices: frozenset
+    lp_vertices: frozenset
+    start: tuple
+
+
 def _arc_data(cx, rib):
-    """Both arcs of one embedded ribbon: the named chains, and the ids of
-    their darts, vertices, edges and start vertices."""
-    l_chain = [dart for st in rib.steps for dart in st.l_sigma]
-    lp_chain = [dart for st in rib.steps for dart in st.lp_sigma]
-    lv, l_darts = _chain_ids(cx, l_chain)
-    lpv, lp_darts = _chain_ids(cx, lp_chain)
-    kinds_l = {qe[0] for qe, _ in l_chain}
-    kinds_lp = {qe[0] for qe, _ in lp_chain}
-    # the two loops live on opposite halves of the doubled complex
-    if not (kinds_l <= {"h1", "h2"} and kinds_lp <= {"d1", "d2"}) and \
-       not (kinds_l <= {"d1", "d2"} and kinds_lp <= {"h1", "h2"}):
+    """Both arcs of one embedded ribbon, read from the named darts of its
+    steps."""
+    lv, l_darts = _chain_ids(cx, [d for st in rib.steps for d in st.l_sigma])
+    lpv, lp_darts = _chain_ids(cx, [d for st in rib.steps
+                                    for d in st.lp_sigma])
+    # the two loops live on opposite halves of the doubled complex; qK
+    # edge 4i + k is a primal half for k = 0, 1
+    halves = ({e % 4 < 2 for e, _ in l_darts},
+              {e % 4 < 2 for e, _ in lp_darts})
+    if halves not in (({True}, {False}), ({False}, {True})):
         raise ValueError("ribbon loops must project to opposite halves of"
                          " the edge double")
-    return {
-        "l_chain": tuple(l_chain),
-        "lp_chain": tuple(lp_chain),
-        "l_darts": tuple(l_darts),
-        "lp_darts": tuple(lp_darts),
-        "l_vertices": frozenset(lv),
-        "lp_vertices": frozenset(lpv),
-        "l_edges": frozenset(e for e, _ in l_darts),
-        "lp_edges": frozenset(e for e, _ in lp_darts),
-        "start": (lv[0], lpv[0]),
-    }
+    return _Arcs(tuple(l_darts), tuple(lp_darts),
+                 frozenset(e for e, _ in l_darts),
+                 frozenset(e for e, _ in lp_darts),
+                 frozenset(lv), frozenset(lpv), (lv[0], lpv[0]))
 
 
 def _check_time_steps(link, pos, arcs):
@@ -263,7 +282,10 @@ def _check_time_steps(link, pos, arcs):
     steps together wind winding * n slices.
     """
     rib = link.ribbons[pos]
-    at = [link.complex.qk_vertices[w] for w in arcs["start"]]
+    cx = link.complex
+    darts = (arcs.l_darts, arcs.lp_darts)
+    at = list(arcs.start)
+    walked = [0, 0]
     now = rib.steps[0].t
     total = 0
     for i, st in enumerate(rib.steps):
@@ -279,12 +301,14 @@ def _check_time_steps(link, pos, arcs):
                              f" ribbon is at slice {now}")
         for side, vert, chunk in ((0, st.l_vertex, st.l_sigma),
                                   (1, st.lp_vertex, st.lp_sigma)):
-            if (st.dt or vert is not None) and vert != at[side]:
+            if (st.dt or vert is not None) and \
+                    _name_id(cx.qk_vertex_ids, vert) != at[side]:
                 raise ValueError(f"{where}: loop position {vert!r}, but the"
-                                 f" loop is at {at[side]!r}")
+                                 f" loop is at {cx.qk_vertices[at[side]]!r}")
             if chunk:
-                qe, sgn = chunk[-1]
-                tail, head = link.complex.qk_edges[qe]
+                walked[side] += len(chunk)
+                e, sgn = darts[side][walked[side] - 1]
+                tail, head = cx.qk_edge_ends[e]
                 at[side] = head if sgn == 1 else tail
         now = (now + st.dt) % link.n
         total += st.dt
@@ -293,28 +317,20 @@ def _check_time_steps(link, pos, arcs):
                          f" declared winding is {rib.winding}")
 
 
-def _strip_quarters(cx, arcs, declared=None):
-    """Quarter ids with one side on each arc; checked against the
-    declaration, which names quarters."""
-    l_edges, lp_edges = arcs["l_edges"], arcs["lp_edges"]
-    found = frozenset(q for q, ss in enumerate(cx.quarter_side_ids)
-                      if not l_edges.isdisjoint(ss)
-                      and not lp_edges.isdisjoint(ss))
-    if declared:
-        names = cx.quarter_names
-        if frozenset(declared) != frozenset(names[q] for q in found):
-            raise ValueError("declared strip quarters disagree with the"
-                             " quarters spanned by the ribbon arcs")
-    return found
+def _strip_ids(cx, arcs):
+    """Ids of the quarters with one side on each arc."""
+    return frozenset(q for q, ss in enumerate(cx.quarter_side_ids)
+                     if not arcs.l_edges.isdisjoint(ss)
+                     and not arcs.lp_edges.isdisjoint(ss))
 
 
-def _components(cx, quarters):
+def _components(cx, cells):
     """Connected components of a list of quarter ids, glued along shared
     qK edges, as lists of ids in order of first appearance."""
     sides = cx.quarter_side_ids
     parent = list(range(len(sides)))
     first = {}
-    for q in quarters:
+    for q in cells:
         for e in sides[q]:
             other = first.setdefault(e, q)
             if other != q:
@@ -322,7 +338,7 @@ def _components(cx, quarters):
                 if ra != rb:
                     parent[ra] = rb
     comps = {}
-    for q in quarters:
+    for q in cells:
         comps.setdefault(_find(parent, q), []).append(q)
     return list(comps.values())
 
@@ -359,7 +375,7 @@ def _half_sum_chain(cx, arcs):
     """
     primal = [0] * len(cx.edges)
     dual = [0] * len(cx.edges)
-    for darts in (arcs["l_darts"], arcs["lp_darts"]):
+    for darts in (arcs.l_darts, arcs.lp_darts):
         for e, sgn in darts:
             i, k = divmod(e, 4)
             if k < 2:
@@ -393,9 +409,9 @@ def _ribbon_potential(cx, arcs, strip):
     side_l = side_lp = None
     for comp in comps:
         edges = {e for q in comp for e in sides[q]}
-        if not arcs["l_edges"].isdisjoint(edges):
+        if not arcs.l_edges.isdisjoint(edges):
             side_l = comp
-        if not arcs["lp_edges"].isdisjoint(edges):
+        if not arcs.lp_edges.isdisjoint(edges):
             side_lp = comp
     if side_l is None or side_lp is None or side_l is side_lp:
         raise ValueError("ribbon arcs do not separate the two strip sides")
@@ -418,7 +434,7 @@ def _ribbon_potential(cx, arcs, strip):
     else:
         raise ValueError("no unit-jump potential satisfies the defining"
                          " equation for this ribbon")
-    arc_edges = arcs["l_edges"] | arcs["lp_edges"]
+    arc_edges = arcs.l_edges | arcs.lp_edges
     transverse = {e for q in strip for e in sides[q] if e not in arc_edges}
     # f takes only the values 0 and jump, so its jumps are units; they
     # must sit exactly on the strip crossing edges
@@ -436,13 +452,16 @@ def _ribbon_potential(cx, arcs, strip):
 class _EmbeddedFaces:
     """Derived face structure of an embedded link.
 
-    Carries the per-ribbon potentials ({qK vertex: value}) and jump signs,
-    the strip complement regions (sets of quarters) matched one-to-one
-    against the abstract faces, and the census Euler characteristics; each
+    Carries each ribbon's arcs (_Arcs), strip (a set of quarter ids),
+    potential (a list of values by qK vertex id, zero at the basepoint
+    sigma0, the least qK vertex id on no loop) and jump sign, the strip
+    complement regions (sets of quarter ids) matched one-to-one against
+    the abstract faces, and the census Euler characteristics; each
     ribbon's two loops must sit on its inner and its parent face.  All
     checks that compare the derived data with the abstract link data raise
     on the first disagreement.  The derivation runs over the complex's
-    integer ids; only the results above are named.
+    integer ids; names are read only from the RibbonSteps, and appear only
+    in error messages.
     """
 
     def __init__(self, link):
@@ -468,19 +487,21 @@ class _EmbeddedFaces:
             arcs = _arc_data(cx, rib)
             _check_time_steps(link, pos, arcs)
             self.arcs.append(arcs)
-            self.strips.append(_strip_quarters(cx, arcs, rib.strip_quarters))
+            self.strips.append(_strip_ids(cx, arcs))
 
         self._check_disjointness()
         self._check_strip_tetragons()
 
         occupied = set()
         for arcs in self.arcs:
-            occupied |= arcs["l_vertices"] | arcs["lp_vertices"]
-        self.sigma0 = default_sigma0(
-            cx, excluded=[cx.qk_vertices[w] for w in occupied])
-        base = cx.qk_vertex_ids[self.sigma0]
+            occupied |= arcs.l_vertices | arcs.lp_vertices
+        base = next((w for w in range(len(cx.qk_vertices))
+                     if w not in occupied), None)
+        if base is None:
+            raise ValueError("no admissible base vertex")
+        self.sigma0 = base
 
-        potentials = []
+        self.potentials = potentials = []
         self.jumps = []
         for pos, rib in enumerate(link.ribbons):
             f, jump = _ribbon_potential(cx, self.arcs[pos], self.strips[pos])
@@ -495,7 +516,6 @@ class _EmbeddedFaces:
                 raise ValueError(f"ribbon {pos}: embedded jump sign"
                                  f" {inside} disagrees with declared"
                                  f" orientation {rib.orientation}")
-        self.potentials = [dict(zip(cx.qk_vertices, f)) for f in potentials]
 
         all_strips = set().union(*self.strips)
         regions = _components(cx, [q for q in cx.quarters_by_face
@@ -520,9 +540,7 @@ class _EmbeddedFaces:
                 raise ValueError(f"region weight vector {vec} does not"
                                  " match the abstract nesting forest")
             ordered[j] = comp
-        names = cx.quarter_names
-        self.regions = tuple(frozenset(names[q] for q in comp)
-                             for comp in ordered)
+        self.regions = tuple(frozenset(comp) for comp in ordered)
 
         census = face_euler_characteristics(cx, dict(enumerate(self.regions)))
         self.chi = tuple(census[j] for j in range(m + 1))
@@ -534,7 +552,7 @@ class _EmbeddedFaces:
         par = forest.parent
         for pos, arcs in enumerate(self.arcs):
             l_face, lp_face = (want.get(tuple(f[w] for f in potentials))
-                               for w in arcs["start"])
+                               for w in arcs.start)
             if l_face is None or lp_face is None:
                 raise ValueError(f"ribbon {pos}: loop basepoints do not"
                                  " evaluate to face potential vectors")
@@ -547,7 +565,7 @@ class _EmbeddedFaces:
         # loops sharing an edge share its ends, so vertices decide
         seen = set()
         for arcs in self.arcs:
-            for verts in (arcs["l_vertices"], arcs["lp_vertices"]):
+            for verts in (arcs.l_vertices, arcs.lp_vertices):
                 if seen & verts:
                     raise ValueError("ribbon boundary arcs intersect: the"
                                      " link is not non-crossing")
@@ -558,10 +576,10 @@ class _EmbeddedFaces:
         sides, corners = cx.quarter_side_ids, cx.quarter_corner_ids
         for pos, strip in enumerate(self.strips):
             arcs = self.arcs[pos]
-            arc_verts = arcs["l_vertices"] | arcs["lp_vertices"]
+            arc_verts = arcs.l_vertices | arcs.lp_vertices
             for q in strip:
-                on_l = len(arcs["l_edges"].intersection(sides[q]))
-                on_lp = len(arcs["lp_edges"].intersection(sides[q]))
+                on_l = len(arcs.l_edges.intersection(sides[q]))
+                on_lp = len(arcs.lp_edges.intersection(sides[q]))
                 if on_l != 1 or on_lp != 1:
                     raise ValueError(
                         f"strip quarter {cx.quarter_names[q]!r} of ribbon"
@@ -1038,8 +1056,6 @@ def embed_link(link, refinement=None, n=2):
                                 sites=(m,) if m else ())
     ribbons = []
     for pos, rib in enumerate(link.ribbons, start=1):
-        strip = tuple(sorted(
-            (("trap", 0, pos, i), p) for i in range(4) for p in (1, 2)))
         # the forward ring realizes jump +1 and the reversed one, which
         # keeps both loops' start vertices, jump -1; the validation of the
         # finished link below confirms every jump
@@ -1053,7 +1069,7 @@ def embed_link(link, refinement=None, n=2):
                                     l_vertex=sigma, lp_vertex=sigma_prime))
         ribbons.append(ColoredRibbon(rib.color, rib.winding,
                                      rib.orientation, rib.parent,
-                                     tuple(steps), strip))
+                                     tuple(steps)))
     out = RibbonLink(link.genus, tuple(ribbons), complex=cx, n=n)
     validate_link(out)
     return out

@@ -467,15 +467,16 @@ def traced_gleams(cx, ribbons):
     """
     arc_l = [frozenset(qe for qe, _ in chain) for _, chain, _ in ribbons]
     arc_lp = [frozenset(qe for qe, _ in chain) for _, _, chain in ribbons]
+    named = named_subdivision(cx)
     sides = {qid: frozenset(qe for qe, _ in darts)
-             for qid, darts in cx.quarters.items()}
+             for qid, darts in named.quarters.items()}
     strip = set()
     for i in range(len(ribbons)):
         for qid, ss in sides.items():
             if ss & arc_l[i] and ss & arc_lp[i]:
                 strip.add(qid)
 
-    parent = {qid: qid for qid in cx.quarters if qid not in strip}
+    parent = {qid: qid for qid in named.quarters if qid not in strip}
 
     def find(x):
         while parent[x] != x:
@@ -496,7 +497,7 @@ def traced_gleams(cx, ribbons):
     def side_region(chain):
         pos_votes, neg_votes = set(), set()
         for qe, sgn in chain:
-            for qid, darts in cx.quarters.items():
+            for qid, darts in named.quarters.items():
                 if qid in strip:
                     continue
                 if (qe, sgn) in darts:
@@ -1083,8 +1084,9 @@ def _b0_rows(cx, sigma0, index):
     """Tetragon affinity rows plus constancy on the closed star of sigma0."""
     rows = affine_constraint_rows(cx, index)
     patch = set()
+    corners = named_subdivision(cx).quarter_corners
     for qid in quarters_at(cx, sigma0):
-        patch.update(cx.quarter_corners[qid])
+        patch.update(corners[qid])
     patch.discard(sigma0)
     for qv in sorted(patch):
         rows.append({index[qv]: 1, index[sigma0]: -1})
@@ -1098,10 +1100,10 @@ def kernel_check_B0_rows(cx, sigma0=None):
     equality along each primal edge (loop edges impose nothing) and across
     each dual edge.  The kernel is the constants iff its dimension is 1.
     """
-    from shadow_wlo.complex import default_sigma0, rational_rref
+    from shadow_wlo.complex import rational_rref
 
     if sigma0 is None:
-        sigma0 = default_sigma0(cx)
+        sigma0 = cx.qk_vertices[0]
     index = {qv: i for i, qv in enumerate(cx.qk_vertices)}
     rows = _b0_rows(cx, sigma0, index)
     for e, (t, h) in sorted(cx.edges.items()):
@@ -1148,6 +1150,66 @@ def eigen_quadrature_numpy(lam, shift, forms, eps, radius, count):
 # surface, operator and face-table helpers that only tests read
 
 
+@dataclasses.dataclass(frozen=True)
+class NamedSubdivision:
+    """The quad subdivision of a complex by name, as named_subdivision
+    derives it.
+
+    qk_edges maps each half-edge to its (tail, head) qK vertex names, edge
+    by edge in the order of cx.edges and h1, h2, d1, d2 within an edge.
+    quarters maps the quarter (f, i) at corner i of face f to its boundary
+    cycle of four (half-edge, sign) darts, and quarter_corners to its
+    corners (v, m_in, m_out, c); both list the quarters face by face.
+    """
+
+    qk_edges: dict
+    quarters: dict
+    quarter_corners: dict
+
+
+def named_subdivision(cx):
+    """The named qK tables of cx, derived from its cells alone.
+
+    ("h1", e) runs from the tail of e to its midpoint and ("h2", e) on to
+    its head; ("d1", e) runs from the center of the face left of e to the
+    midpoint and ("d2", e) on to the center of the right face.  The
+    quarter at the head v of the i-th dart of a face cycle has the
+    boundary cycle m_in -> v -> m_out -> c: the primal halves into and out
+    of v along the face cycle, then the dual halves through the face
+    center c.  The complex's integer tables are compared against these,
+    never built from them.
+    """
+    qk_edges = {}
+    for e, (t, h) in cx.edges.items():
+        left, right = ("c", cx.edge_left[e]), ("c", cx.edge_right[e])
+        qk_edges[("h1", e)] = (("v", t), ("m", e))
+        qk_edges[("h2", e)] = (("m", e), ("v", h))
+        qk_edges[("d1", e)] = (left, ("m", e))
+        qk_edges[("d2", e)] = (("m", e), right)
+    quarters = {}
+    corners = {}
+    for fid, cycle in cx.faces.items():
+        for i, (e_in, s_in) in enumerate(cycle):
+            e_out, s_out = cycle[(i + 1) % len(cycle)]
+            quarters[(fid, i)] = (
+                (("h2", e_in), 1) if s_in == 1 else (("h1", e_in), -1),
+                (("h1", e_out), 1) if s_out == 1 else (("h2", e_out), -1),
+                (("d1", e_out), -1) if s_out == 1 else (("d2", e_out), 1),
+                (("d1", e_in), 1) if s_in == 1 else (("d2", e_in), -1),
+            )
+            corners[(fid, i)] = (("v", cx.dart_head(cycle[i])),
+                                 ("m", e_in), ("m", e_out), ("c", fid))
+    return NamedSubdivision(qk_edges, quarters, corners)
+
+
+def coboundary(cx, c):
+    """Coboundary of a 0-cochain on qK: (dc)(e) = c(head) - c(tail)."""
+    out = {}
+    for qeid, (t, h) in named_subdivision(cx).qk_edges.items():
+        out[qeid] = c[h] - c[t]
+    return out
+
+
 def project_to_K(cx, x):
     """Orthogonal projection of a qK 1-cochain onto the two K-edge spaces.
 
@@ -1180,8 +1242,9 @@ def psi_embed(cx, primal, dual=None):
 def affine_constraint_rows(cx, index):
     """Tetragon affinity rows B(v) + B(c) - B(m_in) - B(m_out) = 0."""
     rows = []
-    for qid in sorted(cx.quarter_corners):
-        v, m_in, m_out, c = cx.quarter_corners[qid]
+    corners = named_subdivision(cx).quarter_corners
+    for qid in sorted(corners):
+        v, m_in, m_out, c = corners[qid]
         row = {index[v]: 1, index[c]: 1}
         for mvert in (m_in, m_out):
             row[index[mvert]] = row.get(index[mvert], 0) - 1
@@ -1191,7 +1254,8 @@ def affine_constraint_rows(cx, index):
 
 def quarters_at(cx, qk_vertex):
     """All quarters of cx whose closure contains the given qK vertex."""
-    return tuple(qid for qid, cs in cx.quarter_corners.items()
+    return tuple(qid for qid, cs in
+                 named_subdivision(cx).quarter_corners.items()
                  if qk_vertex in cs)
 
 

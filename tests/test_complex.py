@@ -1,18 +1,20 @@
 """Surface decomposition, quad subdivision and projection tests."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from oracles import affine_constraint_rows, project_to_K, psi_embed
+from oracles import (affine_constraint_rows, coboundary, named_subdivision,
+                     project_to_K, psi_embed)
 from shadow_wlo import complex as complex_module
+from shadow_wlo import statesum
 from shadow_wlo.complex import (
     SurfaceComplex,
     build_standard_surface,
-    coboundary,
-    default_sigma0,
     face_euler_characteristics,
     hodge_star,
     hodge_star_signs,
@@ -68,8 +70,10 @@ def test_generators_produce_valid_maps(g, r):
     cx = build_standard_surface(g, r)
     assert euler(cx) == 2 - 2 * g
     # every quarter is a tetragon and every qK edge borders two quarters
-    for boundary in cx.quarters.values():
-        assert len(boundary) == 4
+    assert all(len(sides) == 4 for sides in cx.quarter_side_ids)
+    borders = Counter(e for sides in cx.quarter_side_ids for e in sides)
+    assert sorted(borders) == list(range(len(cx.qk_edge_ends)))
+    assert set(borders.values()) == {2}
     # rotation orbits exhaust the darts; each starts at its smallest dart,
     # and they are listed in increasing order of that dart
     n_darts = sum(len(rot) for rot in cx.rotations.values())
@@ -84,8 +88,9 @@ def test_generators_produce_valid_maps(g, r):
 @pytest.mark.parametrize("g,r", [(0, 1), (1, 2), (2, 1)])
 def test_quad_subdivision_is_itself_a_valid_map(g, r):
     cx = build_standard_surface(g, r)
-    faces = [(qid, list(b)) for qid, b in cx.quarters.items()]
-    qcx = SurfaceComplex(g, cx.qk_edges, faces)
+    named = named_subdivision(cx)
+    faces = [(qid, list(b)) for qid, b in named.quarters.items()]
+    qcx = SurfaceComplex(g, named.qk_edges, faces)
     assert euler(qcx) == 2 - 2 * g
 
 
@@ -123,7 +128,7 @@ def test_coboundary_of_vertex_indicator():
     # exactly the half-edges at v0, with sign -1 leaving and +1 entering
     assert len(hit) == len(cx.rotations[v0])
     for qe, val in hit.items():
-        tail, head = cx.qk_edges[qe]
+        tail, head = named_subdivision(cx).qk_edges[qe]
         assert val == (1 if head == ("v", v0) else -1)
 
 
@@ -213,10 +218,14 @@ def test_kernel_check_matches_full_row_oracle(g, r, sites):
 
 @st.composite
 def _standard_surfaces(draw):
-    """A small standard surface of genus 0 or 1 with up to two ring sites."""
-    g = draw(st.sampled_from((0, 1)))
-    refinement = draw(st.just(1) if g == 0 else st.integers(2, 3))
-    sites = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
+    """A small standard surface of genus 0, 1 or 2; the first two with up
+    to two ring sites."""
+    g = draw(st.sampled_from((0, 1, 2)))
+    refinement = draw({0: st.just(1), 1: st.integers(2, 3),
+                       2: st.integers(1, 2)}[g])
+    sites = ()
+    if g < 2:
+        sites = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
     try:
         return build_standard_surface(g, refinement, sites)
     except ValueError as exc:
@@ -227,24 +236,28 @@ def _standard_surfaces(draw):
 @settings(max_examples=20, deadline=None)
 @given(_standard_surfaces())
 def test_integer_tables_name_the_subdivision(cx):
-    """Every integer table maps back to the named one it stands beside,
-    and the kernel check on them agrees with the full row oracle at every
-    base vertex."""
-    qv_names, qe_names = cx.qk_vertices, list(cx.qk_edges)
-    assert list(cx.quarter_names) == sorted(cx.quarters)
+    """Every integer table agrees with the named subdivision the oracle
+    derives from the cells, and the kernel check on them agrees with the
+    full row oracle at every base vertex."""
+    named = named_subdivision(cx)
+    qv_names, qe_names = cx.qk_vertices, list(named.qk_edges)
+    assert list(qv_names) == sorted(
+        [("v", v) for v in cx.vertices] + [("m", e) for e in cx.edges]
+        + [("c", f) for f in cx.faces])
     assert cx.qk_vertex_ids == {w: i for i, w in enumerate(qv_names)}
     assert cx.qk_edge_ids == {e: i for i, e in enumerate(qe_names)}
-    assert cx.quarter_ids == {q: i for i, q in enumerate(cx.quarter_names)}
+    assert list(cx.quarter_names) == sorted(named.quarters)
     assert [cx.quarter_names[q] for q in cx.quarters_by_face] == \
-        list(cx.quarters)
+        list(named.quarters)
     for q, qid in enumerate(cx.quarter_names):
         assert tuple(qv_names[w] for w in cx.quarter_corner_ids[q]) == \
-            cx.quarter_corners[qid]
+            named.quarter_corners[qid]
         assert tuple(qe_names[e] for e in cx.quarter_side_ids[q]) == \
-            tuple(qe for qe, _ in cx.quarters[qid])
+            tuple(qe for qe, _ in named.quarters[qid])
+    assert len(cx.qk_edge_ends) == len(qe_names)
     for e, name in enumerate(qe_names):
         t, h = cx.qk_edge_ends[e]
-        assert (qv_names[t], qv_names[h]) == cx.qk_edges[name]
+        assert (qv_names[t], qv_names[h]) == named.qk_edges[name]
     for i, (e, (t, h)) in enumerate(cx.edges.items()):
         assert qe_names[4 * i:4 * i + 4] == [(k, e) for k in
                                              ("h1", "h2", "d1", "d2")]
@@ -254,6 +267,26 @@ def test_integer_tables_name_the_subdivision(cx):
     for sigma0 in qv_names:
         assert kernel_check_B0(cx, sigma0) is \
             oracles.kernel_check_B0_rows(cx, sigma0)
+
+
+# the attributes the SurfaceComplex docstring lists: the cell data and the
+# integer tables of the quad subdivision
+_SURFACE_ATTRIBUTES = {
+    "genus", "edges", "faces", "ring_sites", "edge_left", "edge_right",
+    "rotations", "vertices", "qk_vertices", "quarter_names",
+    "qk_vertex_ids", "qk_edge_ids", "qk_edge_ends", "edge_end_ids",
+    "quarter_corner_ids", "quarter_side_ids", "quarters_by_face"}
+
+
+@pytest.mark.parametrize("g,r,sites", [(0, 1, ()), (1, 2, (1,)),
+                                       (2, 1, ())])
+def test_surface_holds_only_the_documented_tables(g, r, sites):
+    """A second representation of a table would be a new attribute."""
+    cx = build_standard_surface(g, r, sites)
+    assert len(_SURFACE_ATTRIBUTES) == 17
+    assert set(vars(cx)) == _SURFACE_ATTRIBUTES
+    for name in _SURFACE_ATTRIBUTES:
+        assert re.search(rf"\b{name}\b", SurfaceComplex.__doc__), name
 
 
 def test_affinity_rows_annihilate_constants():
@@ -269,16 +302,16 @@ def test_affinity_rows_annihilate_constants():
 def test_empty_link_region_census():
     for g, r in [(0, 1), (1, 2), (2, 1)]:
         cx = build_standard_surface(g, r)
-        chi = face_euler_characteristics(cx, {"Y0": set(cx.quarters)})
+        everything = set(range(len(cx.quarter_names)))
+        chi = face_euler_characteristics(cx, {"Y0": everything})
         assert chi == {"Y0": 2 - 2 * g}
 
 
 def test_region_census_disagreement_raises():
     cx = build_standard_surface(0, 1)
-    qid = sorted(cx.quarters)[0]
     # a single quarter is a disk cellwise but its vertex census gives 0
     with pytest.raises(ValueError):
-        face_euler_characteristics(cx, {"Y": {qid}})
+        face_euler_characteristics(cx, {"Y": {0}})
 
 
 def test_ring_site_carving_keeps_surface_valid():
@@ -288,7 +321,7 @@ def test_ring_site_carving_keeps_surface_valid():
     info = cx.ring_sites[0]
     assert info["depth"] == 2
     assert ("inner", 0) in cx.faces
-    assert all(len(b) == 4 for b in cx.quarters.values())
+    assert all(len(sides) == 4 for sides in cx.quarter_side_ids)
     assert kernel_check_B0(cx)
 
 
@@ -311,11 +344,20 @@ def test_too_many_ring_sites_rejected():
 
 
 def test_sigma0_deterministic_order_and_exclusions():
-    cx = build_standard_surface(0, 1)
-    first = default_sigma0(cx)
-    assert first == cx.qk_vertices[0]
-    second = default_sigma0(cx, excluded=[first])
-    assert second == cx.qk_vertices[1]
+    """The embedded basepoint is the least qK vertex id on no loop, with
+    the loops' vertices read from the named darts of the ribbon steps."""
+    for ent in statesum.corpus_links():
+        cx = ent.embedded.complex
+        qk_edges = named_subdivision(cx).qk_edges
+        on_loops = {cx.qk_vertex_ids[w]
+                    for rib in ent.embedded.ribbons for st in rib.steps
+                    for qe, _ in st.l_sigma + st.lp_sigma
+                    for w in qk_edges[qe]}
+        free = [w for w in range(len(cx.qk_vertices)) if w not in on_loops]
+        assert statesum._EmbeddedFaces(ent.embedded).sigma0 == free[0]
+        # the empty link's basepoint is the one the kernel check defaults to
+        if not ent.embedded.ribbons:
+            assert free[0] == 0
 
 
 DIGON_EDGES = {("e1",): (("a",), ("b",)), ("e2",): (("a",), ("b",))}

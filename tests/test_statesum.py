@@ -10,18 +10,18 @@ from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from numpy_models import covariance_vanishing_check
-from oracles import face_weights, project_to_K
+from oracles import coboundary, face_weights, project_to_K
 from shadow_wlo import cli
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
 from shadow_wlo.complex import (RibbonStep, build_standard_surface,
-                                coboundary, hodge_star_signs,
-                                kernel_check_B0)
+                                hodge_star_signs, kernel_check_B0)
 from shadow_wlo.lie import (_dual, is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
@@ -144,13 +144,16 @@ def test_gleam_matches_tracing_oracle(corpus):
         if not emb.ribbons:
             continue
         faces = ss._EmbeddedFaces(emb)
-        loops = [(rib.winding, list(faces.arcs[i]["l_chain"]),
-                  list(faces.arcs[i]["lp_chain"]))
-                 for i, rib in enumerate(emb.ribbons)]
+        loops = [(rib.winding,
+                  [d for st in rib.steps for d in st.l_sigma],
+                  [d for st in rib.steps for d in st.lp_sigma])
+                 for rib in emb.ribbons]
         oracle = dict(oracles.traced_gleams(emb.complex, loops))
         gleam = ss._forest(emb).gleam
+        names = emb.complex.quarter_names
         for j, comp in enumerate(faces.regions):
-            assert oracle[frozenset(comp)] == gleam[j], (ent.name, j)
+            assert oracle[frozenset(names[q] for q in comp)] == gleam[j], \
+                (ent.name, j)
 
 
 @st.composite
@@ -200,6 +203,10 @@ def test_forest_record_matches_per_face_recomputation(link):
     (((1.0, 1, 0),), "ribbon 0: winding must be an integer"),
     (((1, 1.0, 0),), "ribbon 0: orientation must be +-1"),
     (((1, -1.0, 0),), "ribbon 0: orientation must be +-1"),
+    # parents follow the same rule, and True reads as the integer 1
+    (((1, 1, 1.0),), "ribbon 0: invalid parent face 1.0"),
+    (((1, 1, True),),
+     "ribbon 0: parent 1 closes a cycle in the nesting relation"),
 ])
 def test_forest_errors(ribbons, message):
     link = ss.RibbonLink(0, tuple(ss.ColoredRibbon((1,), w, o, p)
@@ -208,6 +215,16 @@ def test_forest_errors(ribbons, message):
                    ss.validate_link):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             derive(link)
+
+
+def test_forest_reads_integer_parents():
+    # an integer type that is not int names a face like the int it equals
+    ribbons = (ss.ColoredRibbon((1,), 1, 1, np.int64(0)),
+               ss.ColoredRibbon((1,), np.int64(2), 1, np.int64(1)))
+    forest = ss._forest(ss.RibbonLink(0, ribbons))
+    assert forest.parent == (-1, 0, 1)
+    assert {type(p) for p in forest.parent} == {int}
+    assert forest == ss._forest(ss._chain(0, (((1,), 1, 1), ((1,), 2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +238,11 @@ def test_disk_ribbon_potential_inner_one(corpus):
     faces = ss._EmbeddedFaces(emb)
     f = faces.potentials[0]
     assert f[faces.sigma0] == 0
-    assert set(f.values()) == {0, 1}
-    assert f[("c", ("inner", 0))] == 1
+    assert set(f) == {0, 1}
+    assert f[cx.qk_vertex_ids[("c", ("inner", 0))]] == 1
     base = next(fid for fid in sorted(cx.faces)
                 if fid[0] not in ("inner", "trap"))
-    assert f[("c", base)] == 0
+    assert f[cx.qk_vertex_ids[("c", base)]] == 0
 
 
 def test_downward_ribbon_potential(corpus):
@@ -233,8 +250,8 @@ def test_downward_ribbon_potential(corpus):
     faces = ss._EmbeddedFaces(emb)
     f = faces.potentials[0]
     assert f[faces.sigma0] == 0
-    assert set(f.values()) == {0, -1}
-    assert f[("c", ("inner", 0))] == -1
+    assert set(f) == {0, -1}
+    assert f[emb.complex.qk_vertex_ids[("c", ("inner", 0))]] == -1
 
 
 def test_nested_potential_supported_innermost(corpus):
@@ -243,8 +260,8 @@ def test_nested_potential_supported_innermost(corpus):
     table = face_weights(emb)
     for i in range(3):
         for j, comp in enumerate(faces.regions):
-            rep = min(v for qid in comp
-                      for v in emb.complex.quarter_corners[qid])
+            rep = min(w for q in comp
+                      for w in emb.complex.quarter_corner_ids[q])
             assert faces.potentials[i][rep] == table[i][j]
 
 
@@ -275,7 +292,7 @@ def test_potential_unique_up_to_constant(corpus):
     rhs = target_primal + target_dual
     # membership in B0: tetragon affinity and constancy on the closed star
     # of the basepoint
-    b0 = oracles._b0_rows(cx, faces.sigma0, index)
+    b0 = oracles._b0_rows(cx, cx.qk_vertices[faces.sigma0], index)
     rows += b0
     rhs += [Fraction(0)] * len(b0)
     _, _, sol, null = oracles.rational_rref_dense(rows, len(cx.qk_vertices),
@@ -284,8 +301,7 @@ def test_potential_unique_up_to_constant(corpus):
     assert len(null) == 1
     assert len(set(null[0])) == 1
     f = faces.potentials[0]
-    diffs = {f[qv] - sol[index[qv]] for qv in cx.qk_vertices}
-    assert len(diffs) == 1
+    assert len({val - x for val, x in zip(f, sol)}) == 1
 
 
 def test_antiparallel_loops_rejected(corpus):
@@ -297,7 +313,7 @@ def test_antiparallel_loops_rejected(corpus):
     steps = (RibbonStep(t=0, l_sigma=sigma.l_sigma, lp_sigma=flipped),) + \
         tuple(st for st in rib.steps if st.dt)
     bad = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation,
-                           rib.parent, steps, rib.strip_quarters)
+                           rib.parent, steps)
     with pytest.raises(ValueError, match="no unit-jump potential"):
         ss.validate_link(replace(emb, ribbons=(bad,)))
 
@@ -325,9 +341,10 @@ def test_flipped_target_dart_rejected(monkeypatch):
 
     def flipped(cx, arcs):
         primal, dual = half_sum(cx, arcs)
-        (kind, e), sgn = arcs["l_chain"][0]
-        side = primal if kind in ("h1", "h2") else dual
-        side[list(cx.edges).index(e)] -= 2 * sgn
+        e, sgn = arcs.l_darts[0]
+        i, k = divmod(e, 4)
+        side = primal if k < 2 else dual
+        side[i] -= 2 * sgn
         return primal, dual
 
     monkeypatch.setattr(ss, "_half_sum_chain", flipped)
@@ -366,15 +383,6 @@ def test_validation_builds_quarter_sides_once(corpus, monkeypatch):
     ss.validate_link(emb)
     assert built == []
     assert emb.complex.quarter_side_ids is sides
-
-
-def test_declared_strip_checked(corpus):
-    emb = _by_name(corpus, "a1_g0_one_k4").embedded
-    rib = emb.ribbons[0]
-    bad = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation,
-                           rib.parent, rib.steps, rib.strip_quarters[:-1])
-    with pytest.raises(ValueError, match="strip quarters disagree"):
-        ss.validate_link(replace(emb, ribbons=(bad,)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +438,7 @@ def test_orientation_disagreement_detected(corpus):
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     rib = emb.ribbons[0]
     flipped = ss.ColoredRibbon(rib.color, rib.winding, -rib.orientation,
-                               rib.parent, rib.steps, rib.strip_quarters)
+                               rib.parent, rib.steps)
     bad = ss.RibbonLink(emb.genus, (flipped,), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="disagrees with declared"):
         ss.validate_link(bad)
@@ -440,7 +448,7 @@ def test_winding_disagreement_detected(corpus):
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     rib = emb.ribbons[0]
     bad_rib = ss.ColoredRibbon(rib.color, rib.winding + 1, rib.orientation,
-                               rib.parent, rib.steps, rib.strip_quarters)
+                               rib.parent, rib.steps)
     bad = ss.RibbonLink(emb.genus, (bad_rib,), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="winding"):
         ss.validate_link(bad)
@@ -451,7 +459,7 @@ def test_crossing_ribbons_detected(corpus):
     emb = _by_name(corpus, "a1_g0_one_k4").embedded
     rib = emb.ribbons[0]
     twin = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation, 1,
-                            rib.steps, rib.strip_quarters)
+                            rib.steps)
     bad = ss.RibbonLink(emb.genus, (rib, twin), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="non-crossing|intersect"):
         ss.validate_link(bad)
@@ -465,7 +473,7 @@ def test_broken_chain_detected(corpus):
                         lp_sigma=sigma.lp_sigma),) + \
         tuple(st for st in rib.steps if st.dt)
     bad_rib = ss.ColoredRibbon(rib.color, rib.winding, rib.orientation,
-                               rib.parent, steps, rib.strip_quarters)
+                               rib.parent, steps)
     bad = ss.RibbonLink(emb.genus, (bad_rib,), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="close|breaks"):
         ss.validate_link(bad)
@@ -490,7 +498,7 @@ def test_forest_disagreement_detected(corpus):
     emb = _by_name(corpus, "a1_g1_two_k5").embedded
     r1, r2 = emb.ribbons
     sib = ss.ColoredRibbon(r2.color, r2.winding, r2.orientation, 0,
-                           r2.steps, r2.strip_quarters)
+                           r2.steps)
     bad = ss.RibbonLink(emb.genus, (r1, sib), complex=emb.complex, n=emb.n)
     with pytest.raises(ValueError, match="nesting forest"):
         ss.validate_link(bad)
@@ -539,6 +547,30 @@ def test_time_step_away_from_its_loop_detected(corpus, field):
     steps = [replace(ring, l_vertex=up.l_vertex, lp_vertex=up.lp_vertex),
              up, up2]
     ss.validate_link(_with_steps(emb, steps))
+
+
+@pytest.mark.parametrize("field", ["l_vertex", "lp_vertex"])
+def test_unhashable_loop_position_refused(corpus, field):
+    # a list names no qK vertex: the id lookup reports the position like
+    # any other wrong one
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    ring, up, up2 = emb.ribbons[0].steps
+    where = getattr(up2, field)
+    steps = [ring, up, replace(up2, **{field: list(where)})]
+    message = (f"ribbon 0, step 2: loop position {list(where)!r}, but the"
+               f" loop is at {where!r}")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ss.validate_link(_with_steps(emb, steps))
+
+
+def test_unhashable_chain_edge_refused(corpus):
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    ring, up, up2 = emb.ribbons[0].steps
+    (qe, sgn), *rest = ring.l_sigma
+    steps = [replace(ring, l_sigma=((list(qe), sgn), *rest)), up, up2]
+    message = f"chain uses unknown edge {list(qe)!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ss.validate_link(_with_steps(emb, steps))
 
 
 def test_time_steps_of_standard_embeddings_validate():
