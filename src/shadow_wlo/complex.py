@@ -66,6 +66,14 @@ def _find(parent, x):
     return x
 
 
+def _name_id(ids, name):
+    """ids[name], or None when name names no cell (unhashable included)."""
+    try:
+        return ids.get(name)
+    except TypeError:
+        return None
+
+
 def _dart_tail(edges, dart):
     """Start vertex of a dart (edge id, +-1) over an {edge: (tail, head)} map."""
     eid, sign = dart
@@ -573,7 +581,7 @@ def kernel_check_B0(cx, sigma0=None):
     rows, found by exact elimination.  sigma0 names a qK vertex; the
     default is the first in qk_vertices, id 0.
     """
-    base = 0 if sigma0 is None else cx.qk_vertex_ids.get(sigma0)
+    base = 0 if sigma0 is None else _name_id(cx.qk_vertex_ids, sigma0)
     if base is None:
         raise ValueError(f"base vertex {sigma0!r} is not a qK vertex")
     parent = list(range(len(cx.qk_vertices)))

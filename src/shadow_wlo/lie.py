@@ -304,6 +304,9 @@ def weight_multiplicities(lie, gamma):
 def fusion_coefficient(lie, k, mu, nu, lam):
     """Level-k fusion coefficient N_{mu,nu}^lam, an exact integer.
 
+    The first slot is conjugated: N_{mu,nu}^lam is the multiplicity of lam
+    in the level-k product conj(mu) x nu, so (A2, 5, (1,0), (0,0), (1,0))
+    gives 0 and (A2, 5, (0,1), (0,0), (1,0)) gives 1.
     A lookup into the fusion rows of the color mu (see _fusion_table),
     built once per (lie, k, mu) from |labels|*|weights of mu| alcove
     reductions.  nu and lam must be level-k labels; anything else raises

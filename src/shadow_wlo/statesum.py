@@ -26,7 +26,10 @@ dimensions and phase exponents (_label_table).  The holonomy sum also
 reads one cached shift table per (group, level, step) (_shift_table).
 Step 6 is checked on these tables, once per coset (step6_identities).
 These tables, and the nonzero fusion rows of each color
-(lie._fusion_table), are built directly in integer arithmetic.
+(lie._fusion_table), are built directly in integer arithmetic.  Each sum
+ends in one correctly rounded addition of the base face's entries, per
+real and imaginary part (_fsum); a face factor or a sum that leaves the
+float range raises ValueError instead of returning inf or nan.
 
 A ribbon (color, w, -1) sums like (dual color, -w, +1): the holonomy sum
 steps by the dual color's weights, the shadow sum reads its fusion rows.
@@ -41,12 +44,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .complex import (RibbonStep, _find, build_standard_surface,
+from .complex import (RibbonStep, _find, _name_id, build_standard_surface,
                       face_euler_characteristics, hodge_star_signs)
 # fusion_coefficient, is_regular and sine_product are not called here; they
 # stay bound because the benchmark's tracer wraps them at this module
-from .lie import (_alcove_reduce, _dual, _fusion_table, _index, _level,
-                  _weight, fusion_coefficient, is_regular,
+from .lie import (_alcove_reduce, _dual, _fusion_table, _level, _weight,
+                  fusion_coefficient, is_regular,
                   lattice_points_in_scaled_box, level_labels, quantum_dim,
                   root_pairings, sine_product, weight_multiplicities)
 
@@ -129,16 +132,26 @@ def _integer(value):
         return None
 
 
+def _genus(link):
+    """The link's genus as an int; a non-integer or negative one raises."""
+    g = _integer(link.genus)
+    if g is None or g < 0:
+        raise ValueError(f"genus must be a non-negative integer, not"
+                         f" {link.genus!r}")
+    return g
+
+
 def _forest(link):
     """The validated nesting forest of a link.
 
-    Parents, windings and orientations must be integers, not merely
-    integral: the sums index faces by the parents and use the others as
-    exponents into integer phase tables.
+    The genus, parents, windings and orientations must be integers, not
+    merely integral: the sums take the genus into Euler characteristics,
+    index faces by the parents and use the others as exponents into
+    integer phase tables.
     """
     m = len(link.ribbons)
     par = [-1] * (m + 1)
-    chi = [2 - 2 * link.genus] + [1] * m
+    chi = [2 - 2 * _genus(link)] + [1] * m
     gl = [0] * (m + 1)
     for pos, rib in enumerate(link.ribbons, start=1):
         p = _integer(rib.parent)
@@ -195,14 +208,6 @@ def _face_weights(link, par):
 
 # ---------------------------------------------------------------------------
 # embedded links: arcs, strips, potentials, regions
-
-
-def _name_id(ids, name):
-    """ids[name], or None when name names no cell (unhashable included)."""
-    try:
-        return ids.get(name)
-    except TypeError:
-        return None
 
 
 def _chain_ids(cx, chain):
@@ -290,7 +295,8 @@ def _check_time_steps(link, pos, arcs):
     total = 0
     for i, st in enumerate(rib.steps):
         where = f"ribbon {pos}, step {i}"
-        if st.dt not in (0, 1, -1) or st.dt and (st.l_sigma or st.lp_sigma):
+        dt = _integer(st.dt)
+        if dt not in (0, 1, -1) or dt and (st.l_sigma or st.lp_sigma):
             raise ValueError(f"{where}: a step moves one slice in time or"
                              " moves in the surface, not both")
         if _integer(st.t) is None or not 0 <= st.t < link.n:
@@ -301,7 +307,7 @@ def _check_time_steps(link, pos, arcs):
                              f" ribbon is at slice {now}")
         for side, vert, chunk in ((0, st.l_vertex, st.l_sigma),
                                   (1, st.lp_vertex, st.lp_sigma)):
-            if (st.dt or vert is not None) and \
+            if (dt or vert is not None) and \
                     _name_id(cx.qk_vertex_ids, vert) != at[side]:
                 raise ValueError(f"{where}: loop position {vert!r}, but the"
                                  f" loop is at {cx.qk_vertices[at[side]]!r}")
@@ -310,8 +316,8 @@ def _check_time_steps(link, pos, arcs):
                 e, sgn = darts[side][walked[side] - 1]
                 tail, head = cx.qk_edge_ends[e]
                 at[side] = head if sgn == 1 else tail
-        now = (now + st.dt) % link.n
-        total += st.dt
+        now = (now + dt) % link.n
+        total += dt
     if total != rib.winding * link.n:
         raise ValueError(f"ribbon {pos}: time profile winds {total}/{link.n},"
                          f" declared winding is {rib.winding}")
@@ -613,30 +619,24 @@ def validate_link(link):
 # the holonomy side
 
 
-def _compensated_sum(values):
-    """Sum complex (or real) values in order, Neumaier-compensated.
+def _fsum(values):
+    """The correctly rounded sum of complex (or real) values, per part.
 
-    The real and the imaginary parts each carry a running sum and a
-    compensation; every step adds x to the sum s and the rounding error of
-    s + x, taken from the larger of |s| and |x|, to the compensation.
+    math.fsum rounds the exact sum of each part once (Shewchuk's
+    algorithm), so the result does not depend on the order of the values;
+    adding 0.0 makes an all-zero part +0.0.  A part that is not finite
+    raises ValueError.
     """
-    re = im = cre = cim = 0.0
-    for z in values:
-        x = z.real
-        t = re + x
-        if abs(re) >= abs(x):
-            cre += (re - t) + x
-        else:
-            cre += (x - t) + re
-        re = t
-        x = z.imag
-        t = im + x
-        if abs(im) >= abs(x):
-            cim += (im - t) + x
-        else:
-            cim += (x - t) + im
-        im = t
-    return complex(re + cre, im + cim)
+    values = tuple(values)
+    try:
+        re = math.fsum(z.real for z in values)
+        im = math.fsum(z.imag for z in values)
+    except (OverflowError, ValueError):
+        # fsum's intermediate overflow, and inf - inf
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError("the state sum overflows a float")
+    return complex(re + 0.0, im + 0.0)
 
 
 def _phase(q):
@@ -662,9 +662,8 @@ class _CosetTable(NamedTuple):
     order.  A weight x has coroot coordinates scaled_gram.x / (r+1); its
     coset key is scaled_gram.x reduced mod (r+1)k, and index maps keys to
     positions in reps, in that order.  regular and sines hold the
-    regularity of rep/k and sine_product(rep/k) (0.0 where singular), live
-    the positions of the regular representatives in increasing order, and
-    phases is the phase table of modulus (r+1)k.
+    regularity of rep/k and sine_product(rep/k) (0.0 where singular), and
+    live the positions of the regular representatives in increasing order.
     """
 
     reps: tuple
@@ -672,7 +671,6 @@ class _CosetTable(NamedTuple):
     regular: tuple
     live: tuple
     sines: tuple
-    phases: tuple
 
 
 @lru_cache(maxsize=None)
@@ -705,7 +703,7 @@ def _coset_table(lie, k):
         sines.append(s)
     live = tuple(pos for pos, ok in enumerate(regular) if ok)
     return _CosetTable(reps, MappingProxyType(index), tuple(regular), live,
-                       tuple(sines), _phase_table((lie.rank + 1) * k))
+                       tuple(sines))
 
 
 @lru_cache(maxsize=None)
@@ -753,14 +751,18 @@ def _wlo_contract(lie, k, link, forest):
     table = _coset_table(lie, k)
     par = forest.parent
     live = table.live
-    phases = table.phases
+    phases = _phase_table((lie.rank + 1) * k)
     m2 = len(phases)
     size = total = len(table.reps)
     vals = []
     counts = []
-    for x in forest.chi:
-        vals.append([s ** x if ok else 0.0
-                     for s, ok in zip(table.sines, table.regular)])
+    for c, x in enumerate(forest.chi):
+        try:
+            vals.append([s ** x if ok else 0.0
+                         for s, ok in zip(table.sines, table.regular)])
+        except OverflowError:
+            raise ValueError(f"face {c}: a sine factor to the power chi ="
+                             f" {x} overflows a float") from None
         counts.append([int(ok) for ok in table.regular])
     for c in forest.order:
         rib = link.ribbons[c - 1]
@@ -778,7 +780,7 @@ def _wlo_contract(lie, k, link, forest):
                 kern_count[pos] += child_count[y]
         vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
         counts[par[c]] = [v * q for v, q in zip(counts[par[c]], kern_count)]
-    return StateSumResult(_compensated_sum(vals[0]), total,
+    return StateSumResult(_fsum(vals[0]), total,
                           total - sum(counts[0]))
 
 
@@ -868,7 +870,7 @@ def _shadow_contract(lie, k, link, forest, table):
                 kern[pos[lam]] += n * v
         par = forest.parent[c]
         vals[par] = [v * q for v, q in zip(vals[par], kern)]
-    return _compensated_sum(vals[0])
+    return _fsum(vals[0])
 
 
 def shadow_invariant(lie, k, link):
@@ -902,7 +904,7 @@ def compare_theorem(lie, k, link):
     As in wlo_unnormalized, a link carrying a complex must come from
     embed_link or have passed validate_link.
     """
-    k = _index(k, "level")
+    k = _level(k)
     if k < lie.dual_coxeter:
         raise ValueError(f"level {k} is below the dual Coxeter number"
                          f" {lie.dual_coxeter}: the label set is empty and"
@@ -972,7 +974,7 @@ def step6_identities(lie, k, link):
     sum_c gleam_c E(x_c) = e mod 2(r+1)k, the gleam phase of the labels.
     Returns (the largest sine residual, the phase entries checked).
     """
-    k = _index(k, "level")
+    k = _level(k)
     _forest(link)
     table = _coset_table(lie, k)
     reduction = _reduction_table(lie, k)
@@ -991,7 +993,7 @@ def step6_identities(lie, k, link):
                 raise ValueError(f"coset {table.reps[pos]}: sine misses"
                                  f" the squared dimension by {res:.3e}")
     exps = [labels.exps[lam] if sign else 0 for lam, sign in reduction]
-    m2 = len(table.phases)
+    m2 = 2 * (lie.rank + 1) * k
     checked = 0
     for step in sorted({tuple(rib.orientation * a for a in alpha)
                         for rib in link.ribbons
@@ -1043,7 +1045,8 @@ def embed_link(link, refinement=None, n=2):
     jump sign equals the declared orientation.  The returned link has
     passed validate_link.
     """
-    if link.genus not in (0, 1):
+    genus = _genus(link)
+    if genus not in (0, 1):
         raise ValueError("standard embeddings cover genus 0 and 1 only")
     m = len(link.ribbons)
     for pos, rib in enumerate(link.ribbons, start=1):
@@ -1051,8 +1054,8 @@ def embed_link(link, refinement=None, n=2):
             raise ValueError("standard embeddings support a single chain"
                              " of nested ribbons")
     if refinement is None:
-        refinement = 1 if link.genus == 0 else 2
-    cx = build_standard_surface(link.genus, refinement,
+        refinement = 1 if genus == 0 else 2
+    cx = build_standard_surface(genus, refinement,
                                 sites=(m,) if m else ())
     ribbons = []
     for pos, rib in enumerate(link.ribbons, start=1):
@@ -1070,7 +1073,7 @@ def embed_link(link, refinement=None, n=2):
         ribbons.append(ColoredRibbon(rib.color, rib.winding,
                                      rib.orientation, rib.parent,
                                      tuple(steps)))
-    out = RibbonLink(link.genus, tuple(ribbons), complex=cx, n=n)
+    out = RibbonLink(genus, tuple(ribbons), complex=cx, n=n)
     validate_link(out)
     return out
 

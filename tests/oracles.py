@@ -621,7 +621,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
     """
     from shadow_wlo.lie import (is_regular, lattice_points_in_scaled_box,
                                 sine_product, weight_multiplicities)
-    from shadow_wlo.statesum import _compensated_sum, _forest, _phase
+    from shadow_wlo.statesum import _forest, _fsum, _phase
 
     k = int(k)
     forest = _forest(link)
@@ -681,7 +681,7 @@ def wlo_terms_fraction(lie, k, link, bases=None):
             summands.append(mult * det * _phase(q))
             terms.append(WloTerm(tuple(alpha0), alphas, mult, tuple(faces),
                                  q % 2))
-    return (_compensated_sum(summands), len(reps) * len(combos), skipped,
+    return (_fsum(summands), len(reps) * len(combos), skipped,
             tuple(terms))
 
 
@@ -695,13 +695,14 @@ def wlo_contract_keyed(lie, k, link, forest):
     equal it bit for bit, census included.
     """
     from shadow_wlo.lie import weight_multiplicities
-    from shadow_wlo.statesum import (StateSumResult, _compensated_sum,
-                                     _coset_table, _dot)
+    from shadow_wlo.statesum import (StateSumResult, _coset_table, _dot,
+                                     _fsum, _phase_table)
 
     table = _coset_table(lie, k)
     par = forest.parent
     size = total = len(table.reps)
     modulus = (lie.rank + 1) * k
+    phases = _phase_table(modulus)
     vals = []
     counts = []
     for x in forest.chi:
@@ -727,11 +728,11 @@ def wlo_contract_keyed(lie, k, link, forest):
                 y = table.index[tuple((a + o * g) % modulus
                                       for a, g in zip(key, g_alpha))]
                 e = w * (2 * _dot(alpha, key) + self_pair) % (2 * modulus)
-                kern[pos] += mult * table.phases[e] * child[y]
+                kern[pos] += mult * phases[e] * child[y]
                 kern_count[pos] += child_count[y]
         vals[par[c]] = [v * q for v, q in zip(vals[par[c]], kern)]
         counts[par[c]] = [v * q for v, q in zip(counts[par[c]], kern_count)]
-    return StateSumResult(_compensated_sum(vals[0]), total,
+    return StateSumResult(_fsum(vals[0]), total,
                           total - sum(counts[0]))
 
 
@@ -750,12 +751,13 @@ def wlo_terms_keyed(lie, k, link, forest):
     from itertools import product
 
     from shadow_wlo.lie import weight_multiplicities
-    from shadow_wlo.statesum import _compensated_sum, _coset_table, _dot
+    from shadow_wlo.statesum import _coset_table, _dot, _fsum, _phase_table
 
     table = _coset_table(lie, k)
     par = forest.parent
     r = lie.rank
     modulus = (r + 1) * k
+    phases = _phase_table(modulus)
     top_down = forest.order[::-1]
     supports = [sorted(weight_multiplicities(lie, rib.color).items())
                 for rib in link.ribbons]
@@ -793,13 +795,13 @@ def wlo_terms_keyed(lie, k, link, forest):
             for p, x in zip(pos, forest.chi):
                 det *= table.sines[p] ** x
             e = (_dot(pull, alpha0) + e0) % (2 * modulus)
-            summands.append(mult * det * table.phases[e])
+            summands.append(mult * det * phases[e])
             faces = tuple(tuple(Fraction(a + s, k)
                                 for a, s in zip(alpha0, shift))
                           for shift in shifts)
             terms.append(WloTerm(alpha0, alphas, mult, faces,
                                  Fraction(e, modulus)))
-    return (_compensated_sum(summands), len(table.reps) * len(choices),
+    return (_fsum(summands), len(table.reps) * len(choices),
             skipped, tuple(terms))
 
 
@@ -890,47 +892,14 @@ def step6_aggregate(lie, k, link):
     sums the term values per coloring class.  Together with the per-class
     shadow summands this exhibits the state sum identity class by class.
     """
-    from shadow_wlo.statesum import _compensated_sum, _forest
+    from shadow_wlo.statesum import _forest, _fsum
 
     out = {}
     for term in wlo_terms_keyed(lie, k, link, _forest(link))[3]:
         st = step6_transform(lie, k, link, term)
         out.setdefault(st.labels, []).append(st.value)
-    return {key: _compensated_sum(values)
+    return {key: _fsum(values)
             for key, values in sorted(out.items())}
-
-
-# ---------------------------------------------------------------------------
-# compensated summation
-
-
-def _neumaier(s, c, x):
-    """One Neumaier step: add x to the running sum s with compensation c."""
-    t = s + x
-    if abs(s) >= abs(x):
-        return t, c + ((s - t) + x)
-    return t, c + ((x - t) + s)
-
-
-class Accumulator:
-    """Compensated complex accumulator.
-
-    The package's former _Accumulator, frozen when its two Neumaier steps
-    moved inline into statesum._compensated_sum, which must return the
-    same complex as adding every value here in order.
-    """
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z):
-        self.re, self.cre = _neumaier(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
-
-    def value(self):
-        return complex(self.re + self.cre, self.im + self.cim)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +957,7 @@ def shadow_contract_gather(lie, k, link, forest, table):
     contraction to it bit for bit.
     """
     from shadow_wlo.lie import _fusion_table, _weight
-    from shadow_wlo.statesum import _compensated_sum, _phase_table
+    from shadow_wlo.statesum import _fsum, _phase_table
 
     labels = table.labels
     pos = {lam: i for i, lam in enumerate(labels)}
@@ -1015,7 +984,7 @@ def shadow_contract_gather(lie, k, link, forest, table):
                     kern[i] += n * child[pos[mu]]
         par = forest.parent[c]
         vals[par] = [v * q for v, q in zip(vals[par], kern)]
-    return _compensated_sum(vals[0])
+    return _fsum(vals[0])
 
 
 # ---------------------------------------------------------------------------

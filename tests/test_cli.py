@@ -181,6 +181,22 @@ def test_vanishing_normalization_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_overflowing_face_factor_exits_2(tmp_path, capsys):
+    # at genus 500 the smallest level-20 sine to the power chi = -998
+    # overflows a float; the refusal names the face, exit 2, no report
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "group": "su2", "level": 20, "genus": 500,
+        "ribbons": [{"color": [1], "winding": 1}],
+    }))
+    code, out, err = run_main(["run", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: face 0: ")
+    assert "overflows a float" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_group_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"group": "e8", "level": 4}))

@@ -160,6 +160,14 @@ def test_kernel_check_refuses_a_base_vertex_off_the_subdivision():
         kernel_check_B0(cx, cx.vertices[0])
 
 
+def test_kernel_check_refuses_an_unhashable_base_vertex():
+    # a list names no qK vertex; the lookup refuses it like any other name
+    cx = build_standard_surface(0, 1)
+    with pytest.raises(ValueError,
+                       match=r"^base vertex \['v', 1\] is not a qK vertex$"):
+        kernel_check_B0(cx, ["v", 1])
+
+
 def _bigon_pillow(tag):
     """Sphere of two bigon faces glued along two edges from a to b."""
     a, b = (tag, "a"), (tag, "b")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import inner
-from shadow_wlo import lie
+from shadow_wlo import lie, statesum
 from shadow_wlo.statesum import _rho_sine_constant
 
 
@@ -218,9 +218,15 @@ def test_non_integer_levels_and_weights_are_refused(call):
     lambda k: lie.level_labels(A1, k),
     lambda k: lie.quantum_dim(A1, k, (0,)),
     lambda k: lie.lattice_points_in_scaled_box(A1, k),
-], ids=["labels", "quantum-dim", "lattice"])
+    lambda k: statesum.wlo_unnormalized(A1, k, statesum.RibbonLink(0)),
+    lambda k: statesum.shadow_invariant(A1, k, statesum.RibbonLink(0)),
+    lambda k: statesum.compare_theorem(A1, k, statesum.RibbonLink(0)),
+    lambda k: statesum.step6_identities(A1, k, statesum.RibbonLink(0)),
+], ids=["labels", "quantum-dim", "lattice", "wlo", "shadow", "compare",
+        "step6"])
 def test_levels_below_one_are_refused(call, k):
-    # no level-k table exists, so an empty or finite answer would be wrong
+    # no level-k table exists, so an empty or finite answer would be wrong;
+    # every entry point reads k through lie._level, with one message
     with pytest.raises(ValueError, match="level must be a positive integer"):
         call(k)
 

@@ -217,6 +217,18 @@ def test_forest_errors(ribbons, message):
             derive(link)
 
 
+@pytest.mark.parametrize("genus", [0.5, 1.0, -1])
+def test_forest_refuses_a_non_integer_or_negative_genus(genus):
+    # 0.5 gave chi = 1.0 and a false mismatch, -1 a base-face chi of 4
+    link = ss.RibbonLink(genus, (ss.ColoredRibbon((1,), 1),))
+    message = f"genus must be a non-negative integer, not {genus!r}"
+    for derive in (ss._forest, ss.face_chi, face_weights, ss.validate_link,
+                   ss.embed_link,
+                   lambda lk: ss.compare_theorem(A1, 4, lk)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            derive(link)
+
+
 def test_forest_reads_integer_parents():
     # an integer type that is not int names a face like the int it equals
     ribbons = (ss.ColoredRibbon((1,), 1, 1, np.int64(0)),
@@ -518,6 +530,17 @@ def test_time_steps_off_the_time_circle_detected(corpus):
              for st in emb.ribbons[0].steps]
     with pytest.raises(ValueError, match=r"ribbon 0, step 1: time slice 7"
                                          r" is not in Z_2"):
+        ss.validate_link(_with_steps(emb, steps))
+
+
+def test_integral_float_time_step_refused(corpus):
+    # dt is read like t: 1.0 is not the integer time step 1
+    emb = _by_name(corpus, "a1_g0_one_k4").embedded
+    steps = [replace(st, dt=1.0) if st.dt == 1 else st
+             for st in emb.ribbons[0].steps]
+    assert any(isinstance(st.dt, float) for st in steps)
+    with pytest.raises(ValueError, match="^ribbon 0, step 1: a step moves"
+                                         " one slice in time"):
         ss.validate_link(_with_steps(emb, steps))
 
 
@@ -833,7 +856,7 @@ def _assert_contraction_matches(lie, k, link, embedded=None):
     colorings = oracles.shadow_terms(lie, k, link)
     _assert_same_sum(ss.shadow_invariant(lie, k, link),
                      ss.StateSumResult(
-                         ss._compensated_sum(colorings.values()),
+                         ss._fsum(colorings.values()),
                          len(colorings), 0))
 
 
@@ -1099,7 +1122,7 @@ def test_fusion_table_of_the_dual_color_is_the_transpose():
 
 
 # ---------------------------------------------------------------------------
-# compensated summation against the frozen accumulator
+# correctly rounded summation
 
 
 _parts = st.one_of(
@@ -1122,19 +1145,36 @@ def _summands(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_summands())
-def test_compensated_sum_equals_frozen_accumulator(values):
-    acc = oracles.Accumulator()
-    for v in values:
-        acc.add(v)
-    assert repr(ss._compensated_sum(values)) == repr(acc.value())
+@given(st.data())
+def test_fsum_is_correctly_rounded(data):
+    # each part is the float nearest the exact rational sum of the parts,
+    # so the bits cannot depend on the order of the values
+    values = data.draw(_summands())
+    got = ss._fsum(values)
+    for part in ("real", "imag"):
+        exact = sum((Fraction(getattr(v, part)) for v in values), Fraction(0))
+        assert repr(getattr(got, part)) == repr(float(exact))
+    shuffled = data.draw(st.permutations(values))
+    assert repr(ss._fsum(shuffled)) == repr(got)
 
 
 def test_compensated_sum_cancels_exactly():
-    # the running sums start at +0.0, so zeros of either sign give +0
-    assert repr(ss._compensated_sum([-0.0, complex(-0.0, -0.0)])) == "0j"
-    assert ss._compensated_sum([1e300, 1.0, -1e300]) == 1.0
-    assert ss._compensated_sum([1e-300j, 1e300j, -1e300j]) == 1e-300j
+    # each part adds +0.0, so zeros of either sign give +0
+    assert repr(ss._fsum([-0.0, complex(-0.0, -0.0)])) == "0j"
+    assert ss._fsum([1e300, 1.0, -1e300]) == 1.0
+    assert ss._fsum([1e-300j, 1e300j, -1e300j]) == 1e-300j
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, 1e308],
+    [math.inf, -math.inf],
+    [1.0, complex(0.0, math.inf)],
+])
+def test_fsum_refuses_a_sum_past_the_float_range(values):
+    # fsum raises OverflowError, ValueError or returns inf for these; each
+    # becomes the refusal the command line reports with exit code 2
+    with pytest.raises(ValueError, match="^the state sum overflows a float$"):
+        ss._fsum(values)
 
 
 def test_certificate_beyond_explicit_enumeration():
