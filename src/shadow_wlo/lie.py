@@ -394,19 +394,28 @@ def lattice_points_in_scaled_box(lie, k):
     j times scaled_gram's first column (which generates P/Q) for some j,
     so the points are enumerated directly: key = b_j + (r+1)q, with b_j
     that multiple reduced mod r+1, for j in 0..r and q in [0, k)^r, and
-    x = cartan.key/(r+1), the Cartan matrix being simple_roots.  Returns
-    the (r+1)k^r integer weight-coordinate tuples, sorted.  A level below 1
+    x = cartan.key/(r+1) = cartan.b_j/(r+1) + cartan.q, the Cartan matrix
+    being simple_roots; both terms are integer vectors, and cartan.q is
+    computed once, one coordinate column at a time.  Returns the
+    (r+1)k^r integer weight-coordinate tuples, sorted.  A level below 1
     raises ValueError.
     """
     k = _level(k)
     n = lie.rank + 1
     col = [row[0] for row in lie.scaled_gram]
+    qcols = list(zip(*product(range(k), repeat=lie.rank)))
+    box = []
+    for row in lie.simple_roots:
+        x = [0] * len(qcols[0])
+        for c, qcol in zip(row, qcols):
+            if c:
+                x = [a + c * q for a, q in zip(x, qcol)]
+        box.append(x)
     out = []
     for j in range(n):
         base = [j * c % n for c in col]
-        for q in product(range(k), repeat=lie.rank):
-            key = [b + n * a for b, a in zip(base, q)]
-            out.append(tuple(sum(c * v for c, v in zip(row, key)) // n
-                             for row in lie.simple_roots))
+        shift = [sum(c * b for c, b in zip(row, base)) // n
+                 for row in lie.simple_roots]
+        out += zip(*[[a + s for a in x] for x, s in zip(box, shift)])
     out.sort()
     return out

@@ -39,7 +39,6 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -640,7 +639,7 @@ def _fsum(values):
 
 
 def _phase(q):
-    """exp(i pi q) for rational q, evaluated at the reduced argument."""
+    """exp(i pi q) for rational or float q, at the reduced argument q mod 2."""
     q = q % 2
     return complex(math.cos(math.pi * float(q)), math.sin(math.pi * float(q)))
 
@@ -652,7 +651,7 @@ def _dot(u, v):
 @lru_cache(maxsize=None)
 def _phase_table(modulus):
     """exp(i pi e / modulus) for 0 <= e < 2 modulus, shared by both sums."""
-    return tuple(_phase(Fraction(e, modulus)) for e in range(2 * modulus))
+    return tuple(_phase(e / modulus) for e in range(2 * modulus))
 
 
 class _CosetTable(NamedTuple):
@@ -681,26 +680,42 @@ def _coset_table(lie, k):
     pairing t = <alpha, x> (root_pairings) is an integer: x/k is regular
     iff no t is divisible by k, and its sine is the product of
     2 sin(pi t/k) in positive_roots order, the floats of sine_product(x/k).
+    Keys and pairings are computed column by column over all
+    representatives: key coordinate i is row i of scaled_gram against the
+    coordinate columns, and the pairing of alpha_i + ... + alpha_j is the
+    running sum of columns i..j.
     """
     reps = tuple(lattice_points_in_scaled_box(lie, k))
-    index = {}
+    cols = list(zip(*reps))
+    keys = []
+    for row in lie.scaled_gram:
+        key = [0] * len(reps)
+        for g, col in zip(row, cols):
+            key = [a + g * c for a, c in zip(key, col)]
+        keys.append(key)
+    pairings = []
+    for i in range(lie.rank):
+        t = cols[i]
+        pairings.append(t)
+        for col in cols[i + 1:]:
+            t = [a + c for a, c in zip(t, col)]
+            pairings.append(t)
+    sine = {t: 2.0 * math.sin(math.pi * (t / k))
+            for t in set().union(*pairings) if t % k}
     regular = []
     sines = []
-    sine = {}
-    for pos, x in enumerate(reps):
-        key = tuple(_dot(row, x) for row in lie.scaled_gram)
-        index[key] = pos
-        ts = root_pairings(lie, x)
-        ok = all(t % k for t in ts)
-        regular.append(ok)
-        s = 0.0
-        if ok:
-            s = 1.0
-            for t in ts:
-                if t not in sine:
-                    sine[t] = 2.0 * math.sin(math.pi * (t / k))
-                s *= sine[t]
-        sines.append(s)
+    for ts in zip(*pairings):
+        s = 1.0
+        for t in ts:
+            if t not in sine:
+                regular.append(False)
+                sines.append(0.0)
+                break
+            s *= sine[t]
+        else:
+            regular.append(True)
+            sines.append(s)
+    index = dict(zip(zip(*keys), range(len(reps))))
     live = tuple(pos for pos, ok in enumerate(regular) if ok)
     return _CosetTable(reps, MappingProxyType(index), tuple(regular), live,
                        tuple(sines))

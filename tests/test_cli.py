@@ -130,6 +130,63 @@ def test_threads_option_rejected(capsys):
     assert exc.value.code == 2
 
 
+def _exit(argv, capsys):
+    """Exit code, stdout and stderr of main, whether it returns or exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_option_values_after_equals_sign(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, _ = _exit(["run", str(CONFIGS / "nested_pair_su3_k6.json"),
+                             f"--out={out}", "--tolerance=0"], capsys)
+    # a zero tolerance fails every comparison
+    assert (code, stdout) == (1, "")
+    compare = json.loads(out.read_text())["results"]["compare"]
+    assert compare["tolerance"] == 0.0
+    assert compare["pass"] is False
+
+
+def test_options_read_by_unambiguous_prefix(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, _ = _exit(["run", str(CONFIGS / "nested_pair_su3_k6.json"),
+                             "--tol", "0", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert json.loads(out.read_text())["results"]["compare"]["tolerance"] \
+        == 0.0
+    code, stdout, _ = _exit(["--self", "--out", str(out)], capsys)
+    assert (code, stdout) == (0, "")
+    assert out.read_bytes() == (GOLDEN / "selfcheck_option.json").read_bytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--threads", "2"], "unrecognized arguments: --threads 2"),
+    (["--out"], "argument --out: expected one argument"),
+    (["--tolerance"], "argument --tolerance: expected one argument"),
+    ([str(CONFIGS / "empty_sphere_su2_k4.json")],
+     "unrecognized arguments: " + str(CONFIGS / "empty_sphere_su2_k4.json")),
+])
+def test_usage_errors_exit_2_with_the_usage_line(args, message, capsys):
+    code, stdout, err = _exit(["run", str(CONFIGS / "unknot_su2_k4.json"),
+                               *args], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: shadow-wlo ")
+    assert err.endswith(f"\nshadow-wlo: error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option(flag, capsys):
+    code, stdout, err = _exit([flag], capsys)
+    assert (code, err) == (0, "")
+    for name in ("CONFIG", "--config", "--out", "--selfcheck",
+                 "--tolerance"):
+        assert name in stdout
+
+
 def test_malformed_color_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({
@@ -608,6 +665,20 @@ def test_report_file_is_written_without_a_codec_import(tmp_path):
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
+def test_run_loads_neither_argparse_nor_locale(tmp_path):
+    # the argv reader needs neither argparse nor its gettext and locale
+    out = tmp_path / "unknot_su2_k4.json"
+    argv = ["run", str(CONFIGS / out.name), "--out", str(out)]
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from shadow_wlo import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, *(m in sys.modules\n"
+        "              for m in ('argparse', 'gettext', 'locale')))\n"
+    ) == ["0", "False", "False", "False"]
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
 def test_complex_values_are_pairs(capsys):
     _, out, _ = run_main(["run", str(CONFIGS / "nested_pair_su3_k6.json")],
                          capsys)
@@ -642,9 +713,9 @@ SEQUENCE = (
 def test_parser_reused_within_a_process(tmp_path):
     """Three calls of main in one process, as each gives in a fresh one.
 
-    The parser is built once per process: a rejected --tolerance, a run
-    and --selfcheck after it keep their exit codes, their messages and
-    report bytes (tests/golden/).
+    No parser object is built or kept: each call reads its own argv, so a
+    rejected --tolerance, a run and --selfcheck after it keep their exit
+    codes, their messages and report bytes (tests/golden/).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,6 +1,8 @@
 """Tests for the ribbon link state sums and their embedded realizations."""
 
 import copy
+import importlib.util
+import json
 import math
 import random
 import re
@@ -8,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -28,6 +31,9 @@ from shadow_wlo.lie import (_dual, is_regular, lattice_points_in_scaled_box,
 
 A1 = lie_data("A1")
 A2 = lie_data("A2")
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -370,9 +376,11 @@ def test_validation_builds_no_fraction(corpus, monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction built during validation")
 
-    monkeypatch.setattr(ss, "Fraction", refuse)
-    # the complex module, which the validation also runs, binds none
+    # neither statesum nor complex binds Fraction; refusing its
+    # construction also catches one built through any other module
+    assert not hasattr(ss, "Fraction")
     assert not hasattr(complex_module, "Fraction")
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     for ent in corpus:
         ss.validate_link(ent.embedded)
 
@@ -671,9 +679,10 @@ def test_coset_table_matches_fraction_regularity_and_sines():
     on rep/k, and index maps each representative's coset key to its
     position.
     """
-    for rank, top in ((1, 8), (2, 6), (3, 3), (4, 2)):
+    for rank, levels in ((1, range(1, 9)), (2, (*range(1, 7), 12)),
+                         (3, range(1, 4)), (4, range(1, 3))):
         lie = lie_data(f"A{rank}")
-        for k in range(1, top + 1):
+        for k in levels:
             table = ss._coset_table(lie, k)
             assert table.reps == tuple(lattice_points_in_scaled_box(lie, k))
             modulus = (rank + 1) * k
@@ -685,6 +694,39 @@ def test_coset_table_matches_fraction_regularity_and_sines():
                 assert ok == is_regular(lie, b)
                 want = sine_product(lie, b) if ok else 0.0
                 assert sine.hex() == want.hex()
+
+
+def _shipped_moduli():
+    """(r+1)k of every config in configs/ and every benchmark certificate."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    levels = [(item.group, item.level)
+              for items in workloads.WORKLOADS.values() for item in items
+              if isinstance(item, workloads.Cert)]
+    for path in CONFIGS.glob("*.json"):
+        cfg = json.loads(path.read_text())
+        levels.append((cfg["group"], cfg["level"]))
+    return {(lie_data(cli._GROUPS[group.lower()]).rank + 1) * k
+            for group, k in levels}
+
+
+def test_phase_table_matches_fraction_phases_bit_for_bit():
+    """Each entry equals _phase at the exact Fraction e/m, to the last bit.
+
+    e/m is a correctly rounded float division, the same rounding as the
+    Fraction's float(), and e/m < 2 needs no reduction.
+    """
+    moduli = _shipped_moduli()
+    assert moduli
+    for m in sorted(moduli | set(range(1, 61))):
+        table = ss._phase_table(m)
+        assert len(table) == 2 * m
+        for e, z in enumerate(table):
+            want = ss._phase(Fraction(e, m))
+            assert (z.real.hex(), z.imag.hex()) == \
+                (want.real.hex(), want.imag.hex())
 
 
 def test_wlo_below_coxeter_flagged():
