@@ -14,7 +14,6 @@ nothing here is randomized.
 import json
 import math
 import os
-import re
 import sys
 import time
 from fractions import Fraction
@@ -469,116 +468,73 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-_USAGE = """\
-usage: shadow-wlo [-h] [--config PATH] [--out PATH] [--selfcheck]
-                  [--tolerance TOLERANCE]
-                  [CONFIG]
-"""
+def _parser():
+    """The command line parser, built for each argv the fast path leaves."""
+    import argparse
 
-_HELP = _USAGE + """
-State sums for colored ribbon links: holonomy side, shadow side, and their
-normalized comparison.
+    def tolerance(text):
+        try:
+            return _tolerance(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-positional arguments:
-  CONFIG                path to a JSON job config
+    parser = argparse.ArgumentParser(
+        prog="shadow-wlo",
+        description="State sums for colored ribbon links: holonomy side, "
+                    "shadow side, and their normalized comparison.",
+        epilog="The SHADOW_WLO_SEED environment variable is read and "
+               "ignored; every computation is deterministic.")
+    parser.add_argument("config_pos", nargs="?", metavar="CONFIG",
+                        help="path to a JSON job config")
+    parser.add_argument("--config", dest="config_flag", metavar="PATH",
+                        help="path to a JSON job config")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the report here instead of stdout")
+    parser.add_argument("--selfcheck", action="store_true",
+                        help="run the invariant suite battery (standalone "
+                             "or in addition to a config)")
+    parser.add_argument("--tolerance", type=tolerance, default=1e-9,
+                        help="relative tolerance for the comparison "
+                             "(default 1e-9)")
+    return parser
 
-options:
-  -h, --help            show this help message and exit
-  --config PATH         path to a JSON job config
-  --out PATH            write the report here instead of stdout
-  --selfcheck           run the invariant suite battery (standalone or in
-                        addition to a config)
-  --tolerance TOLERANCE
-                        relative tolerance for the comparison (default 1e-9)
 
-The SHADOW_WLO_SEED environment variable is read and ignored; every
-computation is deterministic.
-"""
-
-# long option -> (its key in the parsed options, whether it takes a value);
-# --help has no key
-_OPTIONS = {"--help": (None, False), "--config": ("config_flag", True),
-            "--out": ("out", True), "--selfcheck": ("selfcheck", False),
+# long option of _parser() -> (its dest, whether it takes a value)
+_OPTIONS = {"--config": ("config_flag", True), "--out": ("out", True),
+            "--selfcheck": ("selfcheck", False),
             "--tolerance": ("tolerance", True)}
 
 
-def _usage_error(message):
-    sys.stderr.write(f"{_USAGE}shadow-wlo: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _is_option(arg):
-    """Whether arg is read as an option rather than as a value.
-
-    As in argparse: '-' alone, a negative number such as -1 or -.5 and an
-    argument with a space are values.
-    """
-    return arg[:1] == "-" and arg != "-" and " " not in arg and (
-        arg[:2] == "--" or not re.fullmatch(r"-\d+|-\d*\.\d+", arg))
-
-
 def _parse_args(argv):
-    """The options and CONFIG of argv, read as argparse reads them.
+    """The options and CONFIG of argv, as _parser() reads them.
 
-    A long option may be shortened to any unambiguous prefix and takes its
-    value as the next argument or after '='; '--' ends the options, and
-    the last of a repeated option wins.  -h/--help prints the help and
-    raises SystemExit(0).  A usage error (an unknown option or a second
-    CONFIG, reported once the whole argv is read; a missing or invalid
-    value, reported where it occurs) prints the usage line and the error
-    to stderr and raises SystemExit(2).
+    An argv made of exact names from _OPTIONS, their values and at most
+    one CONFIG, with no other argument starting with '-' and a valid
+    tolerance, is read here without importing argparse; every other argv,
+    -h and usage errors included, goes to argparse.
     """
     args = {"config_pos": None, "config_flag": None, "out": None,
             "selfcheck": False, "tolerance": 1e-9}
-    unknown = []
-    options = True
     rest = iter(argv)
-    for arg in rest:
-        if options and arg == "--":
-            options = False
-            continue
-        if not options or not _is_option(arg):
-            if args["config_pos"] is None:
+    try:
+        for arg in rest:
+            if arg in _OPTIONS:
+                key, takes_value = _OPTIONS[arg]
+                value = next(rest) if takes_value else True
+                if takes_value and value[:1] == "-":
+                    break
+                if key == "tolerance":
+                    value = _tolerance(value)
+                args[key] = value
+            elif arg[:1] != "-" and args["config_pos"] is None:
                 args["config_pos"] = arg
             else:
-                unknown.append(arg)
-            continue
-        name, eq, value = arg.partition("=")
-        if name == "-h":
-            name = "--help"
-        matches = [o for o in _OPTIONS
-                   if name[:2] == "--" and o.startswith(name)]
-        if not matches:
-            unknown.append(arg)
-            continue
-        if len(matches) > 1:
-            _usage_error(f"ambiguous option: {arg} could match "
-                         + ", ".join(matches))
-        option, = matches
-        key, takes_value = _OPTIONS[option]
-        if eq and not takes_value:
-            label = "-h/--help" if option == "--help" else option
-            _usage_error(f"argument {label}: ignored explicit argument "
-                         f"{value!r}")
-        if option == "--help":
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
-        if not takes_value:
-            args[key] = True
-            continue
-        if not eq:
-            value = next(rest, None)
-            if value is None or _is_option(value):
-                _usage_error(f"argument {option}: expected one argument")
-        if key == "tolerance":
-            try:
-                value = _tolerance(value)
-            except ValueError as exc:
-                _usage_error(f"argument {option}: {exc}")
-        args[key] = value
-    if unknown:
-        _usage_error("unrecognized arguments: " + " ".join(unknown))
-    return args
+                break
+        else:
+            return args
+    except (StopIteration, ValueError):
+        pass
+    return vars(_parser().parse_args(argv))
 
 
 def main(argv=None):
@@ -596,7 +552,7 @@ def main(argv=None):
         return 2
     config_path = args["config_flag"] or args["config_pos"]
     if not config_path and not args["selfcheck"]:
-        sys.stderr.write(_USAGE)
+        _parser().print_usage(sys.stderr)
         print("error: need a config file or --selfcheck", file=sys.stderr)
         return 2
 

@@ -141,7 +141,8 @@ def _exit(argv, capsys):
 
 
 def test_option_values_after_equals_sign(tmp_path, capsys):
-    out = tmp_path / "report.json"
+    # the value after '=' is the option's even when it holds a space
+    out = tmp_path / "a report.json"
     code, stdout, _ = _exit(["run", str(CONFIGS / "nested_pair_su3_k6.json"),
                              f"--out={out}", "--tolerance=0"], capsys)
     # a zero tolerance fails every comparison
@@ -169,6 +170,8 @@ def test_options_read_by_unambiguous_prefix(tmp_path, capsys):
     (["--tolerance"], "argument --tolerance: expected one argument"),
     ([str(CONFIGS / "empty_sphere_su2_k4.json")],
      "unrecognized arguments: " + str(CONFIGS / "empty_sphere_su2_k4.json")),
+    (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["extra", "--", "--out"], "unrecognized arguments: extra -- --out"),
 ])
 def test_usage_errors_exit_2_with_the_usage_line(args, message, capsys):
     code, stdout, err = _exit(["run", str(CONFIGS / "unknot_su2_k4.json"),
@@ -185,6 +188,50 @@ def test_help_lists_every_option(flag, capsys):
     for name in ("CONFIG", "--config", "--out", "--selfcheck",
                  "--tolerance"):
         assert name in stdout
+
+
+# the argv pieces the fast path reads; a second CONFIG is left to argparse
+_PIECES = (("c.json",), ("--config", "c.json"), ("--out", "r.json"),
+           ("--out", "a b.json"), ("--selfcheck",), ("--tolerance", "1e-3"),
+           ("--tolerance", "0"))
+
+
+def test_fast_path_reads_argv_as_argparse_does(monkeypatch):
+    make_parser = cli._parser
+    built = []
+
+    def parser():
+        built.append(True)
+        return make_parser()
+
+    def outcome(parse, argv):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    monkeypatch.setattr(cli, "_parser", parser)
+    argvs = [[arg for piece in pieces for arg in piece]
+             for count in range(4) for pieces in product(_PIECES,
+                                                          repeat=count)]
+    assert len(argvs) == 400
+    for argv in argvs:
+        built.clear()
+        assert outcome(cli._parse_args, argv) == outcome(
+            lambda a: vars(make_parser().parse_args(a)), argv), argv
+        # only a second CONFIG leaves the fast path
+        assert bool(built) == (argv.count("c.json")
+                               - argv.count("--config") > 1), argv
+
+
+def test_fast_path_options_are_the_parsers():
+    # -h/--help is left to argparse
+    actions = cli._parser()._actions
+    assert {name for action in actions for name in action.option_strings} \
+        == {"-h", "--help", *cli._OPTIONS}
+    assert {name: (action.dest, action.nargs != 0)
+            for action in actions for name in action.option_strings
+            if action.dest != "help"} == cli._OPTIONS
 
 
 def test_malformed_color_exits_2(tmp_path, capsys):
@@ -666,17 +713,27 @@ def test_report_file_is_written_without_a_codec_import(tmp_path):
 
 
 def test_run_loads_neither_argparse_nor_locale(tmp_path):
-    # the argv reader needs neither argparse nor its gettext and locale
+    # the fast path reads these argvs without argparse and its gettext
+    # and locale
     out = tmp_path / "unknot_su2_k4.json"
-    argv = ["run", str(CONFIGS / out.name), "--out", str(out)]
+    selfcheck = tmp_path / "selfcheck_option.json"
+    config = str(CONFIGS / out.name)
+    argvs = [["run", config, "--out", str(out)],
+             ["--selfcheck", "--out", str(selfcheck)],
+             ["--config", config, "--tolerance", "1e-3",
+              "--out", str(tmp_path / "tolerance.json")]]
     assert _fresh_interpreter(
         "import sys\n"
         "from shadow_wlo import cli\n"
-        f"code = cli.main({argv!r})\n"
-        "print(code, *(m in sys.modules\n"
-        "              for m in ('argparse', 'gettext', 'locale')))\n"
-    ) == ["0", "False", "False", "False"]
+        f"for argv in {argvs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print(code, *(m in sys.modules\n"
+        "                  for m in ('argparse', 'gettext', 'locale')))\n"
+    ) == ["0", "False", "False", "False"] * 3
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+    assert selfcheck.read_bytes() == (GOLDEN / selfcheck.name).read_bytes()
+    report = json.loads((tmp_path / "tolerance.json").read_text())
+    assert report["results"]["compare"]["tolerance"] == 1e-3
 
 
 def test_complex_values_are_pairs(capsys):
@@ -713,9 +770,10 @@ SEQUENCE = (
 def test_parser_reused_within_a_process(tmp_path):
     """Three calls of main in one process, as each gives in a fresh one.
 
-    No parser object is built or kept: each call reads its own argv, so a
-    rejected --tolerance, a run and --selfcheck after it keep their exit
-    codes, their messages and report bytes (tests/golden/).
+    An argparse parser is built only for an argv that the fast path leaves,
+    here the rejected --tolerance, and it is never kept: each call reads
+    its own argv, so that call, a run and --selfcheck after it keep their
+    exit codes, their messages and report bytes (tests/golden/).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
