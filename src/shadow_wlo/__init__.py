@@ -13,15 +13,14 @@ from .complex import build_standard_surface, kernel_check_B0
 from .lie import (fusion_coefficient, level_labels, lie_data, quantum_dim,
                   weight_multiplicities)
 from .statesum import (ColoredRibbon, RibbonLink, compare_theorem,
-                       corpus_links, embed_link, shadow_invariant,
-                       validate_link, wlo_unnormalized)
+                       embed_link, shadow_invariant, validate_link,
+                       wlo_unnormalized)
 
 __all__ = [
     "ColoredRibbon",
     "RibbonLink",
     "build_standard_surface",
     "compare_theorem",
-    "corpus_links",
     "embed_link",
     "fusion_coefficient",
     "kernel_check_B0",

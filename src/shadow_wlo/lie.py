@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from numbers import Rational
 
 __all__ = [
     "LieData",
@@ -251,9 +251,11 @@ def _off_walls(ts):
     """True when none of the root pairings ts is an integer (see is_regular).
 
     The pairings are all exact exactly when b's coordinates are, since
-    each coordinate is the pairing with its simple root.
+    each coordinate is the pairing with its simple root.  Exact means
+    numbers.Rational (int, bool, Fraction, numpy integers), so deciding
+    needs no fractions import.
     """
-    if all(isinstance(t, (int, Fraction)) for t in ts):
+    if all(isinstance(t, Rational) for t in ts):
         return all(t.denominator != 1 for t in ts)
     return all(abs(t - round(t)) > _WALL_TOL for t in ts)
 

@@ -174,22 +174,23 @@ def _axis_weights(lam, shift, eps, radius, count):
     return chain.from_iterable(map(block, range(0, count, _RESTART)))
 
 
-def _eigen_quadrature(lam, shift, forms, eps, radius, count):
+def _eigen_quadrature(lam, shift, forms, eps, radius, counts):
     """Midpoint-rule integral of prod_j <a_j, y> times a separable weight.
 
     The weight is exp(-(i/2) sum_i lam_i (y_i - shift_i)^2 - eps |y|^2)
-    over [-radius, radius]^d, where forms holds the a_j.  Per axis i and
-    power p <= len(forms) the 1-D midpoint sums of y^p times the axis
-    weight are taken once; the product of the forms is expanded over the
-    assignments of forms to axes, d^len(forms) products of those sums.
+    over [-radius, radius]^d, where forms holds the a_j; axis i takes
+    counts[i] midpoints.  Per axis i and power p <= len(forms) the 1-D
+    midpoint sums of y^p times the axis weight are taken once; the product
+    of the forms is expanded over the assignments of forms to axes,
+    d^len(forms) products of those sums.
     """
-    step = 2.0 * radius / count
-    # the midpoints by repeated addition: about 1e-13 off the exact grid
-    # at the largest counts, far below the quadrature's accuracy
-    y = list(accumulate(repeat(step, count - 1), add,
-                        initial=-radius + 0.5 * step)) if forms else ()
     moments = []
-    for li, si in zip(lam, shift):
+    for li, si, count in zip(lam, shift, counts):
+        step = 2.0 * radius / count
+        # the midpoints by repeated addition: about 1e-13 off the exact
+        # grid at the largest counts, far below the quadrature's accuracy
+        y = list(accumulate(repeat(step, count - 1), add,
+                            initial=-radius + 0.5 * step)) if forms else ()
         terms = _axis_weights(li, si, eps, radius, count)
         if forms:
             terms = list(terms)
@@ -208,21 +209,28 @@ def _eigen_quadrature(lam, shift, forms, eps, radius, count):
     return total
 
 
-def _oracle_points(eps, lam_max, m_norm, dim, pad, oversample):
-    # truncation where the eps-damping reaches ~1e-9: an error of ~1e-9 for
-    # a bounded integrand, ~radius^k * 1e-9 for a product of k linear
-    # forms; sampling fine enough that the aliasing error of the midpoint
-    # rule stays below ~1e-10
+def _oracle_points(eps, lam, m_norm, pad, oversample):
+    """The truncation radius and the point count of each eigen-axis.
+
+    The box is truncated where the eps-damping reaches ~1e-9: an error of
+    ~1e-9 for a bounded integrand, ~radius^k * 1e-9 for a product of k
+    linear forms.  Axis i is sampled fine enough for its own eigenvalue
+    lam[i] that the aliasing error of the midpoint rule stays below
+    ~1e-10.  The largest count is capped by dimension.
+    """
     radius = math.sqrt(math.log(1e9) / eps) + m_norm + pad
-    omega = math.sqrt(25.0 * (4.0 * eps ** 2 + lam_max ** 2) / eps)
-    step = 2.0 * math.pi / (1.3 * omega * oversample)
-    count = int(math.ceil(2.0 * radius / step))
+    counts = []
+    for li in lam:
+        omega = math.sqrt(25.0 * (4.0 * eps ** 2 + li ** 2) / eps)
+        step = 2.0 * math.pi / (1.3 * omega * oversample)
+        counts.append(int(math.ceil(2.0 * radius / step)))
     caps = {1: 200000, 2: 2400, 3: 420, 4: 120}
-    if count > caps[dim]:
+    if max(counts) > caps[len(lam)]:
         raise ValueError(
-            f"oracle budget exceeded: need {count} points per axis in "
-            f"dimension {dim} (eps={eps}, max |eigenvalue|={lam_max})")
-    return radius, count
+            f"oracle budget exceeded: need {max(counts)} points per axis "
+            f"in dimension {len(lam)} (eps={eps}, max |eigenvalue|="
+            f"{max(map(abs, lam))})")
+    return radius, counts
 
 
 def _neville_to_zero(eps, values):
@@ -249,21 +257,21 @@ def _regularized_limit(mu, quadrature, m_norm, schedule, tol, radius_pad,
                        oversample):
     """Evaluate quadrature on each eps of the schedule and extrapolate.
 
-    quadrature(eps, radius, count) is the raw midpoint integral of the
-    damped integrand over [-radius, radius]^d with count points per axis;
-    m_norm is the largest |mean coordinate| in the coordinates it
-    integrates.  Each value is scaled by (eps/pi)^(n/2)/Z and the schedule
-    extrapolated to eps = 0 (see epsilon_oracle).
+    quadrature(eps, radius, counts) is the raw midpoint integral of the
+    damped integrand over [-radius, radius]^d with counts[i] points on the
+    eigen-axis of mu.eigenvalues[i]; m_norm is the largest |mean
+    coordinate| in the coordinates it integrates.  Each value is scaled by
+    (eps/pi)^(n/2)/Z and the schedule extrapolated to eps = 0 (see
+    epsilon_oracle).
     """
     if mu.dim > 4:
         raise ValueError("oracle supports dimension <= 4")
     n = mu.kernel_dim
-    lam_max = max((abs(v) for v in mu.eigenvalues), default=0.0)
     values = []
     for eps in schedule:
-        radius, count = _oracle_points(eps, lam_max, m_norm, mu.dim,
-                                       radius_pad, oversample)
-        raw = quadrature(eps, radius, count)
+        radius, counts = _oracle_points(eps, mu.eigenvalues, m_norm,
+                                        radius_pad, oversample)
+        raw = quadrature(eps, radius, counts)
         values.append((eps / math.pi) ** (n / 2) * raw / mu.Z)
     if len(values) < 2:
         return values[0]
@@ -295,7 +303,8 @@ def epsilon_oracle(mu, vectors, schedule=(0.1, 0.05, 0.025, 0.0125),
     if tol is given and the extrapolants have not settled to within tol,
     raises with the residual sequence.  radius_pad widens the truncation
     box: a product of k linear forms lifts the truncated tail by about
-    radius^k.  oversample refines the step.  Test oracle only: the budget
+    radius^k.  oversample refines the step.  Each eigen-axis is sampled at
+    the step its own |eigenvalue| needs.  Test oracle only: the budget
     caps the points per axis by dimension.
     """
     vectors = [tuple(float(x) for x in v) for v in vectors]
@@ -307,8 +316,8 @@ def epsilon_oracle(mu, vectors, schedule=(0.1, 0.05, 0.025, 0.0125),
     shift = [_dot(q, mu.m) for q in columns]
     forms = [[_dot(q, v) for q in columns] for v in vectors]
 
-    def quadrature(eps, radius, count):
-        return _eigen_quadrature(lam, shift, forms, eps, radius, count)
+    def quadrature(eps, radius, counts):
+        return _eigen_quadrature(lam, shift, forms, eps, radius, counts)
 
     m_norm = max((abs(x) for x in shift), default=0.0)
     return _regularized_limit(mu, quadrature, m_norm, schedule, tol,

@@ -1025,7 +1025,7 @@ def step6_identities(lie, k, link):
 
 
 # ---------------------------------------------------------------------------
-# standard embeddings and the shipped corpus
+# standard embeddings
 
 
 def _ring_step(tag, ring, reverse):
@@ -1092,64 +1092,3 @@ def embed_link(link, refinement=None, n=2):
     validate_link(out)
     return out
 
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One shipped test link: name, algebra series, level, both forms."""
-
-    name: str
-    series: str
-    level: int
-    link: RibbonLink
-    embedded: RibbonLink
-
-
-def _chain(genus, specs):
-    ribbons = tuple(
-        ColoredRibbon(tuple(color), winding, orientation, parent)
-        for parent, (color, winding, orientation)
-        in enumerate(specs))
-    return RibbonLink(genus, ribbons)
-
-
-_CORPUS_SPECS = (
-    ("a1_g0_empty_k2", "A1", 2, 0, ()),
-    ("a1_g0_empty_k4", "A1", 4, 0, ()),
-    ("a1_g0_empty_k6", "A1", 6, 0, ()),
-    ("a1_g0_one_k4", "A1", 4, 0, (((1,), 1, 1),)),
-    ("a1_g0_one_heavy_k3", "A1", 3, 0, (((2,), -2, -1),)),
-    ("a1_g0_one_top_k6", "A1", 6, 0, (((3,), 2, 1),)),
-    ("a1_g0_one_flat_k4", "A1", 4, 0, (((2,), 0, 1),)),
-    ("a1_g0_two_k5", "A1", 5, 0, (((1,), 1, 1), ((2,), -1, -1))),
-    ("a1_g0_three_k4", "A1", 4, 0,
-     (((1,), 2, 1), ((1,), -2, -1), ((2,), 1, 1))),
-    ("a1_g0_three_k6", "A1", 6, 0,
-     (((2,), 1, -1), ((1,), 1, 1), ((3,), -1, 1))),
-    ("a2_g0_one_k4", "A2", 4, 0, (((1, 0), 1, 1),)),
-    ("a2_g0_one_low_k3", "A2", 3, 0, (((0, 1), 1, 1),)),
-    ("a2_g0_one_adj_k5", "A2", 5, 0, (((1, 1), -2, -1),)),
-    ("a2_g0_two_k6", "A2", 6, 0, (((1, 0), 2, 1), ((0, 2), 1, -1))),
-    ("a2_g0_three_k7", "A2", 7, 0,
-     (((1, 0), 1, 1), ((0, 1), -1, -1), ((2, 1), 2, 1))),
-    ("a1_g1_empty_k3", "A1", 3, 1, ()),
-    ("a1_g1_one_k4", "A1", 4, 1, (((1,), 1, 1),)),
-    ("a1_g1_one_k5", "A1", 5, 1, (((2,), 1, 1),)),
-    ("a1_g1_two_k5", "A1", 5, 1, (((2,), 1, 1), ((2,), -2, -1))),
-    ("a2_g1_empty_k4", "A2", 4, 1, ()),
-    ("a2_g1_one_k5", "A2", 5, 1, (((0, 1), -1, -1),)),
-    ("a2_g1_two_k6", "A2", 6, 1, (((1, 0), 2, 1), ((1, 0), -2, 1))),
-)
-
-
-def corpus_links():
-    """The shipped link corpus, each entry in abstract and embedded form.
-
-    Covers zero to three nested ribbons, windings from -2 to 2, colors up
-    to three levels, both algebra series, genus zero and one, and levels
-    from the dual Coxeter number to four above it.
-    """
-    out = []
-    for name, series, level, genus, specs in _CORPUS_SPECS:
-        link = _chain(genus, specs)
-        out.append(CorpusEntry(name, series, level, link, embed_link(link)))
-    return tuple(out)

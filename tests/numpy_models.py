@@ -456,19 +456,20 @@ def grid_oracle(mu, f, schedule=(0.1, 0.05, 0.025, 0.0125), tol=None,
 
     f maps an (M, dim) array of points to M values; the damped integrand
     f(x) exp(-(i/2) <x-m, S(x-m)> - eps |x|^2) is summed on the dense
-    midpoint grid of each eps, in the coordinates x, and the values are
+    midpoint grid of each eps, in the coordinates x, with the largest of
+    epsilon_oracle's per-axis counts on every axis, and the values are
     scaled and extrapolated exactly as epsilon_oracle does.
     """
     S = np.array(mu.S)
     shift = np.array(mu.m)
 
-    def quadrature(eps, radius, count):
+    def quadrature(eps, radius, counts):
         def integrand(pts):
             y = pts - shift
             phase = -0.5j * np.einsum("ij,jk,ik->i", y, S, y)
             damp = -eps * np.einsum("ij,ij->i", pts, pts)
             return np.asarray(f(pts), dtype=complex) * np.exp(phase + damp)
-        return _grid_quadrature(integrand, mu.dim, radius, count)
+        return _grid_quadrature(integrand, mu.dim, radius, max(counts))
 
     m_norm = float(np.max(np.abs(shift), initial=0.0))
     return _regularized_limit(mu, quadrature, m_norm, schedule, tol,

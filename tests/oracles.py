@@ -1087,30 +1087,29 @@ def kernel_check_B0_rows(cx, sigma0=None):
 # eigenbasis quadrature of the regularized Gauss integrals, in numpy
 
 
-def eigen_quadrature_numpy(lam, shift, forms, eps, radius, count):
+def eigen_quadrature_numpy(lam, shift, forms, eps, radius, counts):
     """Midpoint-rule integral of prod_j <a_j, y> times a separable weight.
 
     The numpy evaluation that oscillatory._eigen_quadrature replaced, kept
     as its oracle: the weight exp(-(i/2) sum_i lam_i (y_i - shift_i)^2 -
-    eps |y|^2) is evaluated with one exp per axis point, the 1-D moments
-    of y^p for p <= len(forms) are taken by a matrix product, and the
-    product of the forms is expanded over the assignments of forms to
-    axes.
+    eps |y|^2) is evaluated with one exp per point of axis i's counts[i]
+    midpoints, the 1-D moments of y^p for p <= len(forms) are taken by a
+    matrix product, and the product of the forms is expanded over the
+    assignments of forms to axes.
     """
-    lam = np.asarray(lam, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    step = 2.0 * radius / count
-    y = -radius + (np.arange(count) + 0.5) * step
-    weight = np.exp(-0.5j * lam[:, None] * (y - shift[:, None]) ** 2
-                    - eps * y ** 2)
-    powers = y ** np.arange(len(forms) + 1)[:, None]
-    moments = (weight @ powers.T) * step
+    moments = []
+    for li, si, count in zip(lam, shift, counts):
+        step = 2.0 * radius / count
+        y = -radius + (np.arange(count) + 0.5) * step
+        weight = np.exp(-0.5j * li * (y - si) ** 2 - eps * y ** 2)
+        powers = y ** np.arange(len(forms) + 1)[:, None]
+        moments.append((powers @ weight) * step)
     dim = len(lam)
     total = 0.0 + 0.0j
     for axes in itertools.product(range(dim), repeat=len(forms)):
         term = complex(math.prod(a[i] for a, i in zip(forms, axes)))
         for i in range(dim):
-            term *= moments[i, axes.count(i)]
+            term *= moments[i][axes.count(i)]
         total += term
     return total
 

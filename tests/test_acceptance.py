@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from corpus import corpus_links
 from numpy_models import covariance_vanishing_check, delta_limit, grid_oracle
 from oracles import inner
 from shadow_wlo import statesum as ss
@@ -31,7 +32,7 @@ SQRT_I_PI = cmath.sqrt(1j * math.pi)
 
 @pytest.fixture(scope="module")
 def corpus():
-    return ss.corpus_links()
+    return corpus_links()
 
 
 def _random_regular(lie, rng):

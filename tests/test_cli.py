@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import cmath
+import importlib
 import json
 import math
 import os
@@ -432,19 +433,24 @@ def _signature_mod_4(S):
     return oscillatory.PhaseDet(det.value * turn, det.eigenvalues, det.signs)
 
 
+_MOMENTS = oscillatory.first_second_moments
+_CONSTANT = oscillatory.integrate_constant
+
+
 def _conjugate_second_moment(mu, v, w):
-    first, second = oscillatory.first_second_moments(mu, v, w)
+    first, second = _MOMENTS(mu, v, w)
     return first, second.conjugate()
 
 
 def _constant_off_by_a_phase(mu):
     # one quarter-turn too many in the signature phase of det^(1/2)(iS)
-    return oscillatory.integrate_constant(mu) * cmath.exp(0.25j * math.pi)
+    return _CONSTANT(mu) * cmath.exp(0.25j * math.pi)
 
 
+# the suite imports its closed forms from oscillatory when it runs
 @pytest.mark.parametrize("module,name,mutant", [
-    (cli, "first_second_moments", _conjugate_second_moment),
-    (cli, "integrate_constant", _constant_off_by_a_phase),
+    (oscillatory, "first_second_moments", _conjugate_second_moment),
+    (oscillatory, "integrate_constant", _constant_off_by_a_phase),
     (oscillatory, "phase_det", _signature_mod_4),
 ])
 def test_closed_form_mutation_fails_oscillatory_suite(monkeypatch, module,
@@ -734,6 +740,80 @@ def test_run_loads_neither_argparse_nor_locale(tmp_path):
     assert selfcheck.read_bytes() == (GOLDEN / selfcheck.name).read_bytes()
     report = json.loads((tmp_path / "tolerance.json").read_text())
     assert report["results"]["compare"]["tolerance"] == 1e-3
+
+
+# what only the selfcheck runs: its kernels, their linear algebra and
+# exact rationals
+SELFCHECK_ONLY = ("shadow_wlo.discrete", "shadow_wlo.linalg",
+                  "shadow_wlo.oscillatory", "cmath", "fractions", "decimal")
+
+
+def test_abstract_run_loads_no_selfcheck_module(tmp_path):
+    # each abstract config, then --selfcheck in the same process, which
+    # loads the rest on first use
+    names = ["unknot_su2_k4.json", "nested_pair_su3_k6.json",
+             "empty_sphere_su2_k4.json"]
+    argvs = [["run", str(CONFIGS / name), "--out", str(tmp_path / name)]
+             for name in names]
+    argvs.append(["--selfcheck", "--out",
+                  str(tmp_path / "selfcheck_option.json")])
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from shadow_wlo import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    code = cli.main(argv)\n"
+        f"    print(code, *(m in sys.modules for m in {SELFCHECK_ONLY!r}))\n")
+    assert out == ["0", *["False"] * 6] * 3 + ["0", *["True"] * 6]
+    for name in names + ["selfcheck_option.json"]:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_selfcheck_calls_the_kernels_set_on_cli():
+    # the benchmark's tracer replaces these cli attributes by wrappers; a
+    # wrapper set before any suite has run is the one every call reaches
+    out = _fresh_interpreter(
+        "from collections import Counter\n"
+        "from shadow_wlo import cli, discrete, oscillatory\n"
+        "calls = Counter()\n"
+        "def counted(name, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "for module, name in ((discrete, 'det_block'),\n"
+        "                     (discrete, 'det_twisted_restricted'),\n"
+        "                     (oscillatory, 'epsilon_oracle')):\n"
+        "    setattr(cli, name, counted(name, getattr(module, name)))\n"
+        "table = cli.selfcheck()\n"
+        "print(all(row['pass'] for row in table.values()))\n"
+        "print(calls['det_block'], calls['det_twisted_restricted'],\n"
+        "      calls['epsilon_oracle'])\n")
+    # 2 groups x 3 variants, and 3 edges x 2 directions; 3 integrals
+    assert out == ["True", "1", "12", "3"]
+
+
+def test_kernel_attributes_are_the_owning_modules_functions():
+    # the benchmark's tracer reads each attribute before it wraps it; an
+    # unknown name still raises AttributeError
+    for name, module in cli._KERNELS.items():
+        owner = importlib.import_module(f"shadow_wlo.{module}")
+        assert getattr(cli, name) is getattr(owner, name)
+    with pytest.raises(AttributeError, match="no_such_kernel"):
+        cli.no_such_kernel
+
+
+_SUITES = sorted(name for name in vars(cli) if name.startswith("_suite_"))
+
+
+def test_every_suite_runs_in_the_selfcheck():
+    assert len(_SUITES) == len(cli.selfcheck()) == 9
+
+
+@pytest.mark.parametrize("suite", _SUITES)
+def test_suite_passes_first_in_a_fresh_interpreter(suite):
+    assert _fresh_interpreter(
+        "from shadow_wlo import cli\n"
+        f"print(cli.{suite}()[0])\n") == ["True"]
 
 
 def test_complex_values_are_pairs(capsys):

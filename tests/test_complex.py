@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from corpus import corpus_links
 from oracles import (affine_constraint_rows, coboundary, named_subdivision,
                      project_to_K, psi_embed)
 from shadow_wlo import complex as complex_module
@@ -354,7 +355,7 @@ def test_too_many_ring_sites_rejected():
 def test_sigma0_deterministic_order_and_exclusions():
     """The embedded basepoint is the least qK vertex id on no loop, with
     the loops' vertices read from the named darts of the ribbon steps."""
-    for ent in statesum.corpus_links():
+    for ent in corpus_links():
         cx = ent.embedded.complex
         qk_edges = named_subdivision(cx).qk_edges
         on_loops = {cx.qk_vertex_ids[w]

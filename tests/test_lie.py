@@ -1,7 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +20,8 @@ A1 = lie.lie_data("A1")
 A2 = lie.lie_data("A2")
 A3 = lie.lie_data("A3")
 A4 = lie.lie_data("A4")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_root_data_normalization():
@@ -421,6 +428,41 @@ def test_is_regular_exact_and_float():
     assert lie.is_regular(A2, (Fraction(1, 5), Fraction(1, 7)))
     assert not lie.is_regular(A1, (1.0 + 1e-12,))
     assert lie.is_regular(A1, (1.0 + 1e-6,))
+
+
+# (root pairings, off the walls): exact input is decided exactly, float
+# input within lie._WALL_TOL of an integer counts as on a wall
+_OFF_WALLS = [
+    ((0,), False), ((3, -2), False), ((True,), False), ((False, 1), False),
+    ((Fraction(1, 2),), True), ((Fraction(4, 2),), False),
+    ((Fraction(1, 3), Fraction(2, 3)), True),
+    ((Fraction(1, 3), Fraction(3, 1)), False),
+    ((Fraction(10 ** 12 + 1, 10 ** 12),), True),
+    ((np.int64(2),), False), ((np.int64(-1), Fraction(1, 2)), False),
+    ((Fraction(1, 3), np.int64(0)), False),
+    ((0.5,), True), ((1.0,), False), ((1.0 + 1e-12,), False),
+    ((1.0 + 1e-6,), True), ((0.25, -0.75), True), ((0.25, -3.0), False),
+    ((Fraction(1, 3), 0.5), True), ((Fraction(1, 3), 2.0), False),
+    ((np.int64(1), 0.5), False),
+]
+
+
+@pytest.mark.parametrize("ts,off", _OFF_WALLS)
+def test_off_walls_decisions(ts, off):
+    assert lie._off_walls(ts) is off
+
+
+def test_lie_decides_walls_without_fractions():
+    code = ("import sys\n"
+            "import shadow_wlo.lie\n"
+            "print('fractions' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def _assert_alcove_reduction(data, k, beta):

@@ -201,8 +201,9 @@ def test_eigen_quadrature_matches_numpy_near_the_point_cap(lam, shift, forms):
     # 200,000 points per axis in dimension 1
     eps = 0.002
     radius = math.sqrt(math.log(1e9) / eps) + abs(shift[0])
-    count = 199999
-    got = oscillatory._eigen_quadrature(lam, shift, forms, eps, radius, count)
+    counts = (199999,)
+    got = oscillatory._eigen_quadrature(lam, shift, forms, eps, radius,
+                                        counts)
     want = oracles.eigen_quadrature_numpy(lam, shift, forms, eps, radius,
-                                          count)
+                                          counts)
     assert _close(got, want)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from corpus import chain, corpus_links
 from numpy_models import covariance_vanishing_check
 from oracles import coboundary, face_weights, project_to_K
 from shadow_wlo import cli
@@ -38,7 +39,7 @@ CONFIGS = ROOT / "configs"
 
 @pytest.fixture(scope="module")
 def corpus():
-    return ss.corpus_links()
+    return corpus_links()
 
 
 def _by_name(corpus, name):
@@ -54,7 +55,7 @@ def _lie(entry):
 
 
 def test_face_chi_chain():
-    link = ss._chain(0, (((1,), 1, 1), ((1,), 1, 1), ((1,), 1, 1)))
+    link = chain(0, (((1,), 1, 1), ((1,), 1, 1), ((1,), 1, 1)))
     assert ss.face_chi(link) == (1, 0, 0, 1)
 
 
@@ -65,7 +66,7 @@ def test_face_chi_two_children():
 
 
 def test_face_chi_torus_base():
-    link = ss._chain(1, (((1,), 1, 1),))
+    link = chain(1, (((1,), 1, 1),))
     assert ss.face_chi(link) == (-1, 1)
 
 
@@ -94,7 +95,7 @@ def test_bad_orientation_rejected():
 
 def test_face_weights_nested_support():
     """The potential of a nested ribbon is supported strictly inside it."""
-    link = ss._chain(0, (((1,), 1, 1), ((1,), 1, -1), ((1,), 1, 1)))
+    link = chain(0, (((1,), 1, 1), ((1,), 1, -1), ((1,), 1, 1)))
     table = face_weights(link)
     assert table[0] == (0, 1, 1, 1)
     assert table[1] == (0, 0, -1, -1)
@@ -119,12 +120,12 @@ def test_gleam_empty_link_is_zero():
 
 
 def test_gleam_single_ribbon_sphere():
-    link = ss._chain(0, (((1,), 1, 1),))
+    link = chain(0, (((1,), 1, 1),))
     assert ss._forest(link).gleam == (-1, 1)
 
 
 def test_gleam_flips_with_orientation_and_winding():
-    link = ss._chain(0, (((1,), -2, -1),))
+    link = chain(0, (((1,), -2, -1),))
     assert ss._forest(link).gleam == (-2, 2)
 
 
@@ -132,9 +133,9 @@ def test_gleam_two_nested_middle_face():
     # the annulus face sees ribbon 1 from inside and ribbon 2 from outside
     for s1 in (1, -1):
         for s2 in (1, -1):
-            link = ss._chain(0, (((1,), 1, s1), ((1,), 1, s2)))
+            link = chain(0, (((1,), 1, s1), ((1,), 1, s2)))
             assert ss._forest(link).gleam[1] == s1 - s2
-    link = ss._chain(0, (((1,), 1, 1), ((1,), 1, 1)))
+    link = chain(0, (((1,), 1, 1), ((1,), 1, 1)))
     assert ss._forest(link).gleam[2] == 1
 
 
@@ -242,7 +243,7 @@ def test_forest_reads_integer_parents():
     forest = ss._forest(ss.RibbonLink(0, ribbons))
     assert forest.parent == (-1, 0, 1)
     assert {type(p) for p in forest.parent} == {int}
-    assert forest == ss._forest(ss._chain(0, (((1,), 1, 1), ((1,), 2, 1))))
+    assert forest == ss._forest(chain(0, (((1,), 1, 1), ((1,), 2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ def test_flipped_target_dart_rejected(monkeypatch):
         return primal, dual
 
     monkeypatch.setattr(ss, "_half_sum_chain", flipped)
-    link = ss._chain(0, (((1,), 1, 1),))
+    link = chain(0, (((1,), 1, 1),))
     with pytest.raises(ValueError, match="no unit-jump potential"):
         ss.embed_link(link)
 
@@ -609,7 +610,7 @@ def test_time_steps_of_standard_embeddings_validate():
     for genus in (0, 1):
         for winding in range(-3, 4):
             for n in range(2, 6):
-                link = ss._chain(genus, (((1,), winding, 1),
+                link = chain(genus, (((1,), winding, 1),
                                          ((2,), -winding, -1)))
                 # embed_link validates the link it returns
                 emb = ss.embed_link(link, n=n)
@@ -641,7 +642,7 @@ def test_embedded_chains_realize_every_sign_pattern(genus):
     """The ring direction alone fixes each embedded ribbon's jump."""
     for depth in range(1, 5):
         for signs in product((1, -1), repeat=depth):
-            link = ss._chain(genus, tuple(
+            link = chain(genus, tuple(
                 ((1,), (1, -1, 2, 0)[i], s) for i, s in enumerate(signs)))
             # embed_link validates the link it returns
             emb = ss.embed_link(link)
@@ -980,9 +981,9 @@ def test_shift_table_contraction_equals_keyed_on_benchmark_shapes():
     # the fusion benchmark's A2 k=7 genus-1 chain, over windings and signs
     _assert_keyed_contraction_equal(A2, 5, _branching_forest())
     for (w1, s1), (w2, s2) in product(product((-2, 1), (1, -1)), repeat=2):
-        _assert_keyed_contraction_equal(A1, 10, ss._chain(0, (
+        _assert_keyed_contraction_equal(A1, 10, chain(0, (
             ((1,), w1, s1), ((2,), w2, s2), ((1,), w2, s1), ((2,), w1, s2))))
-        _assert_keyed_contraction_equal(A2, 7, ss._chain(1, (
+        _assert_keyed_contraction_equal(A2, 7, chain(1, (
             ((1, 0), w1, s1), ((0, 1), w2, s2))))
 
 
@@ -1046,7 +1047,7 @@ def test_shift_tables_are_exact():
 def test_shift_tables_shared_by_dual_steps_and_cached():
     # (1,0) at o=+1 steps by its weights; (0,1) at o=-1 by the negatives
     # of its own, the same three weights
-    link = ss._chain(0, (((1, 0), 1, 1), ((0, 1), 2, -1)))
+    link = chain(0, (((1, 0), 1, 1), ((0, 1), 2, -1)))
     ss._shift_table.cache_clear()
     ss.wlo_unnormalized(A2, 5, link)
     info = ss._shift_table.cache_info()
@@ -1095,11 +1096,11 @@ def test_shadow_contraction_equals_gather_on_benchmark_shapes():
                 branching, ribbons=tuple(
                     replace(r, winding=w[i], orientation=signs[i])
                     for i, r in enumerate(branching.ribbons))))
-            _assert_shadow_equals_gather(A1, 10, ss._chain(0, tuple(
+            _assert_shadow_equals_gather(A1, 10, chain(0, tuple(
                 (color, w[i], signs[i])
                 for i, color in enumerate(((1,), (2,), (1,), (2,))))))
     for (w1, s1), (w2, s2) in product(product(windings, (1, -1)), repeat=2):
-        _assert_shadow_equals_gather(A2, 7, ss._chain(1, (
+        _assert_shadow_equals_gather(A2, 7, chain(1, (
             ((1, 0), w1, s1), ((0, 1), w2, s2))))
 
 
@@ -1230,7 +1231,7 @@ def test_certificate_beyond_explicit_enumeration():
     y mod k with lazy unit steps that must avoid 0 and k/2.
     """
     k, m = 10, 12
-    link = ss._chain(0, tuple(((2,), (-1) ** i * (i % 3), (-1) ** (i + 1))
+    link = chain(0, tuple(((2,), (-1) ** i * (i % 3), (-1) ** (i + 1))
                               for i in range(m)))
     rep = ss.compare_theorem(A1, k, link)
     assert rep.rel_difference < 1e-9
@@ -1259,7 +1260,7 @@ def test_certificate_a2_level_9_genus_1_chain():
     fusion table.  The ratio (0.375+1.083i) is far from zero, so matching
     values are certified, not rounding noise.
     """
-    link = ss._chain(1, (((1, 0), 1, 1), ((0, 1), 1, 1)))
+    link = chain(1, (((1, 0), 1, 1), ((0, 1), 1, 1)))
     rep = ss.compare_theorem(A2, 9, link)
     assert rep.rel_difference < 1e-9
     assert abs(rep.shadow_ratio) > 1.0
@@ -1273,7 +1274,7 @@ def test_certificate_a2_level_40_genus_1_chain():
     nonzero fusion rows take well under a second.  The ratio is far from
     zero, so matching values are certified, not rounding noise.
     """
-    link = ss._chain(1, (((1, 0), 1, 1), ((0, 1), 1, 1)))
+    link = chain(1, (((1, 0), 1, 1), ((0, 1), 1, 1)))
     rep = ss.compare_theorem(A2, 40, link)
     assert rep.rel_difference < 1e-9
     assert rep.shadow_ratio == pytest.approx(2.6449351215785 + 0.8381363072115j,
@@ -1306,8 +1307,8 @@ def test_theorem_below_coxeter_rejected():
 
 
 def test_non_integer_level_and_color_are_refused():
-    link = ss._chain(0, [((1,), 1, 1)])
-    bad_color = ss._chain(0, [((1.7,), 1, 1)])
+    link = chain(0, [((1,), 1, 1)])
+    bad_color = chain(0, [((1.7,), 1, 1)])
     for evaluate in (ss.wlo_unnormalized, ss.shadow_invariant,
                      ss.compare_theorem):
         with pytest.raises(ValueError, match="level must be an integer"):
@@ -1319,7 +1320,7 @@ def test_non_integer_level_and_color_are_refused():
 
 
 def test_color_of_the_wrong_length_is_refused():
-    link = ss._chain(0, [((1, 0, 5), 1, 1)])
+    link = chain(0, [((1, 0, 5), 1, 1)])
     for evaluate in (ss.wlo_unnormalized, ss.shadow_invariant):
         with pytest.raises(ValueError, match="needs 2 coordinates"):
             evaluate(A2, 5, link)
@@ -1352,7 +1353,7 @@ def test_step6_table_check_agrees_with_per_term_oracle(corpus):
 def test_step6_identities_at_a_large_level():
     # 144,666 surviving holonomy terms, too many for the per-term transform
     # in a unit test
-    link = ss._chain(1, (((4, 4), 1, 1), ((1, 0), -2, -1)))
+    link = chain(1, (((4, 4), 1, 1), ((1, 0), -2, -1)))
     worst, checked = ss.step6_identities(A2, 20, link)
     assert worst <= ss._STEP6_TOL
     assert checked > 0
