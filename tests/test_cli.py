@@ -433,24 +433,19 @@ def _signature_mod_4(S):
     return oscillatory.PhaseDet(det.value * turn, det.eigenvalues, det.signs)
 
 
-_MOMENTS = oscillatory.first_second_moments
-_CONSTANT = oscillatory.integrate_constant
-
-
 def _conjugate_second_moment(mu, v, w):
-    first, second = _MOMENTS(mu, v, w)
+    first, second = oscillatory.first_second_moments(mu, v, w)
     return first, second.conjugate()
 
 
 def _constant_off_by_a_phase(mu):
     # one quarter-turn too many in the signature phase of det^(1/2)(iS)
-    return _CONSTANT(mu) * cmath.exp(0.25j * math.pi)
+    return oscillatory.integrate_constant(mu) * cmath.exp(0.25j * math.pi)
 
 
-# the suite imports its closed forms from oscillatory when it runs
 @pytest.mark.parametrize("module,name,mutant", [
-    (oscillatory, "first_second_moments", _conjugate_second_moment),
-    (oscillatory, "integrate_constant", _constant_off_by_a_phase),
+    (cli, "first_second_moments", _conjugate_second_moment),
+    (cli, "integrate_constant", _constant_off_by_a_phase),
     (oscillatory, "phase_det", _signature_mod_4),
 ])
 def test_closed_form_mutation_fails_oscillatory_suite(monkeypatch, module,
@@ -792,12 +787,13 @@ def test_selfcheck_calls_the_kernels_set_on_cli():
     assert out == ["True", "1", "12", "3"]
 
 
-def test_kernel_attributes_are_the_owning_modules_functions():
-    # the benchmark's tracer reads each attribute before it wraps it; an
+def test_selfcheck_names_are_the_owning_modules_objects():
+    # the benchmark's tracer reads each kernel before it wraps it; an
     # unknown name still raises AttributeError
-    for name, module in cli._KERNELS.items():
-        owner = importlib.import_module(f"shadow_wlo.{module}")
-        assert getattr(cli, name) is getattr(owner, name)
+    for module, attrs in cli._SELFCHECK_NAMES.items():
+        owner = importlib.import_module(module)
+        for name in attrs:
+            assert getattr(cli, name) is getattr(owner, name)
     with pytest.raises(AttributeError, match="no_such_kernel"):
         cli.no_such_kernel
 

@@ -611,7 +611,7 @@ def test_time_steps_of_standard_embeddings_validate():
         for winding in range(-3, 4):
             for n in range(2, 6):
                 link = chain(genus, (((1,), winding, 1),
-                                         ((2,), -winding, -1)))
+                                     ((2,), -winding, -1)))
                 # embed_link validates the link it returns
                 emb = ss.embed_link(link, n=n)
                 assert [sum(1 for st in rib.steps if st.dt)
