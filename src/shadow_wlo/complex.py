@@ -316,60 +316,6 @@ def _cube_sphere_cells(r):
     return edges, faces
 
 
-def _polygon_fan_cells(g, r):
-    # 4g-gon with side word prod_i a_i b_i a_i^(-1) b_i^(-1), each side cut
-    # into r segments, coned from an interior apex.  All polygon corners glue
-    # to the single vertex ("w",).
-    sides = 4 * g
-
-    def partner(s):
-        base, off = divmod(s, 4)
-        return 4 * base + {0: 2, 1: 3, 2: 0, 3: 1}[off]
-
-    def canonical(s):
-        return s % 4 in (0, 1)
-
-    def bvertex(s, t):
-        # boundary point at parameter t in 0..r on side s, glued label
-        if t == 0:
-            return ("w",)
-        if t == r:
-            return ("w",)
-        if canonical(s):
-            return ("bp", s, t)
-        return ("bp", partner(s), r - t)
-
-    edges = {}
-    for s in range(sides):
-        if canonical(s):
-            for t in range(r):
-                edges[("side", s, t)] = (bvertex(s, t), bvertex(s, t + 1))
-        for t in range(r):
-            edges[("spoke", s, t)] = (("apex",), bvertex(s, t))
-
-    def side_dart(s, t):
-        if canonical(s):
-            return ("side", s, t), 1
-        return ("side", partner(s), r - t - 1), -1
-
-    def spoke(s, t):
-        # spoke to boundary parameter t of side s; t = r is the next corner
-        if t == r:
-            s2 = (s + 1) % sides
-            return ("spoke", s2, 0)
-        return ("spoke", s, t)
-
-    faces = []
-    for s in range(sides):
-        for t in range(r):
-            faces.append((("tri", s, t), [
-                (spoke(s, t), 1),
-                side_dart(s, t),
-                (spoke(s, t + 1), -1),
-            ]))
-    return edges, faces
-
-
 def _carve_ring_patch(edges, faces, cell_id, depth, tag):
     """Replace one quadrilateral cell by nested concentric square rings.
 
@@ -379,18 +325,9 @@ def _carve_ring_patch(edges, faces, cell_id, depth, tag):
     lists (the input lists are not modified).
     """
     faces = list(faces)
-    cell = None
-    for idx, (fid, cycle) in enumerate(faces):
-        if fid == cell_id:
-            cell = (idx, cycle)
-            break
-    if cell is None:
-        raise ValueError(f"no cell {cell_id} to carve")
-    idx, cycle = cell
-    if len(cycle) != 4:
-        raise ValueError("ring patch needs a quadrilateral cell")
+    idx = next(i for i, (fid, _) in enumerate(faces) if fid == cell_id)
+    cycle = faces.pop(idx)[1]
     edges = dict(edges)
-    del faces[idx]
     outer_corners = [_dart_tail(edges, d) for d in cycle]
 
     def ring_corner(j, i):
@@ -436,8 +373,6 @@ def _select_site_cells(edges, faces, n):
     for fid, cycle in sorted(faces):
         if len(chosen) == n:
             break
-        if len(cycle) != 4:
-            continue
         corners = {_dart_tail(edges, d) for d in cycle}
         if corners & used:
             continue
@@ -453,8 +388,11 @@ def build_standard_surface(g, refinement, sites=()):
     """Standard decomposition of the closed oriented genus-g surface.
 
     g=0 is a cube with each face split into refinement^2 cells; g=1 is the
-    refinement x refinement torus grid; g >= 2 is the coned 4g-gon with
-    sides cut into refinement segments (a triangle fan, abstract use only).
+    refinement x refinement torus grid.  Any other genus raises ValueError:
+    the surfaces serve embed_link, which carves its ring sites into
+    quadrilateral cells, and the links it realizes, the paper's class on
+    the sphere and the torus, need no other genus.  A surface of genus
+    g >= 2 can still be given to SurfaceComplex as cells.
     sites is a sequence of ring-patch depths; site p gets depth sites[p]
     carved into a deterministic base cell, providing nested loop sites for
     ribbon embeddings.  g, refinement and the depths must be integers.
@@ -469,8 +407,8 @@ def build_standard_surface(g, refinement, sites=()):
 
 @lru_cache(maxsize=None)
 def _standard_surface(g, refinement, sites):
-    if g < 0 or refinement < 1:
-        raise ValueError("need g >= 0 and refinement >= 1")
+    if refinement < 1:
+        raise ValueError("need refinement >= 1")
     if g == 0:
         edges, faces = _cube_sphere_cells(refinement)
     elif g == 1:
@@ -479,12 +417,9 @@ def _standard_surface(g, refinement, sites):
                              "self-adjacent")
         edges, faces = _grid_torus_cells(refinement)
     else:
-        edges, faces = _polygon_fan_cells(g, refinement)
+        raise ValueError("standard surfaces cover genus 0 and 1 only")
     site_info = []
     if sites:
-        if g > 1:
-            raise ValueError("ring sites are only generated for genus 0 "
-                             "and 1")
         cells = _select_site_cells(edges, faces, len(sites))
         for p, depth in enumerate(sites):
             if depth < 1:
@@ -571,11 +506,11 @@ def kernel_check_B0(cx, sigma0=None):
 
     B0(qK) imposes the tetragon affinity on every quarter and constancy on
     the closed star of sigma0.  The projected coboundary vanishes exactly
-    when the two primal values along each non-loop edge agree and the two
-    center values across each dual edge agree.  Apart from the affinity,
-    every condition is an equality x_a = x_b; merged by union-find over
-    the qK vertex ids into classes, the equalities parametrize their
-    solution space by one value per class.  Summing each affinity row's
+    when the two primal values along each edge agree and the two center
+    values across each dual edge agree.  Apart from the affinity, every
+    condition is an equality x_a = x_b; merged by union-find over the qK
+    vertex ids into classes, the equalities parametrize their solution
+    space by one value per class.  Summing each affinity row's
     coefficients per class gives the restriction of the affinity to that
     space, so the kernel has dimension #classes - rank of the quotient
     rows, found by exact elimination.  sigma0 names a qK vertex; the
@@ -594,9 +529,7 @@ def kernel_check_B0(cx, sigma0=None):
             for w in corners:
                 union(w, base)
     for t, h, left, right in cx.edge_end_ids:
-        # loop edges impose nothing
-        if t != h:
-            union(t, h)
+        union(t, h)
         union(left, right)
     # the class of sigma0 meets almost every row; as the last column it is
     # pivoted on last, which keeps the elimination sparse

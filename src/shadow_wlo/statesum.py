@@ -1055,14 +1055,13 @@ def embed_link(link, refinement=None, n=2):
     Realizes ribbon i as the i-th concentric ring of a carved site on the
     standard genus-g surface, with the two boundary loops on opposite
     halves of the edge double and the declared winding walked one time
-    slice at a time.  Only a single chain of nested ribbons is supported;
+    slice at a time.  build_standard_surface refuses a genus other than 0
+    and 1.  Only a single chain of nested ribbons is supported;
     the loop rotation direction per ribbon is chosen so that the realized
     jump sign equals the declared orientation.  The returned link has
     passed validate_link.
     """
     genus = _genus(link)
-    if genus not in (0, 1):
-        raise ValueError("standard embeddings cover genus 0 and 1 only")
     m = len(link.ribbons)
     for pos, rib in enumerate(link.ribbons, start=1):
         if rib.parent != pos - 1:

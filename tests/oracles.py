@@ -1046,6 +1046,69 @@ def rational_rref_dense(rows, ncols, rhs=None):
 
 
 # ---------------------------------------------------------------------------
+# genus >= 2 surfaces
+
+
+def polygon_fan_cells(g, r):
+    """Cells (edges, faces) of a closed genus-g surface, for SurfaceComplex.
+
+    The 4g-gon with side word prod_i a_i b_i a_i^(-1) b_i^(-1), each side
+    cut into r segments, coned from an interior apex into triangles.  All
+    polygon corners glue to the single vertex ("w",), so at r = 1 every
+    side is a loop edge.  build_standard_surface builds genus 0 and 1
+    only; this fan keeps the tests' genus >= 2 surfaces.
+    """
+    sides = 4 * g
+
+    def partner(s):
+        base, off = divmod(s, 4)
+        return 4 * base + {0: 2, 1: 3, 2: 0, 3: 1}[off]
+
+    def canonical(s):
+        return s % 4 in (0, 1)
+
+    def bvertex(s, t):
+        # boundary point at parameter t in 0..r on side s, glued label
+        if t == 0:
+            return ("w",)
+        if t == r:
+            return ("w",)
+        if canonical(s):
+            return ("bp", s, t)
+        return ("bp", partner(s), r - t)
+
+    edges = {}
+    for s in range(sides):
+        if canonical(s):
+            for t in range(r):
+                edges[("side", s, t)] = (bvertex(s, t), bvertex(s, t + 1))
+        for t in range(r):
+            edges[("spoke", s, t)] = (("apex",), bvertex(s, t))
+
+    def side_dart(s, t):
+        if canonical(s):
+            return ("side", s, t), 1
+        return ("side", partner(s), r - t - 1), -1
+
+    def spoke(s, t):
+        # spoke to boundary parameter t of side s; t = r is the next corner
+        if t == r:
+            s2 = (s + 1) % sides
+            return ("spoke", s2, 0)
+        return ("spoke", s, t)
+
+    faces = []
+    for s in range(sides):
+        for t in range(r):
+            faces.append((("tri", s, t), [
+                (spoke(s, t), 1),
+                side_dart(s, t),
+                (spoke(s, t + 1), -1),
+            ]))
+    return edges, faces
+
+
+# ---------------------------------------------------------------------------
 # the B0 kernel check on the full row system
 
 

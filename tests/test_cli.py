@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -300,6 +301,42 @@ def test_overflowing_face_factor_exits_2(tmp_path, capsys):
     assert err.startswith("error: face 0: ")
     assert "overflows a float" in err
     assert "Traceback" not in err
+
+
+_TORUS_CONFIG = json.loads(
+    (CONFIGS / "torus_unknot_su2_k5_embedded.json").read_text())
+
+
+@pytest.mark.parametrize("fields,reason", [
+    ({"genus": 2}, "standard surfaces cover genus 0 and 1 only"),
+    ({"genus": 2, "ribbons": []}, "standard surfaces cover genus 0 and 1 only"),
+    ({"refinement": 1},
+     "refinement too small: torus faces would be self-adjacent"),
+], ids=["genus2", "genus2_no_ribbons", "torus_refinement1"])
+def test_embedding_without_standard_surface_exits_2(tmp_path, capsys, fields,
+                                                    reason):
+    # the surface build states the genus limit; the CLI refuses the config
+    # with one error line and writes no report
+    cfg = tmp_path / "embedded.json"
+    cfg.write_text(json.dumps({**_TORUS_CONFIG, **fields}))
+    report = tmp_path / "report.json"
+    code, out, err = run_main(["run", str(cfg), "--out", str(report)],
+                              capsys)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(rf"error: [^\n]*no standard embedding: {reason}\n",
+                        err), err
+    assert not report.exists()
+
+
+def test_genus_two_link_runs_in_abstract_mode(tmp_path, capsys):
+    cfg = tmp_path / "abstract.json"
+    cfg.write_text(json.dumps({**_TORUS_CONFIG, "genus": 2,
+                               "mode": "abstract"}))
+    report = tmp_path / "report.json"
+    code, _, _ = run_main(["run", str(cfg), "--out", str(report)], capsys)
+    assert code == 0
+    assert json.loads(report.read_text())["results"]["compare"]["pass"]
 
 
 def test_unknown_group_exits_2(tmp_path, capsys):

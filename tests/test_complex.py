@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from corpus import corpus_links
 from oracles import (affine_constraint_rows, coboundary, named_subdivision,
-                     project_to_K, psi_embed)
+                     polygon_fan_cells, project_to_K, psi_embed)
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum
 from shadow_wlo.complex import (
@@ -26,6 +26,15 @@ from shadow_wlo.complex import (
 
 def euler(cx):
     return len(cx.vertices) - len(cx.edges) + len(cx.faces)
+
+
+def surface(g, r, sites=()):
+    """The standard surface of genus 0 or 1, or for g >= 2, which
+    build_standard_surface refuses, the oracles' triangle fan."""
+    if g < 2:
+        return build_standard_surface(g, r, sites)
+    assert not sites
+    return SurfaceComplex(g, *polygon_fan_cells(g, r))
 
 
 def test_sphere_refinement_one_has_euler_two():
@@ -65,10 +74,17 @@ def test_torus_refinement_one_rejected():
         build_standard_surface(1, 1)
 
 
+@pytest.mark.parametrize("g", [-1, 2, 3])
+def test_standard_surfaces_stop_at_genus_one(g):
+    with pytest.raises(ValueError, match="^standard surfaces cover genus 0 "
+                                         "and 1 only$"):
+        build_standard_surface(g, 1)
+
+
 @pytest.mark.parametrize("g,r", [(0, 1), (0, 2), (1, 2), (1, 3),
                                  (2, 1), (2, 2), (3, 1)])
 def test_generators_produce_valid_maps(g, r):
-    cx = build_standard_surface(g, r)
+    cx = surface(g, r)
     assert euler(cx) == 2 - 2 * g
     # every quarter is a tetragon and every qK edge borders two quarters
     assert all(len(sides) == 4 for sides in cx.quarter_side_ids)
@@ -88,7 +104,7 @@ def test_generators_produce_valid_maps(g, r):
 
 @pytest.mark.parametrize("g,r", [(0, 1), (1, 2), (2, 1)])
 def test_quad_subdivision_is_itself_a_valid_map(g, r):
-    cx = build_standard_surface(g, r)
+    cx = surface(g, r)
     named = named_subdivision(cx)
     faces = [(qid, list(b)) for qid, b in named.quarters.items()]
     qcx = SurfaceComplex(g, named.qk_edges, faces)
@@ -148,7 +164,7 @@ def test_hodge_pair_squares_to_minus_identity():
 
 @pytest.mark.parametrize("g,r", [(0, 1), (0, 2), (1, 2), (1, 3), (2, 1)])
 def test_kernel_of_projected_coboundary_is_constants(g, r):
-    assert kernel_check_B0(build_standard_surface(g, r))
+    assert kernel_check_B0(surface(g, r))
 
 
 def test_kernel_check_refuses_a_base_vertex_off_the_subdivision():
@@ -199,8 +215,9 @@ def test_kernel_check_fails_on_two_disjoint_spheres():
         assert oracles.kernel_check_B0_rows(cx, sigma0) is False
 
 
-# (genus, refinement, ring sites); genus 1 needs refinement >= 2 and ring
-# sites are generated for genus 0 and 1 only
+# (genus, refinement, ring sites): the standard surfaces, where genus 1
+# needs refinement >= 2, and the oracles' genus-2 triangle fans, which
+# carry no ring sites; the fan at refinement 1 has loop edges
 _KERNEL_SURFACES = (
     [(0, r, s) for r in (1, 2, 3, 4) for s in ((), (2,))]
     + [(1, r, s) for r in (2, 3, 4) for s in ((), (1,))]
@@ -215,7 +232,9 @@ def test_kernel_check_matches_full_row_oracle(g, r, sites):
     larger ones six evenly spaced base vertices, which cover centers,
     midpoints and primal vertices, bound the oracle's cost.
     """
-    cx = build_standard_surface(g, r, sites)
+    cx = surface(g, r, sites)
+    # every side of the fan at r = 1 is a loop edge at its one corner
+    assert any(t == h for t, h in cx.edges.values()) is ((g, r) == (2, 1))
     qvs = cx.qk_vertices
     if len(qvs) > 60:
         qvs = qvs[::-(-len(qvs) // 6)]
@@ -227,14 +246,11 @@ def test_kernel_check_matches_full_row_oracle(g, r, sites):
 
 @st.composite
 def _standard_surfaces(draw):
-    """A small standard surface of genus 0, 1 or 2; the first two with up
-    to two ring sites."""
-    g = draw(st.sampled_from((0, 1, 2)))
-    refinement = draw({0: st.just(1), 1: st.integers(2, 3),
-                       2: st.integers(1, 2)}[g])
-    sites = ()
-    if g < 2:
-        sites = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
+    """A small standard surface of genus 0 or 1 with up to two ring
+    sites."""
+    g = draw(st.sampled_from((0, 1)))
+    refinement = draw(st.integers(2, 3) if g else st.just(1))
+    sites = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
     try:
         return build_standard_surface(g, refinement, sites)
     except ValueError as exc:
@@ -244,6 +260,8 @@ def _standard_surfaces(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(_standard_surfaces())
+@example(surface(2, 1))
+@example(surface(2, 2))
 def test_integer_tables_name_the_subdivision(cx):
     """Every integer table agrees with the named subdivision the oracle
     derives from the cells, and the kernel check on them agrees with the
@@ -291,7 +309,7 @@ _SURFACE_ATTRIBUTES = {
                                        (2, 1, ())])
 def test_surface_holds_only_the_documented_tables(g, r, sites):
     """A second representation of a table would be a new attribute."""
-    cx = build_standard_surface(g, r, sites)
+    cx = surface(g, r, sites)
     assert len(_SURFACE_ATTRIBUTES) == 17
     assert set(vars(cx)) == _SURFACE_ATTRIBUTES
     for name in _SURFACE_ATTRIBUTES:
@@ -310,7 +328,7 @@ def test_affinity_rows_annihilate_constants():
 
 def test_empty_link_region_census():
     for g, r in [(0, 1), (1, 2), (2, 1)]:
-        cx = build_standard_surface(g, r)
+        cx = surface(g, r)
         everything = set(range(len(cx.quarter_names)))
         chi = face_euler_characteristics(cx, {"Y0": everything})
         assert chi == {"Y0": 2 - 2 * g}

@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from corpus import chain, corpus_links
 from numpy_models import covariance_vanishing_check
-from oracles import coboundary, face_weights, project_to_K
+from oracles import (coboundary, face_weights, polygon_fan_cells,
+                     project_to_K)
 from shadow_wlo import cli
 from shadow_wlo import complex as complex_module
 from shadow_wlo import statesum as ss
-from shadow_wlo.complex import (RibbonStep, build_standard_surface,
-                                hodge_star_signs, kernel_check_B0)
+from shadow_wlo.complex import (RibbonStep, SurfaceComplex,
+                                build_standard_surface, hodge_star_signs,
+                                kernel_check_B0)
 from shadow_wlo.lie import (_dual, is_regular, lattice_points_in_scaled_box,
                             level_labels, lie_data, quantum_dim,
                             sine_product, weight_multiplicities)
@@ -341,7 +343,9 @@ def test_antiparallel_loops_rejected(corpus):
                                        (2, 2, ())])
 def test_integer_image_is_four_times_projected_image(g, r, sites):
     """The quarter-unit image is 4 star(project_to_K(coboundary f))."""
-    cx = build_standard_surface(g, r, sites)
+    # build_standard_surface stops at genus 1; genus 2 is the oracles' fan
+    cx = (build_standard_surface(g, r, sites) if g < 2
+          else SurfaceComplex(g, *polygon_fan_cells(g, r)))
     rng = random.Random(f"{g}-{r}-{sites}")
     s1, s2 = hodge_star_signs["K1"], hodge_star_signs["K2"]
     for _ in range(20):
